@@ -3,8 +3,9 @@
 For a density with negative curvature, the coefficient envelope at r is
 r^2 times the inf/sup over t in (0,1] of s''(rt)/s''(t).  The scan truncates
 at t_min and carries one-sided grid error; divergence (ratios growing without
-bound toward 0) is evidenced via probe trends and a magnitude threshold, not
-proved.
+bound toward 0) is evidenced via probe trends and a magnitude threshold on the
+coefficient r^2 * ratio, not proved.  column_bounds scans all the r of a joint's
+columns in one (r x t) grid; coefficient_bounds is its one-column case.
 """
 from __future__ import annotations
 
@@ -23,6 +24,7 @@ __all__ = [
     "PhiFunction",
     "ThetaConfig",
     "coefficient_bounds",
+    "column_bounds",
     "phi_from_density",
     "theta_phi",
     "bounds_to_csv",
@@ -54,28 +56,31 @@ class CoefficientBounds:
     divergent: bool
 
 
-def coefficient_bounds(d: Density, r: float, cfg: BoundsConfig | None = None) -> CoefficientBounds:
-    """Scan t -> s''(r t)/s''(t) over (0, 1] and scale by r^2.
+def column_bounds(d: Density, rs, cfg: BoundsConfig | None = None) -> list[CoefficientBounds]:
+    """coefficient_bounds for every r in rs, from one scan of the (r x t) grid.
 
-    Requires the concave flag (negative curvature keeps the ratio positive
-    and the envelope meaningful).  divergent is set when any probe breaches
-    the magnitude threshold or a probe family trends away without slowing.
+    The grid denominator s''(t) and the probe ladders are evaluated once per
+    call; each r keeps its own lanes, so its result does not depend on the
+    other values in rs.
     """
     cfg = cfg or BoundsConfig()
     if not d.concave:
         raise ValueError(f"density {d.label!r} lacks the concave flag")
     if d.eval_s2 is None:
         raise ValueError(f"density {d.label!r} has no curvature evaluator")
-    if not 0.0 < r <= 1.0 + 1e-12:
-        raise ValueError(f"r must lie in (0, 1], got {r!r}")
-    r = min(float(r), 1.0)  # marginals carry float dust one ulp above 1
+    r = np.array(rs, dtype=np.float64).reshape(-1)
+    for x in r:
+        if not 0.0 < x <= 1.0 + 1e-12:
+            raise ValueError(f"r must lie in (0, 1], got {float(x)!r}")
+    r = np.minimum(r, 1.0)  # marginals carry float dust one ulp above 1
     s2 = d.eval_s2
+    rt = r[:, None]
 
     def ratio(t):
-        t = np.asarray(t, dtype=np.float64)
-        return np.asarray(s2(r * t)) / np.asarray(s2(t))
+        # t is the 1-d grid or ladder (shared by all rows) or (rows, L)
+        return np.asarray(s2(rt * t)) / np.asarray(s2(t))
 
-    inf_res, sup_res = scan_extrema(
+    scans = scan_extrema(
         ratio,
         t_min=cfg.t_min,
         grid_n=cfg.grid_n,
@@ -83,17 +88,33 @@ def coefficient_bounds(d: Density, r: float, cfg: BoundsConfig | None = None) ->
         geometric_k=cfg.geometric_k,
         refine=cfg.refine,
     )
-    divergent = inf_res.diverging or sup_res.diverging
-    if math.isfinite(sup_res.probe_max) and abs(sup_res.probe_max) > cfg.divergence_threshold:
-        divergent = True
-    return CoefficientBounds(
-        r=float(r),
-        lower=r * r * inf_res.value,
-        upper=r * r * sup_res.value,
-        lower_meta=inf_res,
-        upper_meta=sup_res,
-        divergent=divergent,
-    )
+    out = []
+    for rj, (inf_res, sup_res) in zip(r.tolist(), scans):
+        f_scale = rj * rj
+        # the magnitude threshold applies to the coefficient r^2 * ratio
+        breach = math.isfinite(sup_res.probe_max) and f_scale * abs(sup_res.probe_max) > cfg.divergence_threshold
+        out.append(
+            CoefficientBounds(
+                r=rj,
+                lower=f_scale * inf_res.value,
+                upper=f_scale * sup_res.value,
+                lower_meta=inf_res,
+                upper_meta=sup_res,
+                divergent=inf_res.diverging or sup_res.diverging or breach,
+            )
+        )
+    return out
+
+
+def coefficient_bounds(d: Density, r: float, cfg: BoundsConfig | None = None) -> CoefficientBounds:
+    """Scan t -> s''(r t)/s''(t) over (0, 1] and scale by r^2.
+
+    Requires the concave flag (negative curvature keeps the ratio positive
+    and the envelope meaningful).  divergent is set when a probe family
+    trends away without slowing, or when r^2 times the largest probe value
+    breaches the magnitude threshold.
+    """
+    return column_bounds(d, [r], cfg)[0]
 
 
 def bounds_to_csv(rows: list[CoefficientBounds]) -> str:

@@ -13,12 +13,11 @@ import json
 import math
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
 from . import __version__
-from .bounds import BoundsConfig, coefficient_bounds, phi_from_density, theta_phi
+from .bounds import BoundsConfig, coefficient_bounds, column_bounds, phi_from_density, theta_phi
 from .densities import (
     EntropyFunctional,
     density_from_spec,
@@ -51,7 +50,6 @@ def _add_batch_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--instances", type=int, default=100)
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--concentration", type=float, default=1.0)
-    p.add_argument("--jobs", type=int, default=1)
 
 
 def _add_numeric_args(p: argparse.ArgumentParser) -> None:
@@ -137,17 +135,23 @@ def _resolve_density(args, parser: argparse.ArgumentParser):
     if args.density_spec:
         spec = args.density_spec
         if spec.startswith("@"):
-            with open(spec[1:], encoding="utf-8") as fh:
-                spec = fh.read()
+            try:
+                with open(spec[1:], encoding="utf-8") as fh:
+                    spec = fh.read()
+            except OSError as e:
+                parser.error(f"--density-spec: cannot read {spec[1:]!r}: {e.strerror}")
+    else:
+        if not args.density:
+            parser.error("one of --density or --density-spec is required")
+        spec = {"kind": args.density, "params": {}}
+        if args.density == "tsallis":
+            if args.q is None:
+                parser.error("--density tsallis requires --q")
+            spec["params"]["q"] = args.q
+    try:
         return density_from_spec(spec)
-    if not args.density:
-        parser.error("one of --density or --density-spec is required")
-    spec = {"kind": args.density, "params": {}}
-    if args.density == "tsallis":
-        if args.q is None:
-            parser.error("--density tsallis requires --q")
-        spec["params"]["q"] = args.q
-    return density_from_spec(spec)
+    except ValueError as e:
+        parser.error(f"bad density: {e}")
 
 
 def _bounds_cfg(args) -> BoundsConfig:
@@ -158,11 +162,25 @@ def _instance_seeds(seed: int, count: int) -> list[int]:
     return [int(s) for s in np.random.SeedSequence(seed).generate_state(count)]
 
 
-def _run_indexed(worker, count: int, jobs: int) -> list:
-    if jobs <= 1:
-        return [worker(i) for i in range(count)]
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(worker, range(count)))
+def _validate(args, parser: argparse.ArgumentParser) -> None:
+    """Reject out-of-range numeric arguments as usage errors (exit 2)."""
+    checks = [
+        ("m", lambda v: v >= 1, ">= 1"),
+        ("n", lambda v: v >= 1, ">= 1"),
+        ("instances", lambda v: v >= 0, ">= 0"),
+        ("concentration", lambda v: v > 0.0, "> 0"),
+        ("grid_n", lambda v: v >= 256, ">= 256"),
+        ("t_min", lambda v: 0.0 < v < 1.0, "in (0, 1)"),
+    ]
+    for name, ok, want in checks:
+        value = getattr(args, name, None)
+        if value is not None and not ok(value):
+            parser.error(f"--{name.replace('_', '-')} must be {want}, got {value!r}")
+
+
+def _finite_or_none(x: float) -> float | None:
+    """JSON has no NaN or Infinity: an undefined summary value is null."""
+    return x if math.isfinite(x) else None
 
 
 # ---------------------------------------------------------------------------
@@ -172,6 +190,8 @@ def _run_indexed(worker, count: int, jobs: int) -> list:
 
 def _cmd_verify_sandwich(args, parser) -> tuple[dict, int]:
     d = _resolve_density(args, parser)
+    if not (d.s0_zero and d.s1_zero and d.concave):
+        parser.error(f"density {d.label} lacks s(0) = 0, s(1) = 0 or concavity, which the envelope needs")
     F = EntropyFunctional(d)
     seed = _resolve_seed(args)
     cfg = _bounds_cfg(args)
@@ -182,13 +202,13 @@ def _cmd_verify_sandwich(args, parser) -> tuple[dict, int]:
         rep = sandwich_check(F, P, cfg, tolerance=args.tolerance)
         return {"instance": i, **rep.to_dict()}
 
-    details = _run_indexed(worker, args.instances, args.jobs)
+    details = [worker(i) for i in range(args.instances)]
     outcomes = [row["verdict"] for row in details]
     slacks = [min(row["slack_lower"], row["slack_upper"]) for row in details]
     payload = batch_report(d.label, "verify-sandwich", seed, outcomes, slacks)
     worst_gap = max((row["upper"] - row["lower"] for row in details), default=math.nan)
     collapse_tol = max((row["tolerance"] for row in details), default=math.nan)
-    payload["worst_bound_gap"] = worst_gap
+    payload["worst_bound_gap"] = _finite_or_none(worst_gap)
     payload["equality_collapse"] = bool(worst_gap <= collapse_tol)
     payload["details"] = details
     return payload, 0 if payload["fail_count"] == 0 else 1
@@ -215,13 +235,13 @@ def _cmd_residual(args, parser) -> tuple[dict, int]:
         ok = abs(res) <= args.tolerance
         return {"instance": i, "residual": res, "verdict": "pass" if ok else "fail"}
 
-    details = _run_indexed(worker, args.instances, args.jobs)
+    details = [worker(i) for i in range(args.instances)]
     outcomes = [row["verdict"] for row in details]
     slacks = [args.tolerance - abs(row["residual"]) for row in details]
     payload = batch_report(d.label, "residual", seed, outcomes, slacks)
     payload["power"] = q
     payload["tolerance"] = args.tolerance
-    payload["max_abs_residual"] = max((abs(r["residual"]) for r in details), default=math.nan)
+    payload["max_abs_residual"] = _finite_or_none(max((abs(r["residual"]) for r in details), default=math.nan))
     payload["details"] = details
     return payload, 0 if payload["fail_count"] == 0 else 1
 
@@ -238,25 +258,25 @@ def _parse_r_values(args, parser) -> list[float]:
             parser.error("--r-grid must be START:STOP:COUNT")
     if not rs:
         rs = np.linspace(0.1, 0.9, 9).tolist()
+    for r in rs:
+        if not 0.0 < r <= 1.0:
+            parser.error(f"r values must lie in (0, 1], got {r!r}")
     return rs
 
 
 def _cmd_bounds(args, parser) -> tuple[dict, int]:
     d = _resolve_density(args, parser)
-    cfg = _bounds_cfg(args)
-    rows = []
-    for r in _parse_r_values(args, parser):
-        cb = coefficient_bounds(d, r, cfg)
-        rows.append(
-            {
-                "r": cb.r,
-                "lower": cb.lower,
-                "upper": cb.upper,
-                "arg_inf": cb.lower_meta.arg,
-                "arg_sup": cb.upper_meta.arg,
-                "divergent": cb.divergent,
-            }
-        )
+    rows = [
+        {
+            "r": cb.r,
+            "lower": cb.lower,
+            "upper": cb.upper,
+            "arg_inf": cb.lower_meta.arg,
+            "arg_sup": cb.upper_meta.arg,
+            "divergent": cb.divergent,
+        }
+        for cb in column_bounds(d, _parse_r_values(args, parser), _bounds_cfg(args))
+    ]
     payload = {"density": d.label, "check": "bounds", "rows": rows}
     return payload, 0
 
@@ -326,12 +346,16 @@ def _cmd_axioms(args, parser) -> tuple[dict, int]:
         "seed": seed,
         **rep.to_dict(),
     }
+    payload["worst_maximality_gap"] = _finite_or_none(rep.worst_maximality_gap)
     return payload, 0 if rep.all_pass else 1
 
 
 def _cmd_theta_phi(args, parser) -> tuple[dict, int]:
     d = _resolve_density(args, parser)
-    phi = phi_from_density(d)
+    try:
+        phi = phi_from_density(d)
+    except ValueError as e:
+        parser.error(f"density {d.label} has no deformation profile: {e}")
     value = theta_phi(phi)
     payload = {"density": d.label, "check": "theta-phi", "theta": value}
     return payload, 0
@@ -381,7 +405,7 @@ def _emit(payload: dict, args) -> None:
     if args.format == "csv":
         text = _to_csv(payload)
     else:
-        text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
+        text = json.dumps(payload, sort_keys=True, indent=2, allow_nan=False) + "\n"
     if args.output:
         with open(args.output, "w", encoding="utf-8") as fh:
             fh.write(text)
@@ -392,6 +416,7 @@ def _emit(payload: dict, args) -> None:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    _validate(args, parser)
     payload, code = _COMMANDS[args.command](args, parser)
     _emit(payload, args)
     return code

@@ -419,6 +419,8 @@ def density_from_spec(spec: str | Mapping) -> Density:
     """Resolve a density spec (JSON text or mapping) to a catalog density."""
     if isinstance(spec, str):
         spec = json.loads(spec)
+    if not isinstance(spec, Mapping):
+        raise ValueError("a density spec must be a JSON object")
     kind = spec.get("kind")
     if kind not in _CATALOG:
         raise ValueError(f"unknown density kind {kind!r}; expected one of {sorted(_CATALOG)}")

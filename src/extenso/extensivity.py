@@ -18,7 +18,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .bounds import BoundsConfig, CoefficientBounds, coefficient_bounds
+# coefficient_bounds stays importable from here: perfbench/tracer.py patches it
+from .bounds import BoundsConfig, CoefficientBounds, coefficient_bounds, column_bounds  # noqa: F401
 from .densities import Density, EntropyFunctional, entropy
 from .simplex import JointMatrix, SimplexVector, conditional, marginal, uniform_vector
 
@@ -124,9 +125,7 @@ def _sandwich_core(
     p = marginal(P)
     s1_at_1 = float(np.asarray(d.eval_s1(1.0)))
     cond_entropies = [entropy(F, conditional(P, j)) for j in range(1, P.n + 1)]
-    per_col: list[CoefficientBounds] = [
-        coefficient_bounds(d, float(pj), cfg) for pj in p.entries
-    ]
+    per_col: list[CoefficientBounds] = column_bounds(d, p.entries, cfg)
     divergent = any(cb.divergent for cb in per_col)
 
     lower_terms = []
@@ -476,7 +475,8 @@ def batch_report(
     """Summary dict in the stable report schema.
 
     outcomes are per-instance verdict strings ('pass'/'fail'/'divergent');
-    worst_slack is the minimum slack across instances (nan when empty).
+    worst_slack is the minimum finite slack across instances (None when
+    there is none).
     """
     outcomes = list(outcomes)
     finite_slacks = [s for s in slacks if math.isfinite(s)]
@@ -487,6 +487,6 @@ def batch_report(
         "pass_count": sum(1 for o in outcomes if o == "pass"),
         "fail_count": sum(1 for o in outcomes if o == "fail"),
         "divergent_count": sum(1 for o in outcomes if o == "divergent"),
-        "worst_slack": min(finite_slacks) if finite_slacks else math.nan,
+        "worst_slack": min(finite_slacks) if finite_slacks else None,
         "seed": seed,
     }

@@ -9,6 +9,7 @@ never asserted as an attained extremum.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -269,8 +270,9 @@ class OptResult:
 
     est_error is the neighbor-cell value gap at the winning grid cell: the
     scan's resolution, to be applied as slack by consumers.  diverging is set
-    when a probe family trends away without slowing, or a value breaches the
-    caller's magnitude threshold; attainment toward t=0 is never asserted.
+    when a probe family trends away without slowing, or the grid meets an
+    infinity in the unbounded direction; attainment toward t=0 is never
+    asserted.  Magnitude thresholds on probe_max are the caller's to apply.
     """
 
     value: float
@@ -284,35 +286,48 @@ class OptResult:
     offending_t: float | None = None
 
 
-_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+# Bracket zoom: each round samples _ZOOM_POINTS interior points per lane and
+# keeps the two cells around the lane's best sample, so a bracket shrinks
+# (_ZOOM_POINTS + 1)/2 = 16-fold per round.  Twelve rounds take a cell of the
+# default 2048-point log grid (relative width ~1.4e-2) below float
+# resolution.  The round count is fixed: a lane's result never depends on the
+# other lanes of its batch.
+_ZOOM_POINTS = 31
+_ZOOM_ROUNDS = 12
 
 
-def _golden_min(f, a: float, b: float, iters: int = 48) -> tuple[float, float]:
-    """Golden-section minimizer on [a, b]; returns (arg, value)."""
-    x1 = b - _GOLDEN * (b - a)
-    x2 = a + _GOLDEN * (b - a)
-    f1, f2 = f(x1), f(x2)
-    best_x, best_f = (x1, f1) if f1 <= f2 else (x2, f2)
-    for _ in range(iters):
-        if f1 <= f2:
-            b, x2, f2 = x2, x1, f1
-            x1 = b - _GOLDEN * (b - a)
-            f1 = f(x1)
-        else:
-            a, x1, f1 = x1, x2, f2
-            x2 = a + _GOLDEN * (b - a)
-            f2 = f(x2)
-        if f1 < best_f:
-            best_x, best_f = x1, f1
-        if f2 < best_f:
-            best_x, best_f = x2, f2
-        if b - a <= 1e-14 * (abs(a) + abs(b)):
-            break
-    return best_x, best_f
+def _zoom(h, lo: np.ndarray, hi: np.ndarray, best: np.ndarray):
+    """Minimize each lane's signed h inside its bracket [lo, hi], all at once.
+
+    lo, hi and best have shape (rows, 2): column 0 holds the infimum lanes,
+    column 1 the supremum lanes, and best each lane's grid value with the
+    sign applied (negated for the supremum).  h maps a (rows, L) array of t
+    to (rows, L) values.  Returns (arg, best) of the same shape; arg is nan
+    in lanes where no finite sample beat the grid value.
+    """
+    shape = lo.shape
+    frac = np.arange(1, _ZOOM_POINTS + 1, dtype=np.float64) / (_ZOOM_POINTS + 1)
+    sign = np.tile([1.0, -1.0], shape[0])[:, None]
+    lanes = np.arange(lo.size)
+    lo, hi, best = lo.ravel(), hi.ravel(), best.ravel()
+    arg = np.full(lo.shape, np.nan)
+    for _ in range(_ZOOM_ROUNDS):
+        xs = lo[:, None] + (hi - lo)[:, None] * frac
+        vals = h(xs.reshape(shape[0], -1)).reshape(xs.shape)
+        work = np.where(np.isfinite(vals), sign * vals, np.inf)
+        j = np.argmin(work, axis=1)
+        w = work[lanes, j]
+        better = w < best
+        best = np.where(better, w, best)
+        arg = np.where(better, xs[lanes, j], arg)
+        edges = np.concatenate([lo[:, None], xs, hi[:, None]], axis=1)
+        lo, hi = edges[lanes, j], edges[lanes, j + 2]
+    return arg.reshape(shape), best.reshape(shape)
 
 
-def _trend_label(values: np.ndarray, mode: str, window: int = 8) -> str:
-    """Trend of h along a probe family ordered by decreasing t.
+def _trend_labels(values: np.ndarray, window: int = 8) -> tuple[str, str]:
+    """Trend of h along a probe family ordered by decreasing t, judged for
+    the infimum and for the supremum.
 
     'diverging' means the last `window` values move monotonically in the
     unbounded direction for the given mode and the move has not slowed below
@@ -320,24 +335,28 @@ def _trend_label(values: np.ndarray, mode: str, window: int = 8) -> str:
     """
     v = values[np.isfinite(values)]
     if v.size < window + 1:
-        return "short"
-    w = v[-window:]
-    d = np.diff(w)
-    span = abs(w[-1] - w[0])
-    threshold = max(1e-9, 0.05 * abs(w[0]))
-    if np.all(d > 0):
-        if mode == "sup" and span > threshold:
-            return "diverging"
-        return "increasing"
-    if np.all(d < 0):
+        return "short", "short"
+    w = v[-window:].tolist()
+    d = [b - a for a, b in zip(w, w[1:])]
+    away = abs(w[-1] - w[0]) > max(1e-9, 0.05 * abs(w[0]))
+    if all(x > 0 for x in d):
+        return "increasing", "diverging" if away else "increasing"
+    if all(x < 0 for x in d):
         # a positive decreasing sequence is bounded below; only a genuinely
         # negative-heading tail counts as divergence for the infimum
-        if mode == "inf" and span > threshold and w[-1] < 0:
-            return "diverging"
-        return "decreasing"
-    if np.all(np.abs(d) <= 1e-12 * (1.0 + np.abs(w[:-1]))):
-        return "flat"
-    return "mixed"
+        return "diverging" if away and w[-1] < 0 else "decreasing", "decreasing"
+    if all(abs(x) <= 1e-12 * (1.0 + abs(a)) for x, a in zip(d, w)):
+        return "flat", "flat"
+    return "mixed", "mixed"
+
+
+@functools.lru_cache(maxsize=8)
+def _log_grid(t_min: float, grid_n: int) -> np.ndarray:
+    """Read-only log-spaced grid over [t_min, 1] with exact end points."""
+    ts = np.geomspace(t_min, 1.0, grid_n)
+    ts[0], ts[-1] = t_min, 1.0
+    ts.flags.writeable = False
+    return ts
 
 
 def scan_extrema(
@@ -347,25 +366,63 @@ def scan_extrema(
     probe_points: tuple[float, ...] = (),
     geometric_k: int = 40,
     refine: bool = True,
-) -> tuple[OptResult, OptResult]:
+):
     """One grid scan of h over [t_min, 1] yielding both inf and sup results.
 
-    Log-spaced coarse grid, golden-section refinement in the bracketing cell,
-    then limit diagnostics on a geometric ladder t = 2^-k (k <= geometric_k)
-    and on any caller-declared probe points, each family judged separately.
+    h maps an array of t to an array of values.  A row-batched h maps a 1-d
+    t of length L to a (rows, L) array, and a (rows, L) t to (rows, L) values
+    with row i taken at t[i]; the scan then returns a list with one
+    (inf, sup) pair per row.  A 1-d h is the one-row case and returns the
+    pair itself.
+
+    Log-spaced coarse grid, a vectorized bracket zoom over the two cells
+    around every row's grid extremum, then limit diagnostics on a geometric
+    ladder t = 2^-k (k <= geometric_k) and on any caller-declared probe
+    points, each family judged separately per row.
     """
     if grid_n < 256:
         raise ValueError("grid_n must be >= 256")
     if not 0.0 < t_min < 1.0:
         raise ValueError("t_min must lie in (0, 1)")
-    ts = np.geomspace(t_min, 1.0, grid_n)
-    ts[0], ts[-1] = t_min, 1.0
-    vs = _eval_vectorized(h, ts)
+    ts = _log_grid(float(t_min), int(grid_n))
+    vs = np.asarray(h(ts), dtype=np.float64)
+    single = vs.ndim == 1
 
-    offending = None
+    def rows_h(t: np.ndarray) -> np.ndarray:
+        if single:
+            return np.asarray(h(t.ravel()), dtype=np.float64).reshape(1, -1)
+        return np.asarray(h(t), dtype=np.float64)
+
+    if single:
+        vs = vs[None, :]
     finite = np.isfinite(vs)
-    if not finite.all():
-        offending = float(ts[~finite][0])
+    bad = ~finite
+    has_bad = bad.any(axis=1)
+    first_bad = np.argmax(bad, axis=1)
+    # lanes (row, mode), mode 0 the infimum and 1 the supremum
+    blowup = np.stack([np.isneginf(vs).any(axis=1), np.isposinf(vs).any(axis=1)], axis=1)
+    sign = np.array([1.0, -1.0])
+    work = np.where(finite[:, None, :], sign[:, None] * vs[:, None, :], np.inf)
+    idx = np.argmin(work, axis=-1)
+    rix = np.arange(vs.shape[0])[:, None]
+    value = vs[rix, idx]
+    arg = ts[idx]
+    # resolution: the larger value gap to a finite grid neighbour
+    est_error = np.full(idx.shape, -np.inf)
+    for step in (-1, 1):
+        nb = np.clip(idx + step, 0, grid_n - 1)
+        ok = (nb != idx) & finite[rix, nb]
+        gap = np.abs(value - vs[rix, nb])
+        est_error = np.maximum(est_error, np.where(ok, gap, -np.inf))
+    est_error[est_error == -np.inf] = np.inf
+
+    if refine:
+        lo = ts[np.maximum(idx - 1, 0)]
+        hi = ts[np.minimum(idx + 1, grid_n - 1)]
+        z_arg, z_best = _zoom(rows_h, lo, hi, sign * value)
+        moved = ~np.isnan(z_arg)
+        value = np.where(moved, sign * z_best, value)
+        arg = np.where(moved, z_arg, arg)
 
     # probe families: geometric ladder toward 0, then declared points
     families: list[np.ndarray] = []
@@ -374,63 +431,44 @@ def scan_extrema(
     if len(probe_points):
         pts = np.sort(np.asarray(probe_points, dtype=np.float64))[::-1]
         families.append(pts[pts > 0.0])
-    probe_vals = [_eval_vectorized(h, fam) for fam in families]
-    probe_max = math.nan
+    probe_vals = [rows_h(fam) for fam in families]
+    probe_max = np.full(vs.shape[0], math.nan)
     if probe_vals:
-        allv = np.concatenate(probe_vals)
-        allv = allv[np.isfinite(allv)]
-        if allv.size:
-            probe_max = float(allv.max())
+        allv = np.concatenate(probe_vals, axis=1)
+        allv = np.where(np.isfinite(allv), allv, -np.inf)
+        if allv.shape[1]:
+            top = allv.max(axis=1)
+            probe_max = np.where(top > -np.inf, top, math.nan)
 
     results = []
-    for mode in ("inf", "sup"):
-        sign = 1.0 if mode == "inf" else -1.0
-        work = np.where(finite, sign * vs, np.inf)
-        i = int(np.argmin(work))
-        value = float(vs[i])
-        arg = float(ts[i])
-        gaps = []
-        if i > 0 and finite[i - 1]:
-            gaps.append(abs(vs[i] - vs[i - 1]))
-        if i + 1 < grid_n and finite[i + 1]:
-            gaps.append(abs(vs[i] - vs[i + 1]))
-        est_error = float(max(gaps)) if gaps else math.inf
-
-        refined_flag = False
-        if refine:
-            lo = ts[max(i - 1, 0)]
-            hi = ts[min(i + 1, grid_n - 1)]
-            gx, gv = _golden_min(lambda t: sign * float(h(t)), float(lo), float(hi))
-            if gv < sign * value:
-                value = float(sign * gv)
-                arg = float(gx)
-            # the t_min edge is an artificial truncation: the true extremum
-            # may sit below it, so refinement there is not trusted
-            refined_flag = i > 0
-
-        trends = [_trend_label(pv, mode) for pv in probe_vals]
-        diverging = "diverging" in trends
-        if offending is not None:
-            inf_dir = np.isposinf(vs[~finite]).any() if mode == "sup" else np.isneginf(vs[~finite]).any()
-            diverging = diverging or bool(inf_dir)
-        trend = "none"
-        if trends:
-            trend = "diverging" if diverging else trends[0]
-
-        results.append(
-            OptResult(
-                value=value,
-                arg=arg,
-                grid_points=grid_n,
-                refined=refined_flag,
-                est_error=est_error,
-                diverging=diverging,
-                probe_trend=trend,
-                probe_max=probe_max,
-                offending_t=offending,
+    for row in range(vs.shape[0]):
+        offending = float(ts[first_bad[row]]) if has_bad[row] else None
+        pair = []
+        labels = [_trend_labels(pv[row]) for pv in probe_vals]
+        for m in range(2):
+            trends = [lab[m] for lab in labels]
+            diverging = "diverging" in trends or bool(blowup[row, m])
+            trend = "none"
+            if trends:
+                trend = "diverging" if diverging else trends[0]
+            pair.append(
+                OptResult(
+                    value=float(value[row, m]),
+                    arg=float(arg[row, m]),
+                    grid_points=grid_n,
+                    # the t_min edge is an artificial truncation: the true
+                    # extremum may sit below it, so refinement there is not
+                    # trusted
+                    refined=bool(refine and idx[row, m] > 0),
+                    est_error=float(est_error[row, m]),
+                    diverging=diverging,
+                    probe_trend=trend,
+                    probe_max=float(probe_max[row]),
+                    offending_t=offending,
+                )
             )
-        )
-    return results[0], results[1]
+        results.append(tuple(pair))
+    return results[0] if single else results
 
 
 def global_extremum(

@@ -2,12 +2,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from extenso.bounds import (
     BoundsConfig,
     ThetaConfig,
     bounds_to_csv,
     coefficient_bounds,
+    column_bounds,
     phi_from_density,
     theta_phi,
 )
@@ -18,6 +21,7 @@ from extenso.densities import (
     remark5_density,
     tsallis_density,
 )
+from extenso.simplex import marginal, random_joint
 
 SQRT2 = math.sqrt(2.0)
 
@@ -51,6 +55,16 @@ class TestCoefficientBounds:
         cb = coefficient_bounds(remark5_density(), 0.5)
         assert abs(cb.lower - 0.5) <= 1e-4  # 2 * (1/2)^2
         assert abs(cb.upper - (1.0 + SQRT2) / 4.0) <= 1e-4
+        assert not cb.divergent
+
+    def test_tiny_marginal_not_divergent(self):
+        # the ratio r^(q-2) is 2e13 here, but the coefficient r^2 * ratio is
+        # the exact, flat r^q: the magnitude threshold must not fire
+        r = 1e-7
+        cb = coefficient_bounds(tsallis_density(0.1), r)
+        assert cb.upper_meta.probe_max > BoundsConfig().divergence_threshold
+        assert cb.lower == pytest.approx(r**0.1, rel=1e-12)
+        assert cb.upper == pytest.approx(r**0.1, rel=1e-12)
         assert not cb.divergent
 
     def test_remark2_half_divergent(self):
@@ -109,6 +123,43 @@ class TestCoefficientBounds:
         assert lines[0] == "r,lower,upper,arg_inf,arg_sup,divergent"
         assert len(lines) == 3
         assert lines[1].startswith("0.25,")
+
+
+@st.composite
+def density_and_marginals(draw):
+    kind = draw(st.sampled_from(["bg", "tsallis", "remark5", "remark2"]))
+    if kind == "tsallis":
+        q = draw(st.floats(0.05, 3.0).filter(lambda q: abs(q - 1.0) > 1e-3))
+        d = tsallis_density(q)
+    else:
+        d = {"bg": bg_density, "remark5": remark5_density, "remark2": remark2_density}[kind]()
+    n = draw(st.integers(1, 8))
+    concentration = draw(st.sampled_from([0.05, 0.2, 1.0, 5.0]))
+    seed = draw(st.integers(0, 2**32 - 1))
+    P = random_joint(4, n, seed=seed, concentration=concentration)
+    return d, marginal(P).entries
+
+
+class TestColumnBounds:
+    """The batched envelope against its one-column case and its own grid."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(density_and_marginals())
+    def test_batch_matches_columns_and_grid(self, case):
+        d, rs = case
+        cfg = BoundsConfig()
+        batch = column_bounds(d, rs, cfg)
+        ts = np.geomspace(cfg.t_min, 1.0, cfg.grid_n)
+        ts[0], ts[-1] = cfg.t_min, 1.0
+        for r, cb in zip(rs.tolist(), batch):
+            # repr compares every float bit for bit, nan included
+            assert repr(cb) == repr(coefficient_bounds(d, r, cfg))
+            vs = np.asarray(d.eval_s2(min(r, 1.0) * ts)) / np.asarray(d.eval_s2(ts))
+            work = np.where(np.isfinite(vs), vs, np.nan)
+            for meta, i in ((cb.lower_meta, np.nanargmin(work)), (cb.upper_meta, np.nanargmax(work))):
+                assert ts[max(i - 1, 0)] <= meta.arg <= ts[min(i + 1, cfg.grid_n - 1)]
+            assert cb.lower_meta.value <= np.nanmin(work)
+            assert cb.upper_meta.value >= np.nanmax(work)
 
 
 class TestPhi:

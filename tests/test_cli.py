@@ -39,12 +39,22 @@ class TestVerifySandwich:
         assert code == 0
         assert payload["pass_count"] == 5
 
-    def test_jobs_flag_same_payload(self, capsys):
-        base = ["verify-sandwich", "--density", "tsallis", "--q", "2",
-                "--m", "3", "--n", "3", "--instances", "8", "--seed", "5"]
-        _, serial = run_cli(base, capsys)
-        _, threaded = run_cli(base + ["--jobs", "4"], capsys)
-        assert serial == threaded
+    def test_jobs_flag_is_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["verify-sandwich", "--density", "tsallis", "--q", "2",
+                  "--m", "3", "--n", "3", "--instances", "8", "--seed", "5", "--jobs", "4"])
+        assert exc.value.code == 2
+
+    def test_low_concentration_tsallis_not_divergent(self, capsys):
+        # marginals far below 1e-6 push the curvature ratio past the
+        # magnitude threshold, yet the coefficient r^q stays exact and finite
+        code, payload = run_json(
+            ["verify-sandwich", "--density", "tsallis", "--q", "0.1", "--m", "4", "--n", "4",
+             "--concentration", "0.05", "--instances", "200", "--seed", "7"],
+            capsys,
+        )
+        assert code == 0
+        assert (payload["pass_count"], payload["divergent_count"]) == (200, 0)
 
 
 class TestDeterminism:
@@ -173,7 +183,64 @@ class TestThetaPhi:
         assert abs(payload["theta"] - math.pi / 2.0) <= 1e-3
 
 
+def _reject_constant(token):
+    raise ValueError(f"non-strict JSON token {token}")
+
+
+class TestStrictJson:
+    @pytest.mark.parametrize(
+        "args, key",
+        [
+            (["verify-sandwich", "--density", "remark5", "--instances", "0"], "worst_slack"),
+            (["verify-sandwich", "--density", "remark5", "--instances", "0"], "worst_bound_gap"),
+            (["residual", "--density", "bg", "--instances", "0"], "max_abs_residual"),
+            (["axioms", "--density", "remark5", "--max-size", "1"], "worst_maximality_gap"),
+        ],
+    )
+    def test_undefined_summary_is_null(self, args, key, capsys):
+        code, out = run_cli(args, capsys)
+        payload = json.loads(out, parse_constant=_reject_constant)
+        assert code == 0
+        assert payload[key] is None
+
+
 class TestUsageErrors:
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["verify-sandwich", "--density", "remark5", "--m", "0"],
+            ["verify-sandwich", "--density", "remark5", "--n", "0"],
+            ["residual", "--density", "bg", "--m", "-1"],
+            ["verify-sandwich", "--density", "remark5", "--instances", "-1"],
+            ["axioms", "--density", "remark5", "--instances", "-1"],
+            ["verify-sandwich", "--density", "remark5", "--concentration", "0"],
+            ["residual", "--density", "bg", "--concentration", "nan"],
+            ["verify-sandwich", "--density", "remark5", "--grid-n", "100"],
+            ["bounds", "--density", "bg", "--grid-n", "255"],
+            ["bounds", "--density", "bg", "--t-min", "0"],
+            ["counterexample", "remark2", "--t-min", "1.0"],
+            ["bounds", "--density", "bg", "--r", "1.5"],
+            ["bounds", "--density", "bg", "--r", "0"],
+            ["bounds", "--density", "bg", "--r-grid", "0:1:5"],
+            ["recover-f", "--density-spec", "{not json"],
+            ["recover-f", "--density-spec", '{"kind": "tsallis"}'],
+            ["recover-f", "--density-spec", '{"kind": "nope"}'],
+            ["recover-f", "--density-spec", "[1, 2]"],
+            ["recover-f", "--density-spec", "@no-such-spec.json"],
+            ["recover-f", "--density", "tsallis", "--q", "1"],
+            ["verify-sandwich", "--density", "remark2"],
+            ["theta-phi", "--density", "remark2"],
+        ],
+        ids=lambda a: " ".join(a),
+    )
+    def test_exit_2_with_one_line(self, args, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(args)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert err[-1].startswith("extenso: error: ")
+        assert not any("Traceback" in line for line in err)
+
     def test_unknown_command(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["no-such-command"])
