@@ -1,52 +1,27 @@
-"""Hot numeric kernels, with optional numba acceleration.
+"""Hot numeric kernels of the integral-defined catalog densities.
 
-The integral-defined catalog densities dominate runtime: building the
-oscillation panel table touches several hundred thousand panels, and batch
-entropy evaluation hits the partial-panel and log-sinc kernels once per matrix
-entry.  Every kernel therefore exists twice: a pure-numpy implementation and a
-``@njit`` twin compiled lazily when numba is importable.  Set the environment
-variable ``EXTENSO_NO_NUMBA=1`` to force the numpy path even when numba is
-installed.  ``benchmarks/bench_kernels.py`` times the two paths side by side.
+Two fixed Gauss rules carry the quadrature: the oscillation panel moments
+behind remark2's s and s', and the log-sinc integral behind remark5's s.
+``densities`` calls both once per array of points, so each kernel works on a
+whole batch in one vectorized numpy expression.
 
-All kernels are pure functions of arrays; reduction order is fixed within a
-path, so repeated calls are bit-reproducible.
+All kernels are pure functions of arrays with a fixed reduction order, so
+repeated calls are bit-reproducible.
 """
 from __future__ import annotations
 
-import os
-
 import numpy as np
-
-try:
-    from numba import njit
-
-    HAS_NUMBA = True
-except ImportError:  # pragma: no cover - exercised only without numba
-    njit = None
-    HAS_NUMBA = False
-
-USING_NUMBA = HAS_NUMBA and not os.environ.get("EXTENSO_NO_NUMBA")
 
 QUARTER_PI = float(np.pi / 4.0)
 
 
-def _leggauss(n: int) -> tuple[np.ndarray, np.ndarray]:
-    x, w = np.polynomial.legendre.leggauss(n)
-    return np.ascontiguousarray(x), np.ascontiguousarray(w)
-
-
 # 12 nodes resolve one half-oscillation panel far below 1e-12; 32 nodes make
 # the analytic log-sinc integrand exact to machine precision on [0, 1].
-GL12_X, GL12_W = _leggauss(12)
-GL32_X, GL32_W = _leggauss(32)
+GL12_X, GL12_W = np.polynomial.legendre.leggauss(12)
+GL32_X, GL32_W = np.polynomial.legendre.leggauss(32)
 
 
-# ---------------------------------------------------------------------------
-# numpy implementations
-# ---------------------------------------------------------------------------
-
-
-def osc_panel_moments_numpy(lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def osc_panel_moments(lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Per-panel integrals of u*|cos(1/u)| and u^2*|cos(1/u)| over [lo_i, hi_i].
 
     Panels must not straddle a zero or extremum of cos(1/u); the ladder
@@ -63,7 +38,7 @@ def osc_panel_moments_numpy(lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray,
     return g, h
 
 
-def logsinc_integral_numpy(r: np.ndarray) -> np.ndarray:
+def logsinc_integral(r: np.ndarray) -> np.ndarray:
     """Integral over [0, r_i] of log(sin(a t) / (a t)) with a = pi/4.
 
     The integrand is analytic on [0, 1] and vanishes at 0, so a fixed
@@ -76,66 +51,3 @@ def logsinc_integral_numpy(r: np.ndarray) -> np.ndarray:
     x = QUARTER_PI * t
     f = np.log(np.sin(x) / x)
     return (f * GL32_W).sum(axis=-1) * half
-
-
-# ---------------------------------------------------------------------------
-# numba twins (same math, explicit loops)
-# ---------------------------------------------------------------------------
-
-
-def _osc_panel_moments_loop(lo, hi, gx, gw):  # pragma: no cover - jitted
-    n = lo.shape[0]
-    g = np.empty(n, dtype=np.float64)
-    h = np.empty(n, dtype=np.float64)
-    for i in range(n):
-        half = 0.5 * (hi[i] - lo[i])
-        mid = 0.5 * (hi[i] + lo[i])
-        acc_g = 0.0
-        acc_h = 0.0
-        for k in range(gx.shape[0]):
-            u = mid + half * gx[k]
-            f = u * abs(np.cos(1.0 / u))
-            acc_g += gw[k] * f
-            acc_h += gw[k] * f * u
-        g[i] = acc_g * half
-        h[i] = acc_h * half
-    return g, h
-
-
-def _logsinc_integral_loop(r, gx, gw, a):  # pragma: no cover - jitted
-    n = r.shape[0]
-    out = np.empty(n, dtype=np.float64)
-    for i in range(n):
-        half = 0.5 * r[i]
-        acc = 0.0
-        for k in range(gx.shape[0]):
-            x = a * half * (gx[k] + 1.0)
-            acc += gw[k] * np.log(np.sin(x) / x)
-        out[i] = acc * half
-    return out
-
-
-if USING_NUMBA:
-    _osc_panel_moments_jit = njit(cache=True)(_osc_panel_moments_loop)
-    _logsinc_integral_jit = njit(cache=True)(_logsinc_integral_loop)
-
-    def osc_panel_moments_numba(lo, hi):
-        lo = np.ascontiguousarray(lo, dtype=np.float64)
-        hi = np.ascontiguousarray(hi, dtype=np.float64)
-        return _osc_panel_moments_jit(lo, hi, GL12_X, GL12_W)
-
-    def logsinc_integral_numba(r):
-        r = np.ascontiguousarray(np.atleast_1d(np.asarray(r, dtype=np.float64)))
-        return _logsinc_integral_jit(r, GL32_X, GL32_W, QUARTER_PI)
-
-    osc_panel_moments = osc_panel_moments_numba
-
-    def logsinc_integral(r):
-        arr = np.asarray(r, dtype=np.float64)
-        out = logsinc_integral_numba(arr.ravel()).reshape(arr.shape)
-        return out
-else:
-    osc_panel_moments_numba = None
-    logsinc_integral_numba = None
-    osc_panel_moments = osc_panel_moments_numpy
-    logsinc_integral = logsinc_integral_numpy

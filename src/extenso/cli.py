@@ -33,7 +33,7 @@ from .extensivity import (
     power_coefficient,
     sandwich_check,
 )
-from .simplex import random_joint
+from .simplex import RandomGenerationError, random_joint
 
 _IFF_LIMIT_FACTOR = (math.sqrt(2.0) - 1.0) / 2.0
 
@@ -188,6 +188,13 @@ def _finite_or_none(x: float) -> float | None:
 # ---------------------------------------------------------------------------
 
 
+def _random_joint(args, parser, seed: int):
+    try:
+        return random_joint(args.m, args.n, seed=seed, concentration=args.concentration)
+    except RandomGenerationError as e:
+        parser.error(f"--concentration {args.concentration!r} is too low: {e}")
+
+
 def _cmd_verify_sandwich(args, parser) -> tuple[dict, int]:
     d = _resolve_density(args, parser)
     if not (d.s0_zero and d.s1_zero and d.concave):
@@ -198,7 +205,7 @@ def _cmd_verify_sandwich(args, parser) -> tuple[dict, int]:
     seeds = _instance_seeds(seed, args.instances)
 
     def worker(i: int) -> dict:
-        P = random_joint(args.m, args.n, seed=seeds[i], concentration=args.concentration)
+        P = _random_joint(args, parser, seeds[i])
         rep = sandwich_check(F, P, cfg, tolerance=args.tolerance)
         return {"instance": i, **rep.to_dict()}
 
@@ -230,7 +237,7 @@ def _cmd_residual(args, parser) -> tuple[dict, int]:
     seeds = _instance_seeds(seed, args.instances)
 
     def worker(i: int) -> dict:
-        P = random_joint(args.m, args.n, seed=seeds[i], concentration=args.concentration)
+        P = _random_joint(args, parser, seeds[i])
         res = extensivity_residual(F, P, f)
         ok = abs(res) <= args.tolerance
         return {"instance": i, "residual": res, "verdict": "pass" if ok else "fail"}

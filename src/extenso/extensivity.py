@@ -117,12 +117,11 @@ def _require_sandwich_flags(d: Density) -> None:
 
 
 def _sandwich_core(
-    F: EntropyFunctional, P: JointMatrix, cfg: BoundsConfig | None
-) -> tuple[float, float, float, bool, float]:
-    """(lower, upper, tolerance, divergent, s1_at_1) for the envelope sums."""
+    F: EntropyFunctional, P: JointMatrix, p: SimplexVector, cfg: BoundsConfig | None
+) -> tuple[float, float, float, bool]:
+    """(lower, upper, tolerance, divergent) for the envelope sums; p = marginal(P)."""
     d = F.density
     _require_sandwich_flags(d)
-    p = marginal(P)
     s1_at_1 = float(np.asarray(d.eval_s1(1.0)))
     cond_entropies = [entropy(F, conditional(P, j)) for j in range(1, P.n + 1)]
     per_col: list[CoefficientBounds] = column_bounds(d, p.entries, cfg)
@@ -142,7 +141,7 @@ def _sandwich_core(
     gap = math.fsum(gap_terms)
     lower = math.fsum(lower_terms) + s1_at_1 * gap
     upper = math.fsum(upper_terms) - s1_at_1 * gap
-    return lower, upper, math.fsum(tol_terms), divergent, s1_at_1
+    return lower, upper, math.fsum(tol_terms), divergent
 
 
 def sandwich_check(
@@ -156,9 +155,10 @@ def sandwich_check(
     Requires s(0) = 0, s(1) = 0 and negative curvature (the envelope's
     hypotheses).  An explicit tolerance overrides the propagated one.
     """
-    lower, upper, auto_tol, divergent, _ = _sandwich_core(F, P, cfg)
+    p = marginal(P)
+    lower, upper, auto_tol, divergent = _sandwich_core(F, P, p, cfg)
     tol = auto_tol if tolerance is None else float(tolerance)
-    diff = _matrix_entropy(F, P) - entropy(F, marginal(P))
+    diff = _matrix_entropy(F, P) - entropy(F, p)
     slack_lower = diff - lower
     slack_upper = upper - diff
     if divergent:
@@ -185,7 +185,7 @@ def iff_lhs(F: EntropyFunctional, P: JointMatrix, cfg: BoundsConfig | None = Non
     The two-sided estimate only sharpens the trivial monotonicity bound when
     this is nonnegative; it can go negative (see iff_counterexample_matrix).
     """
-    lower, _, _, _, _ = _sandwich_core(F, P, cfg)
+    lower, _, _, _ = _sandwich_core(F, P, marginal(P), cfg)
     return lower
 
 

@@ -269,10 +269,12 @@ class OptResult:
     """Result of a 1-d extremum scan.
 
     est_error is the neighbor-cell value gap at the winning grid cell: the
-    scan's resolution, to be applied as slack by consumers.  diverging is set
-    when a probe family trends away without slowing, or the grid meets an
-    infinity in the unbounded direction; attainment toward t=0 is never
-    asserted.  Magnitude thresholds on probe_max are the caller's to apply.
+    scan's resolution, to be applied as slack by consumers.  At the t_min
+    edge it also covers how far the probes below t_min pass the value.
+    diverging is set when a probe family trends away without slowing, or the
+    grid meets an infinity in the unbounded direction; attainment toward t=0
+    is never asserted.  Magnitude thresholds on probe_max are the caller's to
+    apply.
     """
 
     value: float
@@ -432,6 +434,13 @@ def scan_extrema(
         pts = np.sort(np.asarray(probe_points, dtype=np.float64))[::-1]
         families.append(pts[pts > 0.0])
     probe_vals = [rows_h(fam) for fam in families]
+    # the t_min edge truncates the scan: widen an edge lane's error by how
+    # far the probes below t_min pass its value in the lane's direction
+    below = [pv[:, fam < t_min] for fam, pv in zip(families, probe_vals)]
+    below = np.concatenate(below, axis=1) if below else np.empty((vs.shape[0], 0))
+    signed = np.where(np.isfinite(below)[:, None, :], sign[:, None] * below[:, None, :], np.inf)
+    past = sign * value - signed.min(axis=-1, initial=np.inf)
+    est_error = np.where((idx == 0) & (past > 0), est_error + past, est_error)
     probe_max = np.full(vs.shape[0], math.nan)
     if probe_vals:
         allv = np.concatenate(probe_vals, axis=1)

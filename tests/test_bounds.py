@@ -57,6 +57,13 @@ class TestCoefficientBounds:
         assert abs(cb.upper - (1.0 + SQRT2) / 4.0) <= 1e-4
         assert not cb.divergent
 
+    @pytest.mark.parametrize("r", [0.5, 0.1, 1e-3])
+    def test_remark5_lower_error_covers_t_min_truncation(self, r):
+        # the ratio falls toward its infimum 1/r as t -> 0, so the grid
+        # minimum sits at the t_min edge; est_error must reach the true r
+        cb = coefficient_bounds(remark5_density(), r)
+        assert cb.lower - r * r * cb.lower_meta.est_error <= r + 4 * np.spacing(r)
+
     def test_tiny_marginal_not_divergent(self):
         # the ratio r^(q-2) is 2e13 here, but the coefficient r^2 * ratio is
         # the exact, flat r^q: the magnitude threshold must not fire

@@ -230,6 +230,8 @@ class TestUsageErrors:
             ["recover-f", "--density", "tsallis", "--q", "1"],
             ["verify-sandwich", "--density", "remark2"],
             ["theta-phi", "--density", "remark2"],
+            ["verify-sandwich", "--density", "remark5", "--concentration", "0.001", "--instances", "5"],
+            ["residual", "--density", "bg", "--concentration", "0.001", "--instances", "5"],
         ],
         ids=lambda a: " ".join(a),
     )

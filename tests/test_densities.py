@@ -34,6 +34,21 @@ R2_REFERENCE = {
     0.25: (-0.022177197312376241, -0.0019302975813085096),
     0.125: (-0.0057069644587414662, -0.00023065631519014133),
 }
+# Around the ladder cutoff b0 ~ 1.00003e-4 (below it the ladder folds in the
+# 2/pi mean of |cos|).  Computed with mpmath at 40 digits from
+# G(r) = int_{1/r}^inf |cos v| v^-3 dv and H(r) = the same with v^-4, then
+# s'(r) = -(G + r^3/3) and s(r) = r s'(r) + H + r^4/4: plain quadrature from
+# 1/r to the next zero z_K = (K+1/2)pi of cos, and for the half periods beyond
+# it |cos(z_k + w)| = sin w turns the sum over k >= K into
+# int_0^pi sin(w) zeta(p, K + 1/2 + w/pi) dw / pi^p with the Hurwitz zeta.
+# The same recipe reproduces R2_REFERENCE to all of its digits.
+R2_CUTOFF_REFERENCE = {
+    5e-7: (-7.9577538268802740255e-14, -1.3262917132657337343e-20),
+    5e-5: (-7.9579306565503259097e-10, -1.3263432745901778041e-14),
+    9.9e-5: (-3.1198773840339992239e-9, -1.0295992634504825478e-13),
+    1.01e-4: (-3.2475587938406015096e-9, -1.0932700403987821987e-13),
+    2e-4: (-1.2735756231518525739e-8, -8.4895973040870349124e-13),
+}
 
 
 def catalog():
@@ -111,6 +126,13 @@ class TestRemark2:
         s1_ref, s_ref = R2_REFERENCE[r]
         assert abs(float(d.eval_s1(r)) - s1_ref) <= 1e-9
         assert abs(float(d.eval_s(r)) - s_ref) <= 1e-9
+
+    @pytest.mark.parametrize("r", sorted(R2_CUTOFF_REFERENCE))
+    def test_both_sides_of_ladder_cutoff(self, r):
+        d = remark2_density()
+        s1_ref, s_ref = R2_CUTOFF_REFERENCE[r]
+        assert abs(float(d.eval_s1(r)) - s1_ref) <= 1e-12
+        assert abs(float(d.eval_s(r)) - s_ref) <= 1e-12
 
     def test_not_value_normalized_at_one(self):
         assert not remark2_density().s1_zero

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from extenso.densities import (
     EntropyFunctional,
@@ -25,7 +27,14 @@ from extenso.extensivity import (
     three_by_two_family,
 )
 from extenso.numerics import finite_difference
-from extenso.simplex import JointMatrix, conditional, marginal, random_joint
+from extenso.simplex import (
+    JointMatrix,
+    RandomGenerationError,
+    conditional,
+    joint_from_marginal_and_conditionals,
+    marginal,
+    random_joint,
+)
 
 # frozen quadrature-oracle values for the log-sin density
 R5_S1_AT_1 = -0.9296953983416102
@@ -306,3 +315,42 @@ class TestBatchReport:
             "worst_slack": -0.1,
             "seed": 7,
         }
+
+
+SANDWICH_DENSITIES = [bg_density(), tsallis_density(0.5), remark5_density(),
+                      shifted_density(remark2_density())]
+CONCAVE_DENSITIES = SANDWICH_DENSITIES + [tsallis_density(2.0), tsallis_density(3.0),
+                                          remark2_density()]
+
+
+@st.composite
+def joints(draw):
+    m = draw(st.integers(1, 6))
+    n = draw(st.integers(1, 6))
+    concentration = draw(st.floats(0.05, 5.0))
+    seed = draw(st.integers(0, 2**32 - 1))
+    try:
+        return random_joint(m, n, seed=seed, concentration=concentration)
+    except RandomGenerationError:
+        assume(False)
+
+
+class TestProperties:
+    """Soundness claims over drawn shapes and Dirichlet concentrations."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.sampled_from(SANDWICH_DENSITIES), joints())
+    def test_sandwich_never_fails(self, d, P):
+        assert sandwich_check(functional(d), P).verdict != "fail"
+
+    @settings(max_examples=100, deadline=None)
+    @given(joints())
+    def test_factorization_round_trip(self, P):
+        cols = [conditional(P, j) for j in range(1, P.n + 1)]
+        rebuilt = joint_from_marginal_and_conditionals(marginal(P), cols)
+        assert np.max(np.abs(rebuilt.entries - P.entries)) <= 1e-15
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.sampled_from(CONCAVE_DENSITIES), joints())
+    def test_monotonicity(self, d, P):
+        assert monotonicity_check(functional(d), P)
