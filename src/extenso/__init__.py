@@ -1,149 +1,23 @@
 """Entropy functionals on finite probability simplices.
 
 Probability types and factorization (`simplex`), the density catalog and
-entropy evaluation (`densities`), shared quadrature/optimization kernels
-(`numerics`), curvature-ratio coefficient bounds and the phi profile
-(`bounds`), and the verification layer: extensivity residuals, the two-sided
-sandwich check, power-law coefficient recovery, and the axiom suite
-(`extensivity`).  `extenso.cli` is the command-line front end.
+entropy evaluation (`densities`), the extremum scan (`numerics`),
+curvature-ratio coefficient bounds and the phi profile (`bounds`), and the
+verification layer: extensivity residuals, the two-sided sandwich check,
+power-law coefficient recovery, and the axiom suite (`extensivity`).
+`extenso.cli` is the command-line front end.
 """
 
 __version__ = "0.1.0"
 
-from .bounds import (
-    BoundsConfig,
-    CoefficientBounds,
-    PhiFunction,
-    ThetaConfig,
-    bounds_to_csv,
-    coefficient_bounds,
-    phi_from_density,
-    theta_phi,
-)
-from .densities import (
-    Density,
-    DensityDomainError,
-    EntropyFunctional,
-    bg_density,
-    canonical_grid,
-    density_from_spec,
-    entropy,
-    numeric_derivative_fallback,
-    remark2_density,
-    remark5_density,
-    shifted_density,
-    tsallis_density,
-)
-from .extensivity import (
-    AxiomReport,
-    PowerRecovery,
-    Reconstruction,
-    RecoveryConfig,
-    SandwichReport,
-    axiom_suite,
-    batch_report,
-    check_twice_equation,
-    extensivity_residual,
-    iff_counterexample_matrix,
-    iff_lhs,
-    monotonicity_check,
-    power_coefficient,
-    recover_f,
-    sandwich_check,
-    three_by_two_family,
-)
-from .numerics import (
-    NoConvergenceError,
-    OptResult,
-    adaptive_quadrature,
-    finite_difference,
-    global_extremum,
-    midpoint_richardson,
-    scan_extrema,
-    scan_to_csv,
-)
-from .simplex import (
-    ConditionalColumn,
-    InvalidDistributionError,
-    JointMatrix,
-    RandomGenerationError,
-    SimplexVector,
-    ZeroMarginalError,
-    conditional,
-    joint_from_csv,
-    joint_from_json,
-    joint_from_marginal_and_conditionals,
-    joint_to_csv,
-    joint_to_json,
-    marginal,
-    random_joint,
-    uniform_vector,
-)
+from .bounds import coefficient_bounds
+from .densities import EntropyFunctional, remark2_density, remark5_density, tsallis_density
 
 __all__ = [
     "__version__",
-    # simplex
-    "SimplexVector",
-    "ConditionalColumn",
-    "JointMatrix",
-    "InvalidDistributionError",
-    "ZeroMarginalError",
-    "RandomGenerationError",
-    "marginal",
-    "conditional",
-    "random_joint",
-    "joint_from_marginal_and_conditionals",
-    "uniform_vector",
-    "joint_to_csv",
-    "joint_from_csv",
-    "joint_to_json",
-    "joint_from_json",
-    # densities
-    "Density",
     "EntropyFunctional",
-    "DensityDomainError",
-    "bg_density",
-    "tsallis_density",
+    "coefficient_bounds",
     "remark2_density",
     "remark5_density",
-    "shifted_density",
-    "entropy",
-    "numeric_derivative_fallback",
-    "density_from_spec",
-    "canonical_grid",
-    # numerics
-    "OptResult",
-    "NoConvergenceError",
-    "adaptive_quadrature",
-    "midpoint_richardson",
-    "finite_difference",
-    "global_extremum",
-    "scan_extrema",
-    "scan_to_csv",
-    # bounds
-    "BoundsConfig",
-    "CoefficientBounds",
-    "PhiFunction",
-    "ThetaConfig",
-    "coefficient_bounds",
-    "phi_from_density",
-    "theta_phi",
-    "bounds_to_csv",
-    # extensivity
-    "SandwichReport",
-    "PowerRecovery",
-    "Reconstruction",
-    "RecoveryConfig",
-    "AxiomReport",
-    "extensivity_residual",
-    "sandwich_check",
-    "iff_lhs",
-    "recover_f",
-    "check_twice_equation",
-    "three_by_two_family",
-    "iff_counterexample_matrix",
-    "axiom_suite",
-    "monotonicity_check",
-    "power_coefficient",
-    "batch_report",
+    "tsallis_density",
 ]

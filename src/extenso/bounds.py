@@ -22,13 +22,14 @@ __all__ = [
     "BoundsConfig",
     "CoefficientBounds",
     "PhiFunction",
-    "ThetaConfig",
     "coefficient_bounds",
     "column_bounds",
     "phi_from_density",
     "theta_phi",
-    "bounds_to_csv",
 ]
+
+# A column whose coefficient r^2 * ratio passes this on any probe is divergent.
+DIVERGENCE_THRESHOLD = 1e12
 
 
 @dataclass(frozen=True)
@@ -36,8 +37,6 @@ class BoundsConfig:
     t_min: float = 1e-6
     grid_n: int = 2048
     refine: bool = True
-    geometric_k: int = 40
-    divergence_threshold: float = 1e12
 
 
 @dataclass(frozen=True)
@@ -66,8 +65,6 @@ def column_bounds(d: Density, rs, cfg: BoundsConfig | None = None) -> list[Coeff
     cfg = cfg or BoundsConfig()
     if not d.concave:
         raise ValueError(f"density {d.label!r} lacks the concave flag")
-    if d.eval_s2 is None:
-        raise ValueError(f"density {d.label!r} has no curvature evaluator")
     r = np.array(rs, dtype=np.float64).reshape(-1)
     for x in r:
         if not 0.0 < x <= 1.0 + 1e-12:
@@ -85,14 +82,13 @@ def column_bounds(d: Density, rs, cfg: BoundsConfig | None = None) -> list[Coeff
         t_min=cfg.t_min,
         grid_n=cfg.grid_n,
         probe_points=d.probe_points,
-        geometric_k=cfg.geometric_k,
         refine=cfg.refine,
     )
     out = []
     for rj, (inf_res, sup_res) in zip(r.tolist(), scans):
         f_scale = rj * rj
         # the magnitude threshold applies to the coefficient r^2 * ratio
-        breach = math.isfinite(sup_res.probe_max) and f_scale * abs(sup_res.probe_max) > cfg.divergence_threshold
+        breach = math.isfinite(sup_res.probe_max) and f_scale * abs(sup_res.probe_max) > DIVERGENCE_THRESHOLD
         out.append(
             CoefficientBounds(
                 r=rj,
@@ -117,16 +113,6 @@ def coefficient_bounds(d: Density, r: float, cfg: BoundsConfig | None = None) ->
     return column_bounds(d, [r], cfg)[0]
 
 
-def bounds_to_csv(rows: list[CoefficientBounds]) -> str:
-    lines = ["r,lower,upper,arg_inf,arg_sup,divergent"]
-    for b in rows:
-        lines.append(
-            f"{b.r!r},{b.lower!r},{b.upper!r},"
-            f"{b.lower_meta.arg!r},{b.upper_meta.arg!r},{int(b.divergent)}"
-        )
-    return "\n".join(lines) + "\n"
-
-
 # ---------------------------------------------------------------------------
 # phi = -1/s'' and the growth index theta
 # ---------------------------------------------------------------------------
@@ -148,8 +134,6 @@ class PhiFunction:
 def phi_from_density(d: Density) -> PhiFunction:
     """Deformation profile phi = -1/s''; rejects curvature that is not
     negative or a profile that fails to be nondecreasing on the sample grid."""
-    if d.eval_s2 is None:
-        raise ValueError(f"density {d.label!r} has no curvature evaluator")
     s2 = d.eval_s2
     grid = canonical_grid()
     vals = np.asarray(s2(grid), dtype=np.float64)
@@ -181,15 +165,13 @@ def phi_from_density(d: Density) -> PhiFunction:
     return PhiFunction(eval_phi=eval_phi, label=f"phi[{d.label}]")
 
 
-@dataclass(frozen=True)
-class ThetaConfig:
-    r_min: float = 1e-4
-    r_max: float = 1e4
-    grid_n: int = 2001  # odd count keeps r = 1 exactly on the log grid
-    eps_seq: tuple[float, ...] = (1e-4, 1e-5, 1e-6)  # steps relative to r
+# theta's log grid over r; the odd count keeps r = 1 exactly on it
+THETA_R_RANGE = (1e-4, 1e4)
+THETA_GRID_N = 2001
+THETA_EPS = (1e-4, 1e-5, 1e-6)  # forward steps relative to r
 
 
-def theta_phi(phi: PhiFunction, cfg: ThetaConfig | None = None) -> float:
+def theta_phi(phi: PhiFunction) -> float:
     """Growth index: sup over r of (r/phi(r)) times the upper forward
     difference quotient of phi, the quotient maximized over an eps-ladder
     of steps eps*r (equals r phi'/phi for differentiable phi).
@@ -198,13 +180,12 @@ def theta_phi(phi: PhiFunction, cfg: ThetaConfig | None = None) -> float:
     end of the r grid and would inflate the quotient for convex profiles.
     Returns math.inf on overflow or non-finite quotients.
     """
-    cfg = cfg or ThetaConfig()
-    rs = np.geomspace(cfg.r_min, cfg.r_max, cfg.grid_n)
+    rs = np.geomspace(*THETA_R_RANGE, THETA_GRID_N)
     base = np.asarray(phi.eval_phi(rs), dtype=np.float64)
     if not np.all(base > 0.0):
         return math.inf
     best = np.full(rs.shape, -np.inf)
-    for eps in cfg.eps_seq:
+    for eps in THETA_EPS:
         shifted = rs * (1.0 + eps)
         h_eff = shifted - rs  # exactly representable step
         quot = (np.asarray(phi.eval_phi(shifted)) - base) / h_eff

@@ -31,6 +31,7 @@ from .extensivity import (
     iff_counterexample_matrix,
     iff_lhs,
     power_coefficient,
+    recover_f,
     sandwich_check,
 )
 from .simplex import RandomGenerationError, random_joint
@@ -121,6 +122,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_density_args(p)
     _add_output_args(p)
 
+    for p in sub.choices.values():
+        p.set_defaults(_parser=p)
     return ap
 
 
@@ -171,6 +174,7 @@ def _validate(args, parser: argparse.ArgumentParser) -> None:
         ("concentration", lambda v: v > 0.0, "> 0"),
         ("grid_n", lambda v: v >= 256, ">= 256"),
         ("t_min", lambda v: 0.0 < v < 1.0, "in (0, 1)"),
+        ("k_max", lambda v: v >= 1, ">= 1"),
     ]
     for name, ok, want in checks:
         value = getattr(args, name, None)
@@ -260,9 +264,12 @@ def _parse_r_values(args, parser) -> list[float]:
     if args.r_grid:
         try:
             start, stop, count = args.r_grid.split(":")
-            rs.extend(np.linspace(float(start), float(stop), int(count)).tolist())
+            start, stop, count = float(start), float(stop), int(count)
         except ValueError:
             parser.error("--r-grid must be START:STOP:COUNT")
+        if count < 1:
+            parser.error(f"--r-grid COUNT must be >= 1, got {count}")
+        rs.extend(np.linspace(start, stop, count).tolist())
     if not rs:
         rs = np.linspace(0.1, 0.9, 9).tolist()
     for r in rs:
@@ -289,8 +296,6 @@ def _cmd_bounds(args, parser) -> tuple[dict, int]:
 
 
 def _cmd_recover_f(args, parser) -> tuple[dict, int]:
-    from .extensivity import recover_f
-
     d = _resolve_density(args, parser)
     rec = recover_f(d)
     payload = {"density": d.label, "check": "recover-f", **rec.to_dict()}
@@ -423,8 +428,9 @@ def _emit(payload: dict, args) -> None:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    _validate(args, parser)
-    payload, code = _COMMANDS[args.command](args, parser)
+    # usage errors name the subcommand and show its own flags
+    _validate(args, args._parser)
+    payload, code = _COMMANDS[args.command](args, args._parser)
     _emit(payload, args)
     return code
 

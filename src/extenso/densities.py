@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Callable, Mapping
 
 import numpy as np
@@ -32,7 +32,6 @@ __all__ = [
     "remark5_density",
     "shifted_density",
     "entropy",
-    "numeric_derivative_fallback",
     "density_from_spec",
     "canonical_grid",
 ]
@@ -44,23 +43,19 @@ class DensityDomainError(ValueError):
     """Density evaluated outside its declared domain (e.g. s(0) undefined)."""
 
 
-def _scalarize(out: np.ndarray):
-    return float(out) if np.ndim(out) == 0 else out
-
-
 @dataclass(frozen=True)
 class Density:
     """Scalar density with derivatives and regularity flags.
 
-    eval_s covers [0,1]; eval_s1/eval_s2 cover (0,1] and may be None until
-    filled by numeric_derivative_fallback.  Evaluators must be pure and
-    reentrant; instances are immutable and safe to share across threads.
+    eval_s covers [0,1]; eval_s1/eval_s2 cover (0,1].  Evaluators must be
+    pure and reentrant; instances are immutable and safe to share across
+    threads.
     """
 
     label: str
     eval_s: Callable
-    eval_s1: Callable | None = None
-    eval_s2: Callable | None = None
+    eval_s1: Callable
+    eval_s2: Callable
     s0_zero: bool = False
     s1_zero: bool = False
     concave: bool = False
@@ -72,9 +67,6 @@ class Density:
 @dataclass(frozen=True)
 class EntropyFunctional:
     density: Density
-
-    def value(self, p: SimplexVector) -> float:
-        return entropy(self, p)
 
 
 def canonical_grid(n: int = 2048) -> np.ndarray:
@@ -105,17 +97,15 @@ def bg_density() -> Density:
     def eval_s(r):
         r = np.asarray(r, dtype=np.float64)
         safe = np.where(r > 0.0, r, 1.0)
-        return _scalarize(np.where(r > 0.0, -safe * np.log(safe), 0.0))
+        return np.where(r > 0.0, -safe * np.log(safe), 0.0)
 
     def eval_s1(r):
         r = np.asarray(r, dtype=np.float64)
-        with np.errstate(divide="ignore"):
-            return _scalarize(-np.log(r) - 1.0)
+        return -np.log(r) - 1.0
 
     def eval_s2(r):
         r = np.asarray(r, dtype=np.float64)
-        with np.errstate(divide="ignore"):
-            return _scalarize(-1.0 / r)
+        return -1.0 / r
 
     return Density(
         label="bg",
@@ -141,17 +131,15 @@ def tsallis_density(q: float) -> Density:
 
     def eval_s(r):
         r = np.asarray(r, dtype=np.float64)
-        return _scalarize((r - r**q) / (q - 1.0))
+        return (r - r**q) / (q - 1.0)
 
     def eval_s1(r):
         r = np.asarray(r, dtype=np.float64)
-        with np.errstate(divide="ignore"):
-            return _scalarize((1.0 - q * r ** (q - 1.0)) / (q - 1.0))
+        return (1.0 - q * r ** (q - 1.0)) / (q - 1.0)
 
     def eval_s2(r):
         r = np.asarray(r, dtype=np.float64)
-        with np.errstate(divide="ignore"):
-            return _scalarize(-q * r ** (q - 2.0))
+        return -q * r ** (q - 2.0)
 
     return Density(
         label=f"tsallis(q={q:g})",
@@ -203,17 +191,15 @@ def remark5_density() -> Density:
 
     def eval_s(r):
         r = np.asarray(r, dtype=np.float64)
-        return _scalarize(-_remark5_logsin_integral(r) + C * r)
+        return -_remark5_logsin_integral(r) + C * r
 
     def eval_s1(r):
         r = np.asarray(r, dtype=np.float64)
-        with np.errstate(divide="ignore"):
-            return _scalarize(-np.log(np.sin(QUARTER_PI * r)) + C)
+        return -np.log(np.sin(QUARTER_PI * r)) + C
 
     def eval_s2(r):
         r = np.asarray(r, dtype=np.float64)
-        with np.errstate(divide="ignore"):
-            return _scalarize(-QUARTER_PI / np.tan(QUARTER_PI * r))
+        return -QUARTER_PI / np.tan(QUARTER_PI * r)
 
     return Density(
         label="remark5",
@@ -294,19 +280,19 @@ def remark2_density() -> Density:
     def eval_s2(r):
         r = np.asarray(r, dtype=np.float64)
         safe = np.where(r > 0.0, r, 1.0)
-        return _scalarize(np.where(r > 0.0, -safe * (np.abs(np.cos(1.0 / safe)) + safe), 0.0))
+        return np.where(r > 0.0, -safe * (np.abs(np.cos(1.0 / safe)) + safe), 0.0)
 
     def eval_s1(r):
         r = np.asarray(r, dtype=np.float64)
         G, _ = _remark2_moments(r)
-        return _scalarize(-(G + r**3 / 3.0))
+        return -(G + r**3 / 3.0)
 
     def eval_s(r):
         r = np.asarray(r, dtype=np.float64)
         G, H = _remark2_moments(r)
         s1 = -(G + r**3 / 3.0)
         M = -(H + r**4 / 4.0)
-        return _scalarize(r * s1 - M)
+        return r * s1 - M
 
     k = np.arange(1, 65, dtype=np.float64)
     probes = tuple((1.0 / ((k + 0.5) * math.pi)).tolist())
@@ -337,13 +323,10 @@ def shifted_density(d: Density) -> Density:
 
     def eval_s(r):
         r = np.asarray(r, dtype=np.float64)
-        return _scalarize(np.asarray(d.eval_s(r)) - s1_val * r)
+        return np.asarray(d.eval_s(r)) - s1_val * r
 
-    eval_s1 = None
-    if d.eval_s1 is not None:
-
-        def eval_s1(r):  # noqa: F811 - conditional definition
-            return _scalarize(np.asarray(d.eval_s1(r)) - s1_val)
+    def eval_s1(r):
+        return np.asarray(d.eval_s1(r)) - s1_val
 
     return Density(
         label=f"shifted({d.label})",
@@ -355,45 +338,6 @@ def shifted_density(d: Density) -> Density:
         concave=d.concave,
         params=dict(d.params, shift=s1_val),
         probe_points=d.probe_points,
-    )
-
-
-def numeric_derivative_fallback(d: Density) -> Density:
-    """Fill missing eval_s1/eval_s2 by finite differences of eval_s.
-
-    First derivatives use the h = max(1e-6, 1e-6 r) step; second derivatives
-    use a wider ~eps^(1/4) step, below which float64 cancellation would
-    swamp the estimate.  Stencils go one-sided near r = 1.
-    """
-    s = d.eval_s
-
-    def _h1(r):
-        return np.maximum(1e-6, 1e-6 * r)
-
-    def eval_s1(r):
-        r = np.asarray(r, dtype=np.float64)
-        h = _h1(r)
-        centered = (np.asarray(s(r + h)) - np.asarray(s(r - h))) / (2.0 * h)
-        backward = (3.0 * np.asarray(s(r)) - 4.0 * np.asarray(s(r - h)) + np.asarray(s(r - 2 * h))) / (2.0 * h)
-        return _scalarize(np.where(r + h > 1.0, backward, centered))
-
-    def eval_s2(r):
-        r = np.asarray(r, dtype=np.float64)
-        h = np.maximum(1.2e-4, 1.2e-4 * r)
-        sr = np.asarray(s(r))
-        centered = (np.asarray(s(r + h)) - 2.0 * sr + np.asarray(s(r - h))) / (h * h)
-        backward = (
-            2.0 * sr
-            - 5.0 * np.asarray(s(r - h))
-            + 4.0 * np.asarray(s(r - 2 * h))
-            - np.asarray(s(r - 3 * h))
-        ) / (h * h)
-        return _scalarize(np.where(r + h > 1.0, backward, centered))
-
-    return replace(
-        d,
-        eval_s1=d.eval_s1 if d.eval_s1 is not None else eval_s1,
-        eval_s2=d.eval_s2 if d.eval_s2 is not None else eval_s2,
     )
 
 

@@ -27,7 +27,6 @@ __all__ = [
     "SandwichReport",
     "PowerRecovery",
     "Reconstruction",
-    "RecoveryConfig",
     "AxiomReport",
     "extensivity_residual",
     "sandwich_check",
@@ -205,14 +204,16 @@ def iff_counterexample_matrix(x: float) -> JointMatrix:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class RecoveryConfig:
-    r_grid: tuple[float, ...] = tuple(np.linspace(0.1, 0.9, 17).tolist())
-    x_probes: tuple[float, ...] = (0.125, 0.25, 0.375, 0.5)
-    consistency_tol: float = 1e-4
-    multiplicativity_tol: float = 1e-6
-    q_one_window: float = 1e-3
-    recon_grid_n: int = 256
+# recover_f samples the candidate f(r; x) at r in _R_GRID and x in _X_PROBES.
+# A power law needs both defects within their tolerances; |q - 1| below
+# _Q_ONE_WINDOW takes the log branch; the rebuilt density is compared with
+# eval_s on _RECON_GRID_N points.
+_R_GRID = tuple(np.linspace(0.1, 0.9, 17).tolist())
+_X_PROBES = (0.125, 0.25, 0.375, 0.5)
+_CONSISTENCY_TOL = 1e-4
+_MULTIPLICATIVITY_TOL = 1e-6
+_Q_ONE_WINDOW = 1e-3
+_RECON_GRID_N = 256
 
 
 @dataclass(frozen=True)
@@ -257,7 +258,7 @@ class PowerRecovery:
         return out
 
 
-def recover_f(d: Density, cfg: RecoveryConfig | None = None) -> PowerRecovery:
+def recover_f(d: Density) -> PowerRecovery:
     """Probe whether any coefficient function can satisfy the chain rule.
 
     Candidates f(r; x) = r^2 s''(rx)/s''(x) must agree across base points x;
@@ -265,12 +266,11 @@ def recover_f(d: Density, cfg: RecoveryConfig | None = None) -> PowerRecovery:
     with q > 0, in which case the density itself is rebuilt in closed form
     from s(1), s'(1), s''(1) and compared to eval_s.
     """
-    cfg = cfg or RecoveryConfig()
-    if not d.concave or d.eval_s2 is None:
-        raise ValueError(f"density {d.label!r} lacks a negative-curvature evaluator")
+    if not d.concave:
+        raise ValueError(f"density {d.label!r} lacks the concave flag")
     s2 = d.eval_s2
-    rs = np.asarray(cfg.r_grid, dtype=np.float64)
-    xs = np.asarray(cfg.x_probes, dtype=np.float64)
+    rs = np.asarray(_R_GRID)
+    xs = np.asarray(_X_PROBES)
     cand = rs[:, None] ** 2 * np.asarray(s2(rs[:, None] * xs[None, :])) / np.asarray(s2(xs))[None, :]
     if not np.all(np.isfinite(cand)):
         return PowerRecovery(math.nan, math.nan, math.nan, "inconclusive", None)
@@ -291,14 +291,14 @@ def recover_f(d: Density, cfg: RecoveryConfig | None = None) -> PowerRecovery:
         return PowerRecovery(math.nan, consistency, defect, "not_power", None)
     q_est = float(np.mean(np.log(f_on_grid) / np.log(rs)))
 
-    if consistency > cfg.consistency_tol or defect > cfg.multiplicativity_tol or q_est <= 0.0:
+    if consistency > _CONSISTENCY_TOL or defect > _MULTIPLICATIVITY_TOL or q_est <= 0.0:
         return PowerRecovery(q_est, consistency, defect, "not_power", None)
 
     s_1 = float(np.asarray(d.eval_s(1.0)))
     s1_1 = float(np.asarray(d.eval_s1(1.0)))
     s2_1 = float(np.asarray(s2(1.0)))
-    grid = np.arange(1, cfg.recon_grid_n + 1, dtype=np.float64) / cfg.recon_grid_n
-    if abs(q_est - 1.0) < cfg.q_one_window:
+    grid = np.arange(1, _RECON_GRID_N + 1, dtype=np.float64) / _RECON_GRID_N
+    if abs(q_est - 1.0) < _Q_ONE_WINDOW:
         k = s2_1
         a = -s2_1 + s1_1
         b = s2_1 - s1_1 + s_1

@@ -1,7 +1,7 @@
-"""Shared numerical kernels: quadrature, finite differences, 1-d extrema.
+"""The extremum scan: inf and sup of row-batched functions over (0, 1].
 
-The extremum scanner works on (0, 1] truncated at a configurable t_min.  Grid
-minima overestimate the true infimum and grid maxima underestimate the true
+The scan works on (0, 1] truncated at a configurable t_min.  Grid minima
+overestimate the true infimum and grid maxima underestimate the true
 supremum; consumers receive est_error and must apply it as slack, which keeps
 one-sided-error reasoning sound.  Limit behavior toward 0 is probed on a
 geometric ladder (plus caller-declared points) and only reported as a trend,
@@ -15,254 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = [
-    "NoConvergenceError",
-    "OptResult",
-    "adaptive_quadrature",
-    "midpoint_richardson",
-    "finite_difference",
-    "global_extremum",
-    "scan_extrema",
-    "scan_to_csv",
-]
-
-
-class NoConvergenceError(ArithmeticError):
-    """Quadrature hit its depth cap; carries the partial estimate."""
-
-    def __init__(self, message: str, partial: float):
-        super().__init__(message)
-        self.partial = partial
-
-
-def _finite(x: float) -> bool:
-    return math.isfinite(x)
-
-
-# ---------------------------------------------------------------------------
-# adaptive Simpson with singular-endpoint shells
-# ---------------------------------------------------------------------------
-
-
-def _simpson(fa: float, fm: float, fb: float, width: float) -> float:
-    return width * (fa + 4.0 * fm + fb) / 6.0
-
-
-def _adaptive_core(g, a: float, b: float, abs_tol: float, max_depth: int) -> float:
-    """Classic adaptive Simpson on a finite integrand; iterative stack."""
-    m = 0.5 * (a + b)
-    fa, fm, fb = float(g(a)), float(g(m)), float(g(b))
-    for x, fx in ((a, fa), (m, fm), (b, fb)):
-        if not _finite(fx):
-            raise ValueError(f"integrand non-finite at x={x!r}")
-    whole = _simpson(fa, fm, fb, b - a)
-    stack = [(a, m, b, fa, fm, fb, whole, abs_tol, 0)]
-    total = 0.0
-    while stack:
-        a0, m0, b0, f0, f1, f2, s0, tol, depth = stack.pop()
-        lm = 0.5 * (a0 + m0)
-        rm = 0.5 * (m0 + b0)
-        flm, frm = float(g(lm)), float(g(rm))
-        if not (_finite(flm) and _finite(frm)):
-            bad = lm if not _finite(flm) else rm
-            raise ValueError(f"integrand non-finite at x={bad!r}")
-        left = _simpson(f0, flm, f1, m0 - a0)
-        right = _simpson(f1, frm, f2, b0 - m0)
-        err = left + right - s0
-        if abs(err) <= 15.0 * tol or (b0 - a0) <= 1e-15 * (abs(a0) + abs(b0) + 1.0):
-            total += left + right + err / 15.0
-            continue
-        if depth >= max_depth:
-            partial = total + left + right + err / 15.0
-            partial += math.fsum(item[6] for item in stack)
-            raise NoConvergenceError(
-                f"adaptive Simpson exceeded depth {max_depth} on [{a0!r}, {b0!r}]",
-                partial=partial,
-            )
-        stack.append((a0, lm, m0, f0, flm, f1, left, tol / 2.0, depth + 1))
-        stack.append((m0, rm, b0, f1, frm, f2, right, tol / 2.0, depth + 1))
-    return total
-
-
-def _shells(g, a: float, b: float, abs_tol: float, max_depth: int, singular_left: bool) -> float:
-    """Geometric approach to one singular endpoint; integrable singularities only.
-
-    Shell k covers offsets [width 2^-(k+1), width 2^-k] from the singular end.
-    Stops when a shell's contribution falls below the tolerance or the shell
-    edge reaches float resolution at the endpoint; the remaining tail is
-    extrapolated from the observed geometric shell ratio.
-    """
-    width = b - a
-    if singular_left:
-        seg = lambda lo, hi: (a + lo, a + hi)
-        edge = a
-    else:
-        seg = lambda lo, hi: (b - hi, b - lo)
-        edge = b
-    granularity = 8.0 * np.finfo(np.float64).eps * max(1.0, abs(edge))
-    lo_off, hi_off = 0.5 * width, width
-    x0, x1 = seg(lo_off, hi_off)
-    total = _adaptive_core(g, x0, x1, abs_tol / 4.0, max_depth)
-    prev = math.inf
-    rho = 0.5
-    max_shells = 400
-    for k in range(1, max_shells + 1):
-        hi_off = lo_off
-        lo_off = 0.5 * lo_off
-        if lo_off <= granularity:
-            # the rest of the approach is below float resolution: the tail
-            # from the current shell onward is prev * (rho + rho^2 + ...)
-            last = prev if math.isfinite(prev) else 0.0
-            return total + last * rho / (1.0 - rho)
-        x0, x1 = seg(lo_off, hi_off)
-        tol_k = max(abs_tol * 2.0 ** (-k - 2), 1e-18)
-        piece = _adaptive_core(g, x0, x1, tol_k, max_depth)
-        total += piece
-        if math.isfinite(prev) and prev != 0.0:
-            ratio = piece / prev
-            if 0.0 < ratio < 0.95:
-                rho = ratio
-        if k >= 4 and abs(piece) <= abs_tol / 8.0:
-            return total + piece * rho / (1.0 - rho)
-        prev = piece
-    raise NoConvergenceError(
-        f"singular-endpoint shells did not contract after {max_shells} levels",
-        partial=total,
-    )
-
-
-def adaptive_quadrature(g, a: float, b: float, abs_tol: float = 1e-10, max_depth: int = 60) -> float:
-    """Integral of g over [a, b] to absolute tolerance abs_tol.
-
-    Non-finite values at an endpoint trigger a geometric-shell split toward
-    that endpoint, which converges for integrable singularities (log, inverse
-    square root, ...).  Raises NoConvergenceError (with .partial) if the depth
-    cap or shell budget is exhausted.
-    """
-    if not abs_tol > 0.0:
-        raise ValueError("abs_tol must be > 0")
-    a = float(a)
-    b = float(b)
-    if a == b:
-        return 0.0
-    if b < a:
-        return -adaptive_quadrature(g, b, a, abs_tol, max_depth)
-    fa, fb = float(g(a)), float(g(b))
-    sing_a, sing_b = not _finite(fa), not _finite(fb)
-    if sing_a and sing_b:
-        m = 0.5 * (a + b)
-        left = _shells(g, a, m, abs_tol / 2.0, max_depth, singular_left=True)
-        right = _shells(g, m, b, abs_tol / 2.0, max_depth, singular_left=False)
-        return left + right
-    if sing_a:
-        return _shells(g, a, b, abs_tol, max_depth, singular_left=True)
-    if sing_b:
-        return _shells(g, a, b, abs_tol, max_depth, singular_left=False)
-    return _adaptive_core(g, a, b, abs_tol, max_depth)
-
-
-# ---------------------------------------------------------------------------
-# composite midpoint with Richardson extrapolation (independent second rule)
-# ---------------------------------------------------------------------------
-
-
-def _eval_vectorized(g, xs: np.ndarray) -> np.ndarray:
-    try:
-        vals = np.asarray(g(xs), dtype=np.float64)
-        if vals.shape == xs.shape:
-            return vals
-    except Exception:
-        pass
-    return np.array([float(g(x)) for x in xs], dtype=np.float64)
-
-
-def midpoint_richardson(
-    g, a: float, b: float, abs_tol: float = 1e-10, max_level: int = 16, n0: int = 8
-) -> float:
-    """Composite midpoint rule refined by halving plus a Richardson table.
-
-    Never evaluates the endpoints, so it tolerates endpoint singularities.
-    The table assumes an error series in all powers of h (factors 2^j):
-    integrable endpoint singularities contribute odd powers that the usual
-    h^2-only table cannot cancel, while for smooth integrands the odd
-    coefficients vanish and the extra columns are harmless.
-    """
-    if not abs_tol > 0.0:
-        raise ValueError("abs_tol must be > 0")
-    a = float(a)
-    b = float(b)
-    if a == b:
-        return 0.0
-    rows: list[list[float]] = []
-    for level in range(max_level + 1):
-        n = n0 * 2**level
-        h = (b - a) / n
-        xs = a + (np.arange(n) + 0.5) * h
-        m = float(h * math.fsum(_eval_vectorized(g, xs).tolist()))
-        row = [m]
-        if rows:
-            prev = rows[-1]
-            for j in range(1, len(prev) + 1):
-                factor = 2.0**j
-                row.append((factor * row[j - 1] - prev[j - 1]) / (factor - 1.0))
-        rows.append(row)
-        if level >= 2 and abs(row[-1] - rows[-2][-1]) <= abs_tol:
-            return row[-1]
-    raise NoConvergenceError(
-        f"midpoint/Richardson did not reach {abs_tol} after {max_level} levels",
-        partial=rows[-1][-1],
-    )
-
-
-# ---------------------------------------------------------------------------
-# finite differences
-# ---------------------------------------------------------------------------
-
-
-def finite_difference(
-    g,
-    r: float,
-    order: int,
-    h_step: float | None = None,
-    domain: tuple[float, float] = (0.0, 1.0),
-) -> float:
-    """Centered O(h^2) stencil for g' or g''; one-sided when the stencil
-    would leave the domain.
-
-    Default steps balance truncation against float64 cancellation:
-    ~eps^(1/3) for first derivatives, ~eps^(1/4) for second.
-    """
-    if order not in (1, 2):
-        raise ValueError("order must be 1 or 2")
-    lo, hi = domain
-    if not lo < r < hi:
-        raise ValueError(f"r={r!r} not interior to {domain}")
-    if h_step is None:
-        h_step = 6e-6 if order == 1 else 1.2e-4
-    h = float(h_step)
-    # exact representable step
-    h = (r + h) - r
-
-    if r + h <= hi and r - (3 * h if order == 2 else h) >= lo:
-        if order == 1:
-            return (g(r + h) - g(r - h)) / (2.0 * h)
-        return (g(r + h) - 2.0 * g(r) + g(r - h)) / (h * h)
-
-    if r + h > hi:  # backward stencils, still O(h^2)
-        if order == 1:
-            return (3.0 * g(r) - 4.0 * g(r - h) + g(r - 2 * h)) / (2.0 * h)
-        return (2.0 * g(r) - 5.0 * g(r - h) + 4.0 * g(r - 2 * h) - g(r - 3 * h)) / (h * h)
-
-    # forward stencils near the lower edge
-    if order == 1:
-        return (-3.0 * g(r) + 4.0 * g(r + h) - g(r + 2 * h)) / (2.0 * h)
-    return (2.0 * g(r) - 5.0 * g(r + h) + 4.0 * g(r + 2 * h) - g(r + 3 * h)) / (h * h)
-
-
-# ---------------------------------------------------------------------------
-# global extrema on (0, 1]
-# ---------------------------------------------------------------------------
-
+__all__ = ["OptResult", "scan_extrema"]
 
 @dataclass(frozen=True)
 class OptResult:
@@ -296,6 +49,8 @@ class OptResult:
 # other lanes of its batch.
 _ZOOM_POINTS = 31
 _ZOOM_ROUNDS = 12
+# Depth of the geometric probe ladder t = 2^-k, k = 1.._LADDER_K.
+_LADDER_K = 40
 
 
 def _zoom(h, lo: np.ndarray, hi: np.ndarray, best: np.ndarray):
@@ -366,21 +121,17 @@ def scan_extrema(
     t_min: float = 1e-6,
     grid_n: int = 2048,
     probe_points: tuple[float, ...] = (),
-    geometric_k: int = 40,
     refine: bool = True,
-):
-    """One grid scan of h over [t_min, 1] yielding both inf and sup results.
+) -> list[tuple[OptResult, OptResult]]:
+    """One grid scan of each row of h over [t_min, 1]: an (inf, sup) pair per row.
 
-    h maps an array of t to an array of values.  A row-batched h maps a 1-d
-    t of length L to a (rows, L) array, and a (rows, L) t to (rows, L) values
-    with row i taken at t[i]; the scan then returns a list with one
-    (inf, sup) pair per row.  A 1-d h is the one-row case and returns the
-    pair itself.
+    h is row-batched: it maps a 1-d t of length L to a (rows, L) array, and
+    a (rows, L) t to (rows, L) values with row i taken at t[i].
 
     Log-spaced coarse grid, a vectorized bracket zoom over the two cells
     around every row's grid extremum, then limit diagnostics on a geometric
-    ladder t = 2^-k (k <= geometric_k) and on any caller-declared probe
-    points, each family judged separately per row.
+    ladder t = 2^-k (k <= 40) and on any caller-declared probe points, each
+    family judged separately per row.
     """
     if grid_n < 256:
         raise ValueError("grid_n must be >= 256")
@@ -388,15 +139,6 @@ def scan_extrema(
         raise ValueError("t_min must lie in (0, 1)")
     ts = _log_grid(float(t_min), int(grid_n))
     vs = np.asarray(h(ts), dtype=np.float64)
-    single = vs.ndim == 1
-
-    def rows_h(t: np.ndarray) -> np.ndarray:
-        if single:
-            return np.asarray(h(t.ravel()), dtype=np.float64).reshape(1, -1)
-        return np.asarray(h(t), dtype=np.float64)
-
-    if single:
-        vs = vs[None, :]
     finite = np.isfinite(vs)
     bad = ~finite
     has_bad = bad.any(axis=1)
@@ -421,33 +163,27 @@ def scan_extrema(
     if refine:
         lo = ts[np.maximum(idx - 1, 0)]
         hi = ts[np.minimum(idx + 1, grid_n - 1)]
-        z_arg, z_best = _zoom(rows_h, lo, hi, sign * value)
+        z_arg, z_best = _zoom(h, lo, hi, sign * value)
         moved = ~np.isnan(z_arg)
         value = np.where(moved, sign * z_best, value)
         arg = np.where(moved, z_arg, arg)
 
     # probe families: geometric ladder toward 0, then declared points
-    families: list[np.ndarray] = []
-    if geometric_k > 0:
-        families.append(2.0 ** -np.arange(1, geometric_k + 1, dtype=np.float64))
+    families = [2.0 ** -np.arange(1, _LADDER_K + 1, dtype=np.float64)]
     if len(probe_points):
         pts = np.sort(np.asarray(probe_points, dtype=np.float64))[::-1]
         families.append(pts[pts > 0.0])
-    probe_vals = [rows_h(fam) for fam in families]
+    probe_vals = [np.asarray(h(fam), dtype=np.float64) for fam in families]
     # the t_min edge truncates the scan: widen an edge lane's error by how
     # far the probes below t_min pass its value in the lane's direction
     below = [pv[:, fam < t_min] for fam, pv in zip(families, probe_vals)]
-    below = np.concatenate(below, axis=1) if below else np.empty((vs.shape[0], 0))
+    below = np.concatenate(below, axis=1)
     signed = np.where(np.isfinite(below)[:, None, :], sign[:, None] * below[:, None, :], np.inf)
     past = sign * value - signed.min(axis=-1, initial=np.inf)
     est_error = np.where((idx == 0) & (past > 0), est_error + past, est_error)
-    probe_max = np.full(vs.shape[0], math.nan)
-    if probe_vals:
-        allv = np.concatenate(probe_vals, axis=1)
-        allv = np.where(np.isfinite(allv), allv, -np.inf)
-        if allv.shape[1]:
-            top = allv.max(axis=1)
-            probe_max = np.where(top > -np.inf, top, math.nan)
+    allv = np.concatenate(probe_vals, axis=1)
+    top = np.where(np.isfinite(allv), allv, -np.inf).max(axis=1)
+    probe_max = np.where(top > -np.inf, top, math.nan)
 
     results = []
     for row in range(vs.shape[0]):
@@ -457,9 +193,7 @@ def scan_extrema(
         for m in range(2):
             trends = [lab[m] for lab in labels]
             diverging = "diverging" in trends or bool(blowup[row, m])
-            trend = "none"
-            if trends:
-                trend = "diverging" if diverging else trends[0]
+            trend = "diverging" if diverging else trends[0]
             pair.append(
                 OptResult(
                     value=float(value[row, m]),
@@ -477,28 +211,5 @@ def scan_extrema(
                 )
             )
         results.append(tuple(pair))
-    return results[0] if single else results
+    return results
 
-
-def global_extremum(
-    h,
-    mode: str,
-    t_min: float = 1e-6,
-    grid_n: int = 2048,
-    probe_points: tuple[float, ...] = (),
-    geometric_k: int = 40,
-    refine: bool = True,
-) -> OptResult:
-    """Infimum or supremum estimate of h over (0, 1] truncated at t_min."""
-    if mode not in ("inf", "sup"):
-        raise ValueError("mode must be 'inf' or 'sup'")
-    lo, hi = scan_extrema(h, t_min, grid_n, probe_points, geometric_k, refine)
-    return lo if mode == "inf" else hi
-
-
-def scan_to_csv(ts: np.ndarray, values: np.ndarray) -> str:
-    """Grid dump as CSV with columns (t, h)."""
-    lines = ["t,h"]
-    for t, v in zip(np.asarray(ts), np.asarray(values)):
-        lines.append(f"{float(t)!r},{float(v)!r}")
-    return "\n".join(lines) + "\n"

@@ -29,8 +29,8 @@ from extenso.extensivity import (
     recover_f,
     sandwich_check,
 )
-from extenso.numerics import adaptive_quadrature
 from extenso.simplex import random_joint
+from numeric_oracles import adaptive_quadrature
 
 SQRT2 = math.sqrt(2.0)
 # frozen quadrature-oracle value of s'(1) for the log-sin density

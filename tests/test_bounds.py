@@ -6,9 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from extenso.bounds import (
+    DIVERGENCE_THRESHOLD,
+    THETA_GRID_N,
+    THETA_R_RANGE,
     BoundsConfig,
-    ThetaConfig,
-    bounds_to_csv,
     coefficient_bounds,
     column_bounds,
     phi_from_density,
@@ -69,7 +70,7 @@ class TestCoefficientBounds:
         # the exact, flat r^q: the magnitude threshold must not fire
         r = 1e-7
         cb = coefficient_bounds(tsallis_density(0.1), r)
-        assert cb.upper_meta.probe_max > BoundsConfig().divergence_threshold
+        assert cb.upper_meta.probe_max > DIVERGENCE_THRESHOLD
         assert cb.lower == pytest.approx(r**0.1, rel=1e-12)
         assert cb.upper == pytest.approx(r**0.1, rel=1e-12)
         assert not cb.divergent
@@ -103,7 +104,8 @@ class TestCoefficientBounds:
             coefficient_bounds(remark5_density(), 0.0)
         with pytest.raises(ValueError):
             coefficient_bounds(remark5_density(), 1.5)
-        flat = Density(label="flat", eval_s=lambda r: np.zeros_like(np.asarray(r)), concave=False)
+        zero = lambda r: np.zeros_like(np.asarray(r))
+        flat = Density(label="flat", eval_s=zero, eval_s1=zero, eval_s2=zero, concave=False)
         with pytest.raises(ValueError):
             coefficient_bounds(flat, 0.5)
 
@@ -122,14 +124,6 @@ class TestCoefficientBounds:
         d = remark5_density()
         ratio_d = np.asarray(d.eval_s2(u / 2.0)) / np.asarray(d.eval_s2(u))
         np.testing.assert_allclose(ratio_d, ratio, rtol=1e-12)
-
-    def test_csv_export(self):
-        rows = [coefficient_bounds(tsallis_density(2.0), r) for r in (0.25, 0.75)]
-        text = bounds_to_csv(rows)
-        lines = text.splitlines()
-        assert lines[0] == "r,lower,upper,arg_inf,arg_sup,divergent"
-        assert len(lines) == 3
-        assert lines[1].startswith("0.25,")
 
 
 @st.composite
@@ -199,6 +193,7 @@ class TestPhi:
         convex = Density(
             label="convex",
             eval_s=lambda r: np.asarray(r) ** 2,
+            eval_s1=lambda r: 2.0 * np.asarray(r),
             eval_s2=lambda r: np.full_like(np.asarray(r, dtype=float), 2.0),
             concave=False,
         )
@@ -228,6 +223,5 @@ class TestTheta:
         assert abs(theta - (2.0 - q)) <= 1e-3
 
     def test_config_grid_contains_one(self):
-        cfg = ThetaConfig()
-        rs = np.geomspace(cfg.r_min, cfg.r_max, cfg.grid_n)
+        rs = np.geomspace(*THETA_R_RANGE, THETA_GRID_N)
         assert 1.0 in rs

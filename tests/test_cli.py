@@ -232,6 +232,8 @@ class TestUsageErrors:
             ["theta-phi", "--density", "remark2"],
             ["verify-sandwich", "--density", "remark5", "--concentration", "0.001", "--instances", "5"],
             ["residual", "--density", "bg", "--concentration", "0.001", "--instances", "5"],
+            ["bounds", "--density", "bg", "--r-grid", "0.1:0.9:0"],
+            ["counterexample", "remark2", "--k-max", "0"],
         ],
         ids=lambda a: " ".join(a),
     )
@@ -240,7 +242,7 @@ class TestUsageErrors:
             main(args)
         assert exc.value.code == 2
         err = capsys.readouterr().err.strip().splitlines()
-        assert err[-1].startswith("extenso: error: ")
+        assert err[-1].startswith(f"extenso {args[0]}: error: ")
         assert not any("Traceback" in line for line in err)
 
     def test_unknown_command(self, capsys):
@@ -268,3 +270,25 @@ class TestUsageErrors:
         spec.write_text('{"kind": "tsallis", "params": {"q": 2.0}}')
         _, payload = run_json(["recover-f", "--density-spec", f"@{spec}"], capsys)
         assert payload["density"] == "tsallis(q=2)"
+
+
+class TestImportSurface:
+    """What the benchmark harness imports from the package."""
+
+    def test_names_the_benchmark_uses(self):
+        import extenso
+        from extenso import _kernels, bounds, extensivity
+        from extenso import (  # noqa: F401
+            EntropyFunctional,
+            coefficient_bounds,
+            remark2_density,
+            remark5_density,
+            tsallis_density,
+        )
+
+        assert extensivity.coefficient_bounds is bounds.coefficient_bounds
+        assert callable(_kernels.logsinc_integral)
+        assert callable(_kernels.osc_panel_moments)
+        assert bounds.BoundsConfig(refine=False).refine is False
+        for name in extenso.__all__:
+            assert getattr(extenso, name) is not None

@@ -11,14 +11,13 @@ from extenso.densities import (
     canonical_grid,
     density_from_spec,
     entropy,
-    numeric_derivative_fallback,
     remark2_density,
     remark5_density,
     shifted_density,
     tsallis_density,
 )
-from extenso.numerics import adaptive_quadrature
 from extenso.simplex import SimplexVector, marginal, random_joint, uniform_vector
+from numeric_oracles import adaptive_quadrature
 
 # Frozen oracle values (high-precision quadrature computed ahead of the build;
 # the log-sin constant also has the closed form -2*Catalan/pi - log 2).
@@ -204,35 +203,17 @@ class TestShifted:
 
 class TestEntropyContract:
     def test_zero_entry_requires_convention(self):
-        bare = Density(label="sqrt", eval_s=lambda r: np.sqrt(np.asarray(r)), s0_zero=False)
+        bare = Density(
+            label="sqrt",
+            eval_s=lambda r: np.sqrt(np.asarray(r)),
+            eval_s1=lambda r: 0.5 / np.sqrt(np.asarray(r)),
+            eval_s2=lambda r: -0.25 * np.asarray(r) ** -1.5,
+            s0_zero=False,
+        )
         F = EntropyFunctional(bare)
         with pytest.raises(DensityDomainError):
             entropy(F, SimplexVector([1.0, 0.0]))
         assert entropy(F, SimplexVector([0.5, 0.5])) == pytest.approx(math.sqrt(2), abs=1e-15)
-
-
-class TestNumericFallback:
-    def test_bg_curvature_recovered(self):
-        bare = Density(label="bg-bare", eval_s=bg_density().eval_s, s0_zero=True)
-        filled = numeric_derivative_fallback(bare)
-        assert filled.eval_s2(0.5) == pytest.approx(-2.0, abs=1e-4)
-
-    def test_tsallis2_constant_curvature(self):
-        bare = Density(label="t2-bare", eval_s=tsallis_density(2.0).eval_s, s0_zero=True)
-        filled = numeric_derivative_fallback(bare)
-        for r in np.linspace(0.1, 0.9, 9):
-            assert float(filled.eval_s2(r)) == pytest.approx(-2.0, abs=1e-5)
-
-    def test_first_derivative_and_one_sided(self):
-        d = tsallis_density(2.0)
-        bare = Density(label="t2-bare", eval_s=d.eval_s, s0_zero=True)
-        filled = numeric_derivative_fallback(bare)
-        for r in (0.3, 0.9999995):  # the second forces the backward stencil
-            assert float(filled.eval_s1(r)) == pytest.approx(float(d.eval_s1(r)), abs=1e-6)
-
-    def test_existing_evaluators_kept(self):
-        d = bg_density()
-        assert numeric_derivative_fallback(d).eval_s2 is d.eval_s2
 
 
 class TestDensityInvariants:

@@ -26,7 +26,6 @@ from extenso.extensivity import (
     sandwich_check,
     three_by_two_family,
 )
-from extenso.numerics import finite_difference
 from extenso.simplex import (
     JointMatrix,
     RandomGenerationError,
@@ -35,6 +34,7 @@ from extenso.simplex import (
     marginal,
     random_joint,
 )
+from numeric_oracles import finite_difference
 
 # frozen quadrature-oracle values for the log-sin density
 R5_S1_AT_1 = -0.9296953983416102
@@ -279,7 +279,13 @@ class TestAxioms:
     def test_requires_zero_convention(self):
         from extenso.densities import Density
 
-        bare = Density(label="x", eval_s=lambda r: np.asarray(r), s0_zero=False)
+        bare = Density(
+            label="x",
+            eval_s=lambda r: np.asarray(r),
+            eval_s1=lambda r: np.ones_like(np.asarray(r)),
+            eval_s2=lambda r: np.zeros_like(np.asarray(r)),
+            s0_zero=False,
+        )
         with pytest.raises(ValueError):
             axiom_suite(functional(bare))
 

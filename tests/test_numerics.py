@@ -4,14 +4,12 @@ import numpy as np
 import pytest
 
 from extenso.densities import bg_density, remark5_density, tsallis_density
-from extenso.numerics import (
+from numeric_oracles import (
     NoConvergenceError,
     adaptive_quadrature,
     finite_difference,
     global_extremum,
     midpoint_richardson,
-    scan_extrema,
-    scan_to_csv,
 )
 
 # int_0^1 log sin((pi/4) t) dt in closed form via Catalan's constant
@@ -121,7 +119,8 @@ class TestGlobalExtremum:
         assert not res.refined  # extremum at the artificial boundary
 
     def test_constant_exact(self):
-        lo, hi = scan_extrema(lambda t: np.full_like(np.asarray(t, dtype=float), 3.25))
+        h = lambda t: np.full_like(np.asarray(t, dtype=float), 3.25)
+        lo, hi = global_extremum(h, "inf"), global_extremum(h, "sup")
         assert lo.value == 3.25
         assert hi.value == 3.25
         assert lo.est_error == 0.0
@@ -131,7 +130,7 @@ class TestGlobalExtremum:
         d = tsallis_density(q)
         h = lambda t: np.asarray(d.eval_s2(r * np.asarray(t))) / np.asarray(d.eval_s2(np.asarray(t)))
         want = r ** (q - 2.0)
-        lo, hi = scan_extrema(h)
+        lo, hi = global_extremum(h, "inf"), global_extremum(h, "sup")
         assert lo.value == pytest.approx(want, rel=1e-12)
         assert hi.value == pytest.approx(want, rel=1e-12)
 
@@ -170,10 +169,3 @@ class TestGlobalExtremum:
             global_extremum(lambda t: t, "inf", grid_n=100)
         with pytest.raises(ValueError):
             global_extremum(lambda t: t, "inf", t_min=2.0)
-
-    def test_scan_to_csv(self):
-        ts = np.array([0.1, 0.2])
-        text = scan_to_csv(ts, ts * 2)
-        lines = text.splitlines()
-        assert lines[0] == "t,h"
-        assert len(lines) == 3
