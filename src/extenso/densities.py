@@ -15,7 +15,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Mapping
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
@@ -32,6 +32,7 @@ __all__ = [
     "remark5_density",
     "shifted_density",
     "entropy",
+    "entropies",
     "density_from_spec",
     "canonical_grid",
 ]
@@ -74,16 +75,33 @@ def canonical_grid(n: int = 2048) -> np.ndarray:
     return np.arange(1, n + 1, dtype=np.float64) / n
 
 
-def entropy(F: EntropyFunctional, p: SimplexVector) -> float:
-    """S(p) = sum_j s(p_j), compensated accumulation.
+def entropies(F: EntropyFunctional, vectors: Sequence[SimplexVector]) -> list[float]:
+    """[S(p) for p in vectors], S(p) = sum_j s(p_j), compensated accumulation.
 
-    Zero entries require the s0_zero flag (the s(0) = 0 convention).
+    One eval_s call covers the concatenated entries of all vectors; each sum
+    is a math.fsum over its own slice, so every value equals a call on that
+    vector alone.  Zero entries require the s0_zero flag (the s(0) = 0
+    convention).
     """
+    if not vectors:
+        return []
     d = F.density
-    if not d.s0_zero and np.any(p.entries == 0.0):
+    flat = np.concatenate([p.entries for p in vectors])
+    if not d.s0_zero and np.any(flat == 0.0):
         raise DensityDomainError(f"density {d.label!r} has no s(0) convention")
-    vals = np.asarray(d.eval_s(p.entries), dtype=np.float64)
-    return math.fsum(vals.tolist())
+    vals = np.asarray(d.eval_s(flat), dtype=np.float64).tolist()
+    out = []
+    start = 0
+    for p in vectors:
+        stop = start + p.entries.size
+        out.append(math.fsum(vals[start:stop]))
+        start = stop
+    return out
+
+
+def entropy(F: EntropyFunctional, p: SimplexVector) -> float:
+    """S(p) = sum_j s(p_j): the one-vector case of ``entropies``."""
+    return entropies(F, [p])[0]
 
 
 # ---------------------------------------------------------------------------
@@ -165,7 +183,8 @@ def _remark5_logsin_integral(r):
 
     Split off the exact log part: log sin(at) = log(at) + log(sin(at)/(at)),
     whose first term integrates to r log(a r) - r and whose second term is
-    analytic on [0, 1] (the log-singularity treatment at 0).
+    analytic on [0, 1] and integrates term by term through its even power
+    series (``_kernels.logsinc_integral``).
     """
     r = np.asarray(r, dtype=np.float64)
     safe = np.where(r > 0.0, r, 1.0)

@@ -20,7 +20,8 @@ import numpy as np
 
 # coefficient_bounds stays importable from here: perfbench/tracer.py patches it
 from .bounds import BoundsConfig, CoefficientBounds, coefficient_bounds, column_bounds  # noqa: F401
-from .densities import Density, EntropyFunctional, entropy
+# entropy stays importable from here: perfbench/tracer.py patches it
+from .densities import Density, EntropyFunctional, entropies, entropy  # noqa: F401
 from .simplex import JointMatrix, SimplexVector, conditional, marginal, uniform_vector
 
 __all__ = [
@@ -52,9 +53,13 @@ def power_coefficient(q: float) -> Callable[[float], float]:
     return f
 
 
-def _matrix_entropy(F: EntropyFunctional, P: JointMatrix) -> float:
-    # the flattened grid is itself a point of the mn-simplex
-    return entropy(F, SimplexVector(P.entries.ravel()))
+def _joint_entropies(F: EntropyFunctional, P: JointMatrix, p: SimplexVector) -> list[float]:
+    """[S(P), S(p), S(conditional_1), ..., S(conditional_n)] from one eval_s call.
+
+    The flattened grid is itself a point of the mn-simplex; p = marginal(P).
+    """
+    cols = [conditional(P, j) for j in range(1, P.n + 1)]
+    return entropies(F, [SimplexVector(P.entries.ravel()), p, *cols])
 
 
 def extensivity_residual(F: EntropyFunctional, P: JointMatrix, f: Callable[[float], float]) -> float:
@@ -64,9 +69,10 @@ def extensivity_residual(F: EntropyFunctional, P: JointMatrix, f: Callable[[floa
     function; the value itself is the defect otherwise.
     """
     p = marginal(P)
-    pieces = [_matrix_entropy(F, P), -entropy(F, p)]
-    for j in range(1, P.n + 1):
-        pieces.append(-f(float(p.entries[j - 1])) * entropy(F, conditional(P, j)))
+    s_joint, s_marg, *cond = _joint_entropies(F, P, p)
+    pieces = [s_joint, -s_marg]
+    for pj, Sj in zip(p.entries.tolist(), cond):
+        pieces.append(-f(pj) * Sj)
     return math.fsum(pieces)
 
 
@@ -116,13 +122,14 @@ def _require_sandwich_flags(d: Density) -> None:
 
 
 def _sandwich_core(
-    F: EntropyFunctional, P: JointMatrix, p: SimplexVector, cfg: BoundsConfig | None
-) -> tuple[float, float, float, bool]:
-    """(lower, upper, tolerance, divergent) for the envelope sums; p = marginal(P)."""
+    F: EntropyFunctional, P: JointMatrix, cfg: BoundsConfig | None
+) -> tuple[float, float, float, float, bool]:
+    """(diff, lower, upper, tolerance, divergent): diff = S(P) - S(marginal)."""
     d = F.density
     _require_sandwich_flags(d)
     s1_at_1 = float(np.asarray(d.eval_s1(1.0)))
-    cond_entropies = [entropy(F, conditional(P, j)) for j in range(1, P.n + 1)]
+    p = marginal(P)
+    s_joint, s_marg, *cond_entropies = _joint_entropies(F, P, p)
     per_col: list[CoefficientBounds] = column_bounds(d, p.entries, cfg)
     divergent = any(cb.divergent for cb in per_col)
 
@@ -140,7 +147,7 @@ def _sandwich_core(
     gap = math.fsum(gap_terms)
     lower = math.fsum(lower_terms) + s1_at_1 * gap
     upper = math.fsum(upper_terms) - s1_at_1 * gap
-    return lower, upper, math.fsum(tol_terms), divergent
+    return s_joint - s_marg, lower, upper, math.fsum(tol_terms), divergent
 
 
 def sandwich_check(
@@ -154,10 +161,8 @@ def sandwich_check(
     Requires s(0) = 0, s(1) = 0 and negative curvature (the envelope's
     hypotheses).  An explicit tolerance overrides the propagated one.
     """
-    p = marginal(P)
-    lower, upper, auto_tol, divergent = _sandwich_core(F, P, p, cfg)
+    diff, lower, upper, auto_tol, divergent = _sandwich_core(F, P, cfg)
     tol = auto_tol if tolerance is None else float(tolerance)
-    diff = _matrix_entropy(F, P) - entropy(F, p)
     slack_lower = diff - lower
     slack_upper = upper - diff
     if divergent:
@@ -184,8 +189,7 @@ def iff_lhs(F: EntropyFunctional, P: JointMatrix, cfg: BoundsConfig | None = Non
     The two-sided estimate only sharpens the trivial monotonicity bound when
     this is nonnegative; it can go negative (see iff_counterexample_matrix).
     """
-    lower, _, _, _ = _sandwich_core(F, P, marginal(P), cfg)
-    return lower
+    return _sandwich_core(F, P, cfg)[1]
 
 
 def iff_counterexample_matrix(x: float) -> JointMatrix:
@@ -410,31 +414,38 @@ def axiom_suite(
     if not F.density.s0_zero:
         raise ValueError("axiom suite needs the s(0) = 0 convention")
     rng = np.random.default_rng(seed)
+    # Draw the whole suite first, then evaluate it with one eval_s call.  Per
+    # size: the uniform vector, then per trial p, its eps-mixtures toward q
+    # and p with a zero appended.
+    vectors = []
+    for n in sizes:
+        vectors.append(uniform_vector(n))
+        for _ in range(trials):
+            p = _random_simplex(rng, n)
+            q = _random_simplex(rng, n)
+            vectors.append(p)
+            for eps in eps_seq:
+                vectors.append(SimplexVector((1.0 - eps) * p.entries + eps * q.entries))
+            vectors.append(SimplexVector(np.append(p.entries, 0.0)))
+    values = iter(entropies(F, vectors))
+
     modulus = {eps: 0.0 for eps in eps_seq}
     maximality_ok = True
     expandability_ok = True
     worst_gap = -math.inf
-
-    for n in sizes:
-        u_val = entropy(F, uniform_vector(n))
+    for _ in sizes:
+        u_val = next(values)
         for _ in range(trials):
-            p = _random_simplex(rng, n)
-            sp = entropy(F, p)
-
+            sp = next(values)
             gap = sp - u_val
             worst_gap = max(worst_gap, gap)
             if gap > 1e-12:
                 maximality_ok = False
-
-            q = _random_simplex(rng, n)
             for eps in eps_seq:
-                mixed = SimplexVector((1.0 - eps) * p.entries + eps * q.entries)
-                delta = abs(entropy(F, mixed) - sp)
+                delta = abs(next(values) - sp)
                 if delta > modulus[eps]:
                     modulus[eps] = delta
-
-            expanded = SimplexVector(np.append(p.entries, 0.0))
-            if entropy(F, expanded) != sp:
+            if next(values) != sp:
                 expandability_ok = False
 
     levels = [modulus[eps] for eps in eps_seq]
@@ -457,7 +468,8 @@ def monotonicity_check(F: EntropyFunctional, P: JointMatrix) -> bool:
     d = F.density
     if not (d.s0_zero and d.concave):
         raise ValueError("monotonicity check needs s(0) = 0 and concavity")
-    return _matrix_entropy(F, P) - entropy(F, marginal(P)) >= -1e-10
+    s_joint, s_marg = entropies(F, [SimplexVector(P.entries.ravel()), marginal(P)])
+    return s_joint - s_marg >= -1e-10
 
 
 # ---------------------------------------------------------------------------

@@ -1,17 +1,24 @@
-"""Reference numerics for the tests: quadrature, finite differences, and a
-one-function view of the extremum scan.
+"""Reference numerics for the tests: quadrature, finite differences, a
+one-function view of the extremum scan, and per-vector entropy loops.
 
 None of this runs in the package.  The two quadrature rules share no code
 path beyond the integrand, so the tests use them as independent oracles for
-the densities' closed forms and integral identities.
+the densities' closed forms and integral identities.  The per-vector loops
+evaluate each entropy with its own eval_s call, which the package's batched
+evaluation must reproduce bit for bit.
 """
 from __future__ import annotations
 
+import dataclasses
 import math
 
 import numpy as np
 
+from extenso.bounds import column_bounds
+from extenso.densities import DensityDomainError
+from extenso.extensivity import AxiomReport, _random_simplex, _require_sandwich_flags
 from extenso.numerics import OptResult, scan_extrema
+from extenso.simplex import SimplexVector, conditional, marginal, uniform_vector
 
 
 class NoConvergenceError(ArithmeticError):
@@ -265,3 +272,123 @@ def global_extremum(
 
     [(lo, hi)] = scan_extrema(one_row, t_min, grid_n, probe_points, refine)
     return lo if mode == "inf" else hi
+
+
+# ---------------------------------------------------------------------------
+# per-vector entropy loops: one eval_s call per simplex vector
+# ---------------------------------------------------------------------------
+
+
+def count_eval_s(d):
+    """(d with eval_s wrapped, the list of sizes it was called with)."""
+    calls = []
+
+    def eval_s(r):
+        calls.append(int(np.size(r)))
+        return d.eval_s(r)
+
+    return dataclasses.replace(d, eval_s=eval_s), calls
+
+
+def entropy_one(F, p) -> float:
+    """S(p) = sum_j s(p_j) from an eval_s call on p alone."""
+    d = F.density
+    if not d.s0_zero and np.any(p.entries == 0.0):
+        raise DensityDomainError(f"density {d.label!r} has no s(0) convention")
+    return math.fsum(np.asarray(d.eval_s(p.entries), dtype=np.float64).tolist())
+
+
+def _flat(P) -> SimplexVector:
+    return SimplexVector(P.entries.ravel())
+
+
+def reference_residual(F, P, f) -> float:
+    p = marginal(P)
+    pieces = [entropy_one(F, _flat(P)), -entropy_one(F, p)]
+    for j in range(1, P.n + 1):
+        pieces.append(-f(float(p.entries[j - 1])) * entropy_one(F, conditional(P, j)))
+    return math.fsum(pieces)
+
+
+def reference_sandwich(F, P, cfg=None) -> dict:
+    """sandwich_check(F, P, cfg).to_dict() with per-vector entropies."""
+    d = F.density
+    _require_sandwich_flags(d)
+    s1_at_1 = float(np.asarray(d.eval_s1(1.0)))
+    p = marginal(P)
+    cond = [entropy_one(F, conditional(P, j)) for j in range(1, P.n + 1)]
+    per_col = column_bounds(d, p.entries, cfg)
+    divergent = any(cb.divergent for cb in per_col)
+    lower_terms, upper_terms, gap_terms, tol_terms = [], [], [], [1e-9]
+    for cb, Sj in zip(per_col, cond):
+        lower_terms.append(cb.lower * Sj)
+        upper_terms.append(cb.upper * Sj)
+        gap_terms.append(cb.upper - cb.lower)
+        err = cb.r * cb.r * (cb.lower_meta.est_error + cb.upper_meta.est_error)
+        tol_terms.append(err * (abs(Sj) + abs(s1_at_1)))
+    gap = math.fsum(gap_terms)
+    lower = math.fsum(lower_terms) + s1_at_1 * gap
+    upper = math.fsum(upper_terms) - s1_at_1 * gap
+    tol = math.fsum(tol_terms)
+    diff = entropy_one(F, _flat(P)) - entropy_one(F, p)
+    slack_lower = diff - lower
+    slack_upper = upper - diff
+    if divergent:
+        verdict = "divergent"
+    elif slack_lower >= -tol and slack_upper >= -tol:
+        verdict = "pass"
+    else:
+        verdict = "fail"
+    return {
+        "diff": diff,
+        "lower": lower,
+        "upper": upper,
+        "slack_lower": slack_lower,
+        "slack_upper": slack_upper,
+        "tolerance": tol,
+        "verdict": verdict,
+        "divergent": divergent,
+    }
+
+
+def reference_monotonicity(F, P) -> bool:
+    return entropy_one(F, _flat(P)) - entropy_one(F, marginal(P)) >= -1e-10
+
+
+def reference_axiom_suite(F, sizes, seed, trials, eps_seq=(1e-3, 1e-5, 1e-7)) -> dict:
+    """axiom_suite(...).to_dict(), drawing and evaluating one vector at a time."""
+    rng = np.random.default_rng(seed)
+    modulus = {eps: 0.0 for eps in eps_seq}
+    maximality_ok = True
+    expandability_ok = True
+    worst_gap = -math.inf
+    for n in sizes:
+        u_val = entropy_one(F, uniform_vector(n))
+        for _ in range(trials):
+            p = _random_simplex(rng, n)
+            sp = entropy_one(F, p)
+            gap = sp - u_val
+            worst_gap = max(worst_gap, gap)
+            if gap > 1e-12:
+                maximality_ok = False
+            q = _random_simplex(rng, n)
+            for eps in eps_seq:
+                mixed = SimplexVector((1.0 - eps) * p.entries + eps * q.entries)
+                delta = abs(entropy_one(F, mixed) - sp)
+                if delta > modulus[eps]:
+                    modulus[eps] = delta
+            if entropy_one(F, SimplexVector(np.append(p.entries, 0.0))) != sp:
+                expandability_ok = False
+    levels = [modulus[eps] for eps in eps_seq]
+    continuity_ok = (
+        all(math.isfinite(v) for v in levels)
+        and all(b <= a for a, b in zip(levels, levels[1:]))
+        and levels[-1] <= 1e-2
+    )
+    return AxiomReport(
+        continuity=continuity_ok,
+        maximality=maximality_ok,
+        expandability=expandability_ok,
+        modulus={f"{eps:g}": v for eps, v in modulus.items()},
+        worst_maximality_gap=worst_gap,
+    ).to_dict()

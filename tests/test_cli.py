@@ -292,3 +292,26 @@ class TestImportSurface:
         assert bounds.BoundsConfig(refine=False).refine is False
         for name in extenso.__all__:
             assert getattr(extenso, name) is not None
+
+    def test_names_the_tracer_patches(self):
+        # perfbench/tracer.py swaps these module attributes for timed wrappers
+        from extenso import _kernels, bounds, densities, extensivity, simplex
+
+        patched = [
+            (_kernels, "logsinc_integral"),
+            (_kernels, "osc_panel_moments"),
+            (simplex, "JointMatrix"),
+            (extensivity, "marginal"),
+            (extensivity, "conditional"),
+            (extensivity, "entropy"),
+            (extensivity, "coefficient_bounds"),
+            (extensivity, "sandwich_check"),
+            (extensivity, "extensivity_residual"),
+            (extensivity, "axiom_suite"),
+            (bounds, "scan_extrema"),
+        ]
+        for mod, attr in patched:
+            assert callable(getattr(mod, attr)), f"{mod.__name__}.{attr}"
+        assert extensivity.entropy is densities.entropy
+        assert extensivity.marginal is simplex.marginal
+        assert extensivity.conditional is simplex.conditional

@@ -1,8 +1,15 @@
 import math
+import os
+import subprocess
+import sys
+from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import extenso
+from extenso import _kernels
 from extenso.densities import (
     Density,
     DensityDomainError,
@@ -10,6 +17,7 @@ from extenso.densities import (
     bg_density,
     canonical_grid,
     density_from_spec,
+    entropies,
     entropy,
     remark2_density,
     remark5_density,
@@ -17,7 +25,7 @@ from extenso.densities import (
     tsallis_density,
 )
 from extenso.simplex import SimplexVector, marginal, random_joint, uniform_vector
-from numeric_oracles import adaptive_quadrature
+from numeric_oracles import adaptive_quadrature, count_eval_s, entropy_one
 
 # Frozen oracle values (high-precision quadrature computed ahead of the build;
 # the log-sin constant also has the closed form -2*Catalan/pi - log 2).
@@ -171,6 +179,57 @@ class TestRemark5:
         assert abs(got - R5_ENTROPY_HALF_HALF) <= 1e-9
 
 
+# pi to 50 decimals; its relative error, 1e-50, stays far below a float ulp
+# through the 36th power the series coefficients need.
+PI_50 = Fraction("3.14159265358979323846264338327950288419716939937510")
+
+
+def bernoulli_numbers(n_max):
+    """Exact B_0..B_n_max (B_1 = -1/2) from sum_k C(m+1, k) B_k = 0."""
+    B = [Fraction(1)]
+    for m in range(1, n_max + 1):
+        B.append(-sum(math.comb(m + 1, k) * B[k] for k in range(m)) / (m + 1))
+    return B
+
+
+class TestLogsincSeries:
+    def test_coefficients_from_bernoulli_numbers(self):
+        # integral over [0, r] of log(sin(a t)/(a t)), a = pi/4, is
+        # r * sum_n k_n r^2n with k_n = (-1)^n 2^(2n-1) B_2n a^2n / (n (2n)! (2n+1))
+        coeffs = _kernels.LOGSINC_SERIES
+        B = bernoulli_numbers(2 * len(coeffs))
+        a2 = (PI_50 / 4) ** 2
+        for n, got in enumerate(coeffs, start=1):
+            exact = (
+                (-1) ** n * 2 ** (2 * n - 1) * B[2 * n] * a2**n
+                / (n * math.factorial(2 * n) * (2 * n + 1))
+            )
+            assert abs(Fraction(got) - exact) <= Fraction(math.ulp(float(exact)))
+
+    @pytest.mark.parametrize("r", [1e-8, 1e-3, 0.1, 0.5, 0.77, 1.0])
+    def test_against_mpmath_quadrature(self, r):
+        mp = pytest.importorskip("mpmath")
+        with mp.workdps(40):
+            a = mp.pi / 4
+            ref = mp.quad(lambda t: mp.log(mp.sin(a * t) / (a * t)), [0, r])
+            got = float(_kernels.logsinc_integral(np.array([r]))[0])
+            assert abs(got - ref) <= 1e-16
+
+    def test_import_loads_no_reference_library(self):
+        # the coefficients are literals: computing them at import would pull
+        # in fractions or mpmath and slow every start
+        code = (
+            "import sys, extenso, extenso.cli; "
+            "print(sorted(m for m in ('fractions', 'mpmath', 'scipy') if m in sys.modules))"
+        )
+        src = str(Path(extenso.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        out = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+        )
+        assert out.stdout.strip() == "[]"
+
+
 class TestShifted:
     def test_tsallis_fixed_point(self):
         d = tsallis_density(0.5)
@@ -213,7 +272,25 @@ class TestEntropyContract:
         F = EntropyFunctional(bare)
         with pytest.raises(DensityDomainError):
             entropy(F, SimplexVector([1.0, 0.0]))
+        with pytest.raises(DensityDomainError):
+            entropies(F, [SimplexVector([0.5, 0.5]), SimplexVector([1.0, 0.0])])
         assert entropy(F, SimplexVector([0.5, 0.5])) == pytest.approx(math.sqrt(2), abs=1e-15)
+
+
+class TestEntropies:
+    @pytest.mark.parametrize("d", catalog(), ids=lambda d: d.label)
+    def test_one_call_matches_per_vector(self, d):
+        counted, calls = count_eval_s(d)
+        vectors = [uniform_vector(3), SimplexVector([1.0]), SimplexVector([0.25, 0.0, 0.75])]
+        vectors += [marginal(random_joint(1, n, seed=n)) for n in range(1, 7)]
+        got = entropies(EntropyFunctional(counted), vectors)
+        assert calls == [sum(p.n for p in vectors)]
+        assert got == [entropy_one(EntropyFunctional(d), p) for p in vectors]
+
+    def test_empty_batch_makes_no_call(self):
+        counted, calls = count_eval_s(remark5_density())
+        assert entropies(EntropyFunctional(counted), []) == []
+        assert calls == []
 
 
 class TestDensityInvariants:

@@ -6,6 +6,8 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from extenso.densities import (
+    Density,
+    DensityDomainError,
     EntropyFunctional,
     bg_density,
     remark2_density,
@@ -34,7 +36,14 @@ from extenso.simplex import (
     marginal,
     random_joint,
 )
-from numeric_oracles import finite_difference
+from numeric_oracles import (
+    count_eval_s,
+    finite_difference,
+    reference_axiom_suite,
+    reference_monotonicity,
+    reference_residual,
+    reference_sandwich,
+)
 
 # frozen quadrature-oracle values for the log-sin density
 R5_S1_AT_1 = -0.9296953983416102
@@ -360,3 +369,100 @@ class TestProperties:
     @given(st.sampled_from(CONCAVE_DENSITIES), joints())
     def test_monotonicity(self, d, P):
         assert monotonicity_check(functional(d), P)
+
+
+BATCH_DENSITIES = [bg_density(), tsallis_density(0.5), remark2_density(), remark5_density()]
+
+
+def sandwich_ready(d):
+    return d if d.s1_zero else shifted_density(d)
+
+
+def suite_points(sizes, trials):
+    # per size: the uniform vector; per trial p, its 3 eps-mixtures and p + [0]
+    return sum(n + trials * (5 * n + 1) for n in sizes)
+
+
+class TestBatchedEvaluation:
+    """One eval_s call per joint or suite, equal bit for bit to one call per
+    vector (the per-vector loops in numeric_oracles)."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.sampled_from(BATCH_DENSITIES), joints())
+    def test_joint_checks_match_per_vector(self, d, P):
+        F = functional(d)
+        f = power_coefficient(0.5)
+        assert extensivity_residual(F, P, f) == reference_residual(F, P, f)
+        assert monotonicity_check(F, P) == reference_monotonicity(F, P)
+        Fs = functional(sandwich_ready(d))
+        assert sandwich_check(Fs, P).to_dict() == reference_sandwich(Fs, P)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.sampled_from(BATCH_DENSITIES),
+        st.lists(st.integers(1, 6), max_size=3),
+        st.integers(0, 4),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_axiom_suite_matches_per_vector(self, d, sizes, trials, seed):
+        F = functional(d)
+        got = axiom_suite(F, sizes=tuple(sizes), seed=seed, trials=trials).to_dict()
+        assert got == reference_axiom_suite(F, tuple(sizes), seed, trials)
+
+    def test_no_zero_convention_still_raises(self):
+        bare = Density(
+            label="sqrt",
+            eval_s=lambda r: np.sqrt(np.asarray(r)),
+            eval_s1=lambda r: 0.5 / np.sqrt(np.asarray(r)),
+            eval_s2=lambda r: -0.25 * np.asarray(r) ** -1.5,
+            s0_zero=False,
+        )
+        F = functional(bare)
+        f = power_coefficient(0.5)
+        with pytest.raises(DensityDomainError):
+            extensivity_residual(F, JointMatrix([[0.5, 0.0], [0.0, 0.5]]), f)
+        P = random_joint(3, 4, seed=0)
+        assert extensivity_residual(F, P, f) == reference_residual(F, P, f)
+
+    @pytest.mark.parametrize("sizes, trials", [((), 5), ((1,), 5), ((2, 3), 0)],
+                             ids=["no-sizes", "size-1", "no-trials"])
+    def test_edge_suites(self, sizes, trials):
+        F = functional(remark5_density())
+        rep = axiom_suite(F, sizes=sizes, seed=3, trials=trials)
+        assert rep.to_dict() == reference_axiom_suite(F, sizes, 3, trials)
+        assert rep.all_pass
+        if sizes == (1,):
+            assert rep.worst_maximality_gap == 0.0
+        else:
+            assert rep.worst_maximality_gap == -math.inf
+            assert set(rep.modulus.values()) == {0.0}
+
+
+class TestEvalCount:
+    """Exactly one eval_s call per joint and per suite, over the same points."""
+
+    def test_residual(self):
+        d, calls = count_eval_s(remark5_density())
+        extensivity_residual(functional(d), random_joint(5, 4, seed=0), power_coefficient(1.0))
+        assert calls == [20 + 4 + 20]  # joint, marginal, 4 conditionals of 5
+
+    def test_sandwich(self):
+        d, calls = count_eval_s(remark5_density())
+        sandwich_check(functional(d), random_joint(5, 4, seed=0))
+        assert calls == [20 + 4 + 20]
+
+    def test_monotonicity(self):
+        d, calls = count_eval_s(remark2_density())
+        monotonicity_check(functional(d), random_joint(5, 4, seed=0))
+        assert calls == [20 + 4]
+
+    @pytest.mark.parametrize("sizes, trials", [((2, 3, 8), 4), ((1,), 2), ((2, 3), 0)])
+    def test_suite(self, sizes, trials):
+        d, calls = count_eval_s(remark5_density())
+        axiom_suite(functional(d), sizes=sizes, seed=0, trials=trials)
+        assert calls == [suite_points(sizes, trials)]
+
+    def test_empty_suite(self):
+        d, calls = count_eval_s(remark5_density())
+        axiom_suite(functional(d), sizes=(), seed=0, trials=5)
+        assert calls == []
