@@ -33,6 +33,7 @@ __all__ = [
     "shifted_density",
     "entropy",
     "entropies",
+    "slice_entropies",
     "density_from_spec",
     "canonical_grid",
 ]
@@ -76,24 +77,31 @@ def canonical_grid(n: int = 2048) -> np.ndarray:
 
 
 def entropies(F: EntropyFunctional, vectors: Sequence[SimplexVector]) -> list[float]:
-    """[S(p) for p in vectors], S(p) = sum_j s(p_j), compensated accumulation.
-
-    One eval_s call covers the concatenated entries of all vectors; each sum
-    is a math.fsum over its own slice, so every value equals a call on that
-    vector alone.  Zero entries require the s0_zero flag (the s(0) = 0
-    convention).
-    """
+    """[S(p) for p in vectors]: ``slice_entropies`` over their concatenation."""
     if not vectors:
         return []
-    d = F.density
     flat = np.concatenate([p.entries for p in vectors])
+    return slice_entropies(F, flat, [p.entries.size for p in vectors])
+
+
+def slice_entropies(F: EntropyFunctional, flat: np.ndarray, lengths: Sequence[int]) -> list[float]:
+    """S over consecutive slices of flat, one per length, S(p) = sum_j s(p_j).
+
+    One eval_s call covers flat; each sum is a math.fsum over its own slice,
+    so every value equals a call on that slice alone.  The caller vouches
+    that each slice is a simplex point.  Zero entries require the s0_zero
+    flag (the s(0) = 0 convention).
+    """
+    if not len(lengths):
+        return []
+    d = F.density
     if not d.s0_zero and np.any(flat == 0.0):
         raise DensityDomainError(f"density {d.label!r} has no s(0) convention")
     vals = np.asarray(d.eval_s(flat), dtype=np.float64).tolist()
     out = []
     start = 0
-    for p in vectors:
-        stop = start + p.entries.size
+    for size in lengths:
+        stop = start + size
         out.append(math.fsum(vals[start:stop]))
         start = stop
     return out

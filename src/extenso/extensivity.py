@@ -12,6 +12,7 @@ exponent and closed-form reconstruction are then reported.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -20,9 +21,16 @@ import numpy as np
 
 # coefficient_bounds stays importable from here: perfbench/tracer.py patches it
 from .bounds import BoundsConfig, CoefficientBounds, coefficient_bounds, column_bounds  # noqa: F401
-# entropy stays importable from here: perfbench/tracer.py patches it
-from .densities import Density, EntropyFunctional, entropies, entropy  # noqa: F401
-from .simplex import JointMatrix, SimplexVector, conditional, marginal, uniform_vector
+# entropy and conditional stay importable from here: perfbench/tracer.py patches them
+from .densities import Density, EntropyFunctional, entropy, slice_entropies  # noqa: F401
+from .simplex import (  # noqa: F401
+    JointMatrix,
+    SimplexVector,
+    check_rows,
+    conditional,
+    marginal,
+    uniform_vector,
+)
 
 __all__ = [
     "SandwichReport",
@@ -56,10 +64,14 @@ def power_coefficient(q: float) -> Callable[[float], float]:
 def _joint_entropies(F: EntropyFunctional, P: JointMatrix, p: SimplexVector) -> list[float]:
     """[S(P), S(p), S(conditional_1), ..., S(conditional_n)] from one eval_s call.
 
-    The flattened grid is itself a point of the mn-simplex; p = marginal(P).
+    p = marginal(P).  The flattened grid is a point of the mn-simplex that
+    JointMatrix has already checked.  Row j of the conditional block equals
+    conditional(P, j + 1) bit for bit, and check_rows validates every row.
     """
-    cols = [conditional(P, j) for j in range(1, P.n + 1)]
-    return entropies(F, [SimplexVector(P.entries.ravel()), p, *cols])
+    conds = (P.entries / P.column_marginals).T
+    check_rows(conds)
+    flat = np.concatenate([P.entries.ravel(), p.entries, conds.ravel()])
+    return slice_entropies(F, flat, [P.entries.size, P.n] + [P.m] * P.n)
 
 
 def extensivity_residual(F: EntropyFunctional, P: JointMatrix, f: Callable[[float], float]) -> float:
@@ -364,13 +376,27 @@ def check_twice_equation(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class AxiomReport:
+    """Verdicts of one axiom suite.
+
+    levels[k] is the observed continuity modulus L(eps) at eps_seq[k], and
+    eps_labels[k] is f"{eps:g}".  Reports of one eps ladder share a single
+    label tuple, and slots keep each report small: batch callers hold
+    thousands of them.
+    """
+
     continuity: bool
     maximality: bool
     expandability: bool
-    modulus: dict
+    eps_labels: tuple[str, ...]
+    levels: tuple[float, ...]
     worst_maximality_gap: float
+
+    @property
+    def modulus(self) -> dict:
+        """{label: L(eps)} in ladder order."""
+        return dict(zip(self.eps_labels, self.levels))
 
     @property
     def all_pass(self) -> bool:
@@ -381,19 +407,15 @@ class AxiomReport:
             "continuity": self.continuity,
             "maximality": self.maximality,
             "expandability": self.expandability,
-            "modulus": dict(self.modulus),
+            "modulus": self.modulus,
             "worst_maximality_gap": self.worst_maximality_gap,
             "all_pass": self.all_pass,
         }
 
 
-def _random_simplex(rng: np.random.Generator, n: int) -> SimplexVector:
-    g = rng.gamma(shape=1.0, scale=1.0, size=n)
-    total = math.fsum(g.tolist())
-    if total <= 0.0:
-        g = np.full(n, 1.0)
-        total = float(n)
-    return SimplexVector(g / total)
+@functools.lru_cache(maxsize=16)
+def _eps_labels(eps_seq: tuple[float, ...]) -> tuple[str, ...]:
+    return tuple(f"{eps:g}" for eps in eps_seq)
 
 
 def axiom_suite(
@@ -414,41 +436,43 @@ def axiom_suite(
     if not F.density.s0_zero:
         raise ValueError("axiom suite needs the s(0) = 0 convention")
     rng = np.random.default_rng(seed)
+    eps = np.asarray(eps_seq, dtype=np.float64)[:, None, None]
     # Draw the whole suite first, then evaluate it with one eval_s call.  Per
-    # size: the uniform vector, then per trial p, its eps-mixtures toward q
-    # and p with a zero appended.
-    vectors = []
+    # size the rows are: the uniform vector, every p, the eps-mixtures of
+    # each p toward its q (eps-major) and every p with a zero appended.
+    parts = []
+    lengths = []
     for n in sizes:
-        vectors.append(uniform_vector(n))
-        for _ in range(trials):
-            p = _random_simplex(rng, n)
-            q = _random_simplex(rng, n)
-            vectors.append(p)
-            for eps in eps_seq:
-                vectors.append(SimplexVector((1.0 - eps) * p.entries + eps * q.entries))
-            vectors.append(SimplexVector(np.append(p.entries, 0.0)))
-    values = iter(entropies(F, vectors))
+        u = uniform_vector(n).entries
+        # C order makes this the stream of drawing p, then q, trial by trial
+        g = rng.gamma(shape=1.0, scale=1.0, size=(trials, 2, n)).reshape(-1, n)
+        totals = np.array([math.fsum(row) for row in g.tolist()]).reshape(-1, 1)
+        degenerate = totals[:, 0] <= 0.0
+        g[degenerate] = 1.0
+        totals[degenerate] = float(n)
+        pq = g / totals
+        p, q = pq[0::2], pq[1::2]
+        mixed = ((1.0 - eps) * p + eps * q).reshape(-1, n)
+        expanded = np.concatenate([p, np.zeros((trials, 1))], axis=1)
+        for block in (pq, mixed, expanded):
+            check_rows(block)
+        parts += [u, p.ravel(), mixed.ravel(), expanded.ravel()]
+        lengths += [n] * (1 + trials + len(mixed)) + [n + 1] * trials
+    flat = np.concatenate(parts) if parts else np.empty(0)
+    # one row of values per size, in the order of the rows above
+    k = len(eps_seq)
+    values = np.array(slice_entropies(F, flat, lengths)).reshape(len(sizes), 1 + (k + 2) * trials)
+    u_val = values[:, :1]
+    sp = values[:, 1 : 1 + trials]
+    mix = values[:, 1 + trials : 1 + (k + 1) * trials].reshape(len(sizes), k, trials)
+    ext = values[:, 1 + (k + 1) * trials :]
 
-    modulus = {eps: 0.0 for eps in eps_seq}
-    maximality_ok = True
-    expandability_ok = True
-    worst_gap = -math.inf
-    for _ in sizes:
-        u_val = next(values)
-        for _ in range(trials):
-            sp = next(values)
-            gap = sp - u_val
-            worst_gap = max(worst_gap, gap)
-            if gap > 1e-12:
-                maximality_ok = False
-            for eps in eps_seq:
-                delta = abs(next(values) - sp)
-                if delta > modulus[eps]:
-                    modulus[eps] = delta
-            if next(values) != sp:
-                expandability_ok = False
-
-    levels = [modulus[eps] for eps in eps_seq]
+    # np.fmax skips NaN, as the comparisons of a per-vector loop would
+    gaps = sp - u_val
+    worst_gap = float(np.fmax.reduce(gaps, axis=None, initial=-math.inf))
+    maximality_ok = not np.any(gaps > 1e-12)
+    levels = tuple(np.fmax.reduce(np.abs(mix - sp[:, None, :]), axis=(0, 2), initial=0.0).tolist())
+    expandability_ok = bool(np.all(ext == sp))
     continuity_ok = (
         all(math.isfinite(v) for v in levels)
         and all(b <= a for a, b in zip(levels, levels[1:]))
@@ -458,7 +482,8 @@ def axiom_suite(
         continuity=continuity_ok,
         maximality=maximality_ok,
         expandability=expandability_ok,
-        modulus={f"{eps:g}": v for eps, v in modulus.items()},
+        eps_labels=_eps_labels(tuple(eps_seq)),
+        levels=levels,
         worst_maximality_gap=worst_gap,
     )
 
@@ -468,7 +493,9 @@ def monotonicity_check(F: EntropyFunctional, P: JointMatrix) -> bool:
     d = F.density
     if not (d.s0_zero and d.concave):
         raise ValueError("monotonicity check needs s(0) = 0 and concavity")
-    s_joint, s_marg = entropies(F, [SimplexVector(P.entries.ravel()), marginal(P)])
+    p = marginal(P)
+    flat = np.concatenate([P.entries.ravel(), p.entries])
+    s_joint, s_marg = slice_entropies(F, flat, [P.entries.size, p.n])
     return s_joint - s_marg >= -1e-10
 
 

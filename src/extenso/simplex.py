@@ -34,6 +34,28 @@ def _as_readonly(a) -> np.ndarray:
     return out
 
 
+def _require_nonnegative(a: np.ndarray, where: str) -> None:
+    if not np.all(a >= 0.0):  # false for NaN as well as for negatives
+        kind = "NaN" if np.isnan(a).any() else "negative"
+        raise InvalidDistributionError(f"{kind} entry in {where}")
+
+
+def check_rows(block: np.ndarray) -> None:
+    """Raise InvalidDistributionError unless every row of a 2-d float block
+    is a point of the simplex: nonempty, no negative or NaN entry, and a
+    math.fsum within SUM_TOL of 1.  SimplexVector runs exactly these checks
+    on its entries as a one-row block.
+    """
+    if block.ndim != 2 or block.shape[1] < 1:
+        raise InvalidDistributionError("entries must be a nonempty 1-d vector")
+    _require_nonnegative(block, "simplex vector")
+    totals = [math.fsum(row) for row in block.tolist()]
+    off = np.abs(np.array(totals) - 1.0) > SUM_TOL
+    if off.any():
+        total = totals[int(np.argmax(off))]
+        raise InvalidDistributionError(f"entries sum to {total!r}, not 1")
+
+
 @dataclass(frozen=True, eq=False)
 class SimplexVector:
     """A point of the n-simplex: nonnegative entries summing to 1."""
@@ -42,13 +64,7 @@ class SimplexVector:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "entries", _as_readonly(self.entries))
-        if self.entries.ndim != 1 or self.entries.size < 1:
-            raise InvalidDistributionError("entries must be a nonempty 1-d vector")
-        if np.any(self.entries < 0.0):
-            raise InvalidDistributionError("negative entry in simplex vector")
-        total = math.fsum(self.entries.tolist())
-        if abs(total - 1.0) > SUM_TOL:
-            raise InvalidDistributionError(f"entries sum to {total!r}, not 1")
+        check_rows(self.entries[None])
 
     @property
     def n(self) -> int:
@@ -82,8 +98,7 @@ class JointMatrix:
         object.__setattr__(self, "entries", _as_readonly(self.entries))
         if self.entries.ndim != 2 or min(self.entries.shape) < 1:
             raise InvalidDistributionError("entries must be a nonempty 2-d grid")
-        if np.any(self.entries < 0.0):
-            raise InvalidDistributionError("negative entry in joint matrix")
+        _require_nonnegative(self.entries, "joint matrix")
         total = math.fsum(self.entries.ravel().tolist())
         if abs(total - 1.0) > SUM_TOL:
             raise InvalidDistributionError(f"entries sum to {total!r}, not 1")

@@ -15,6 +15,7 @@ from extenso.densities import (
     shifted_density,
     tsallis_density,
 )
+from extenso import extensivity
 from extenso.extensivity import (
     axiom_suite,
     batch_report,
@@ -31,6 +32,7 @@ from extenso.extensivity import (
 from extenso.simplex import (
     JointMatrix,
     RandomGenerationError,
+    SimplexVector,
     conditional,
     joint_from_marginal_and_conditionals,
     marginal,
@@ -424,6 +426,20 @@ class TestBatchedEvaluation:
         P = random_joint(3, 4, seed=0)
         assert extensivity_residual(F, P, f) == reference_residual(F, P, f)
 
+    def test_nan_values_skipped_like_the_loop(self):
+        bg = bg_density()
+        holed = Density(
+            label="bg-nan-above-0.6",
+            eval_s=lambda r: np.where(np.asarray(r) > 0.6, np.nan, bg.eval_s(r)),
+            eval_s1=bg.eval_s1,
+            eval_s2=bg.eval_s2,
+            s0_zero=True,
+        )
+        F = functional(holed)
+        got = axiom_suite(F, sizes=(2, 3), seed=5, trials=30).to_dict()
+        assert got == reference_axiom_suite(F, (2, 3), 5, 30)
+        assert math.isfinite(got["worst_maximality_gap"]) and not got["expandability"]
+
     @pytest.mark.parametrize("sizes, trials", [((), 5), ((1,), 5), ((2, 3), 0)],
                              ids=["no-sizes", "size-1", "no-trials"])
     def test_edge_suites(self, sizes, trials):
@@ -466,3 +482,54 @@ class TestEvalCount:
         d, calls = count_eval_s(remark5_density())
         axiom_suite(functional(d), sizes=(), seed=0, trials=5)
         assert calls == []
+
+
+def watch_validation(monkeypatch):
+    """(sizes of SimplexVectors built, row counts of blocks passed to check_rows)."""
+    built, rows = [], []
+    post_init = SimplexVector.__post_init__
+    check_rows = extensivity.check_rows
+
+    def counted_post_init(self):
+        post_init(self)
+        built.append(self.entries.size)
+
+    def counted_check_rows(block):
+        check_rows(block)
+        rows.append(block.shape[0])
+
+    monkeypatch.setattr(SimplexVector, "__post_init__", counted_post_init)
+    monkeypatch.setattr(extensivity, "check_rows", counted_check_rows)
+    return built, rows
+
+
+class TestBlockValidation:
+    """Rows derived inside a suite or a joint are validated as blocks: every
+    row is checked, and no SimplexVector is built per row."""
+
+    @pytest.mark.parametrize("trials", [1, 40])
+    def test_suite(self, monkeypatch, trials):
+        built, rows = watch_validation(monkeypatch)
+        sizes = (2, 3, 8)
+        axiom_suite(functional(remark5_density()), sizes=sizes, seed=0, trials=trials)
+        assert built == list(sizes)  # the uniform vectors
+        # per trial: p and q, three eps-mixtures, p with a zero appended
+        assert sum(rows) == len(sizes) * trials * (2 + 3 + 1)
+
+    @pytest.mark.parametrize("m, n", [(2, 2), (9, 7)])
+    def test_joint_checks(self, monkeypatch, m, n):
+        built, rows = watch_validation(monkeypatch)
+        P = random_joint(m, n, seed=1)
+        F = functional(remark5_density())
+        extensivity_residual(F, P, power_coefficient(1.0))
+        assert built == [n] and rows == [n]  # the marginal; the conditionals
+        monotonicity_check(F, P)
+        assert built == [n, n] and rows == [n]
+
+    def test_reports_share_labels_and_hold_no_dict(self):
+        F = functional(bg_density())
+        a = axiom_suite(F, sizes=(2,), seed=0, trials=3)
+        b = axiom_suite(F, sizes=(3,), seed=1, trials=3)
+        assert a.eps_labels is b.eps_labels
+        assert not hasattr(a, "__dict__")
+        assert a.modulus == dict(zip(("0.001", "1e-05", "1e-07"), a.levels))

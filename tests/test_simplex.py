@@ -2,14 +2,18 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from extenso.simplex import (
+    SUM_TOL,
     ConditionalColumn,
     InvalidDistributionError,
     JointMatrix,
     RandomGenerationError,
     SimplexVector,
     ZeroMarginalError,
+    check_rows,
     conditional,
     joint_from_csv,
     joint_from_json,
@@ -48,6 +52,10 @@ class TestSimplexVector:
         with pytest.raises(InvalidDistributionError):
             SimplexVector([0.5, 0.5 + 1e-10])
 
+    def test_rejects_nan(self):
+        with pytest.raises(InvalidDistributionError, match="NaN"):
+            SimplexVector([math.nan, 1.0])
+
     def test_entries_immutable(self):
         p = SimplexVector([0.5, 0.5])
         with pytest.raises(ValueError):
@@ -79,6 +87,10 @@ class TestJointMatrix:
         r = np.array([0.2, 0.8])
         P = JointMatrix(np.outer(r, p))  # columns indexed by p
         np.testing.assert_allclose(marginal(P).entries, p, atol=1e-15)
+
+    def test_rejects_nan(self):
+        with pytest.raises(InvalidDistributionError, match="NaN"):
+            JointMatrix([[math.nan, 0.5], [0.0, 0.5]])
 
     def test_grand_total_checked(self):
         with pytest.raises(InvalidDistributionError):
@@ -198,6 +210,10 @@ class TestSerialization:
         Q = joint_from_json(joint_to_json(P))
         assert np.array_equal(P.entries, Q.entries)
 
+    def test_csv_rejects_nan(self):
+        with pytest.raises(InvalidDistributionError, match="NaN"):
+            joint_from_csv("2,2\nnan,0.5\n0,0.5\n")
+
     def test_csv_shape_errors(self):
         with pytest.raises(InvalidDistributionError):
             joint_from_csv("")
@@ -205,3 +221,68 @@ class TestSerialization:
             joint_from_csv("2,2\n0.5,0.5")
         with pytest.raises(InvalidDistributionError):
             joint_from_csv("bad header\n0.5,0.5")
+
+
+def _raises(build) -> bool:
+    try:
+        build()
+    except InvalidDistributionError:
+        return True
+    return False
+
+
+def _sum_boundary(side: float) -> tuple[float, float]:
+    """(last float accepted, first float rejected) past 1 toward side."""
+    t = 1.0 + side * SUM_TOL
+    while abs(t - 1.0) > SUM_TOL:
+        t = math.nextafter(t, 1.0)
+    while abs(math.nextafter(t, side * 2.0) - 1.0) <= SUM_TOL:
+        t = math.nextafter(t, side * 2.0)
+    return t, math.nextafter(t, side * 2.0)
+
+
+# sums at 1, at 1 +- SUM_TOL and one ulp on either side of the tolerance edge
+SUM_TARGETS = [1.0, 1.0 - SUM_TOL, 1.0 + SUM_TOL, *_sum_boundary(1.0), *_sum_boundary(-1.0)]
+ENTRIES = st.sampled_from([0.0, -0.0, 0.125, 0.5, -0.25, -5e-324, math.nan]) | st.floats(0.0, 1.0)
+
+
+@st.composite
+def blocks(draw):
+    """Rows whose last entry makes the sum land on a drawn target (or NaN)."""
+    width = draw(st.integers(1, 4))
+    rows = []
+    for _ in range(draw(st.integers(1, 4))):
+        head = draw(st.lists(ENTRIES, min_size=width - 1, max_size=width - 1))
+        rows.append(head + [draw(st.sampled_from(SUM_TARGETS)) - math.fsum(head)])
+    return np.array(rows)
+
+
+class TestCheckRows:
+    """check_rows(block) runs SimplexVector's checks on every row."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(blocks())
+    def test_raises_iff_some_row_raises(self, block):
+        assert _raises(lambda: check_rows(block)) == any(
+            _raises(lambda: SimplexVector(row)) for row in block
+        )
+
+    @pytest.mark.parametrize("side", [1.0, -1.0], ids=["above", "below"])
+    def test_sum_tolerance_edge(self, side):
+        inside, outside = _sum_boundary(side)
+        check_rows(np.array([[0.5, inside - 0.5]]))
+        with pytest.raises(InvalidDistributionError, match="sum to"):
+            check_rows(np.array([[0.5, 0.5], [0.5, outside - 0.5]]))
+
+    def test_each_check_names_itself(self):
+        with pytest.raises(InvalidDistributionError, match="negative"):
+            check_rows(np.array([[0.5, 0.5], [1.5, -0.5]]))
+        with pytest.raises(InvalidDistributionError, match="NaN"):
+            check_rows(np.array([[0.5, 0.5], [math.nan, 1.0]]))
+        check_rows(np.array([[-0.0, 1.0]]))
+
+    def test_shape(self):
+        for bad in (np.ones(1), np.empty((2, 0)), np.ones((1, 1, 1))):
+            with pytest.raises(InvalidDistributionError, match="nonempty"):
+                check_rows(bad)
+        check_rows(np.empty((0, 3)))
