@@ -64,8 +64,8 @@ def power_coefficient(q: float) -> Callable[[float], float]:
 def _joint_entropies(F: EntropyFunctional, P: JointMatrix, p: SimplexVector) -> list[float]:
     """[S(P), S(p), S(conditional_1), ..., S(conditional_n)] from one eval_s call.
 
-    p = marginal(P).  The flattened grid is a point of the mn-simplex that
-    JointMatrix has already checked.  Row j of the conditional block equals
+    p = marginal(P).  JointMatrix has already validated the flattened grid
+    as a point of the mn-simplex.  Row j of the conditional block equals
     conditional(P, j + 1) bit for bit, and check_rows validates every row.
     """
     conds = (P.entries / P.column_marginals).T

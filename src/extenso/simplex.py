@@ -34,21 +34,17 @@ def _as_readonly(a) -> np.ndarray:
     return out
 
 
-def _require_nonnegative(a: np.ndarray, where: str) -> None:
-    if not np.all(a >= 0.0):  # false for NaN as well as for negatives
-        kind = "NaN" if np.isnan(a).any() else "negative"
-        raise InvalidDistributionError(f"{kind} entry in {where}")
-
-
 def check_rows(block: np.ndarray) -> None:
     """Raise InvalidDistributionError unless every row of a 2-d float block
     is a point of the simplex: nonempty, no negative or NaN entry, and a
     math.fsum within SUM_TOL of 1.  SimplexVector runs exactly these checks
-    on its entries as a one-row block.
+    on its entries, and JointMatrix on its flattened grid, as one-row blocks.
     """
     if block.ndim != 2 or block.shape[1] < 1:
         raise InvalidDistributionError("entries must be a nonempty 1-d vector")
-    _require_nonnegative(block, "simplex vector")
+    if not np.all(block >= 0.0):  # false for NaN as well as for negatives
+        kind = "NaN" if np.isnan(block).any() else "negative"
+        raise InvalidDistributionError(f"{kind} entry in simplex vector")
     totals = [math.fsum(row) for row in block.tolist()]
     off = np.abs(np.array(totals) - 1.0) > SUM_TOL
     if off.any():
@@ -98,10 +94,7 @@ class JointMatrix:
         object.__setattr__(self, "entries", _as_readonly(self.entries))
         if self.entries.ndim != 2 or min(self.entries.shape) < 1:
             raise InvalidDistributionError("entries must be a nonempty 2-d grid")
-        _require_nonnegative(self.entries, "joint matrix")
-        total = math.fsum(self.entries.ravel().tolist())
-        if abs(total - 1.0) > SUM_TOL:
-            raise InvalidDistributionError(f"entries sum to {total!r}, not 1")
+        check_rows(self.entries.reshape(1, -1))  # the grid is a point of the mn-simplex
         cols = self.entries.sum(axis=0)
         if np.any(cols < MIN_MARGINAL):
             j = int(np.argmin(cols))
