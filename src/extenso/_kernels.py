@@ -15,8 +15,37 @@ import numpy as np
 QUARTER_PI = float(np.pi / 4.0)
 
 
-# 12 nodes resolve one half-oscillation panel far below 1e-12.
-GL12_X, GL12_W = np.polynomial.legendre.leggauss(12)
+# 12 nodes resolve one half-oscillation panel far below 1e-12.  The rule is
+# numpy.polynomial.legendre.leggauss(12) to the last bit, stored as literals so
+# that importing the package does not load numpy.polynomial.
+GL12_X = (
+    -0.9815606342467192,
+    -0.9041172563704748,
+    -0.7699026741943047,
+    -0.5873179542866175,
+    -0.3678314989981802,
+    -0.1252334085114689,
+    0.1252334085114689,
+    0.3678314989981802,
+    0.5873179542866175,
+    0.7699026741943047,
+    0.9041172563704748,
+    0.9815606342467192,
+)
+GL12_W = (
+    0.04717533638651141,
+    0.10693932599531907,
+    0.16007832854334642,
+    0.20316742672306573,
+    0.2334925365383546,
+    0.2491470458134027,
+    0.2491470458134027,
+    0.2334925365383546,
+    0.20316742672306573,
+    0.16007832854334642,
+    0.10693932599531907,
+    0.04717533638651141,
+)
 
 # log(sin x / x) = sum_n (-1)^n 2^(2n-1) B_2n x^2n / (n (2n)!) with Bernoulli
 # numbers B_2n.  Put x = a t, a = pi/4, and integrate over [0, r]: the
@@ -56,10 +85,11 @@ def osc_panel_moments(lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.nd
     lo = np.asarray(lo, dtype=np.float64)
     hi = np.asarray(hi, dtype=np.float64)
     half = 0.5 * (hi - lo)
-    u = 0.5 * (hi + lo)[:, None] + half[:, None] * GL12_X[None, :]
+    u = 0.5 * (hi + lo)[:, None] + half[:, None] * np.array(GL12_X)
     f = u * np.abs(np.cos(1.0 / u))
-    g = (f * GL12_W).sum(axis=1) * half
-    h = ((f * u) * GL12_W).sum(axis=1) * half
+    w = np.array(GL12_W)
+    g = (f * w).sum(axis=1) * half
+    h = ((f * u) * w).sum(axis=1) * half
     return g, h
 
 

@@ -24,12 +24,12 @@ from .bounds import BoundsConfig, CoefficientBounds, coefficient_bounds, column_
 # entropy and conditional stay importable from here: perfbench/tracer.py patches them
 from .densities import Density, EntropyFunctional, entropy, slice_entropies  # noqa: F401
 from .simplex import (  # noqa: F401
+    InvalidDistributionError,
     JointMatrix,
     SimplexVector,
     check_rows,
     conditional,
     marginal,
-    uniform_vector,
 )
 
 __all__ = [
@@ -435,33 +435,43 @@ def axiom_suite(
     """
     if not F.density.s0_zero:
         raise ValueError("axiom suite needs the s(0) = 0 convention")
+    if not eps_seq:
+        raise ValueError("eps_seq must hold at least one eps")
+    if min(sizes, default=1) < 1:
+        raise InvalidDistributionError("n must be >= 1")
     rng = np.random.default_rng(seed)
-    eps = np.asarray(eps_seq, dtype=np.float64)[:, None, None]
-    # Draw the whole suite first, then evaluate it with one eval_s call.  Per
-    # size the rows are: the uniform vector, every p, the eps-mixtures of
-    # each p toward its q (eps-major) and every p with a zero appended.
-    parts = []
-    lengths = []
-    for n in sizes:
-        u = uniform_vector(n).entries
-        # C order makes this the stream of drawing p, then q, trial by trial
-        g = rng.gamma(shape=1.0, scale=1.0, size=(trials, 2, n)).reshape(-1, n)
-        totals = np.array([math.fsum(row) for row in g.tolist()]).reshape(-1, 1)
-        degenerate = totals[:, 0] <= 0.0
-        g[degenerate] = 1.0
-        totals[degenerate] = float(n)
-        pq = g / totals
-        p, q = pq[0::2], pq[1::2]
-        mixed = ((1.0 - eps) * p + eps * q).reshape(-1, n)
-        expanded = np.concatenate([p, np.zeros((trials, 1))], axis=1)
-        for block in (pq, mixed, expanded):
-            check_rows(block)
-        parts += [u, p.ravel(), mixed.ravel(), expanded.ravel()]
-        lengths += [n] * (1 + trials + len(mixed)) + [n + 1] * trials
-    flat = np.concatenate(parts) if parts else np.empty(0)
-    # one row of values per size, in the order of the rows above
     k = len(eps_seq)
-    values = np.array(slice_entropies(F, flat, lengths)).reshape(len(sizes), 1 + (k + 2) * trials)
+    eps = np.asarray(eps_seq, dtype=np.float64)[:, None, None]
+    # All sizes share one zero-padded layout: rows of width max(sizes) + 1
+    # with a size-n vector in columns :n.  A zero column is always spare, so
+    # each p row also serves as p with a zero appended.
+    ns = np.array(sizes, dtype=np.int64).reshape(-1, 1)
+    width = int(ns.max(initial=0)) + 1
+    col = np.arange(width)
+    # C order makes each draw the stream of drawing p, then q, trial by trial
+    g = np.zeros((len(ns), trials, 2, width))
+    for i, n in enumerate(sizes):
+        g[i, ..., :n] = rng.gamma(shape=1.0, scale=1.0, size=(trials, 2, n))
+    g = g.reshape(-1, width)
+    totals = np.array([math.fsum(row) for row in g.tolist()]).reshape(-1, 1)
+    degenerate = totals[:, 0] <= 0.0
+    row_n = np.repeat(ns, 2 * trials, axis=0)[degenerate]
+    g[degenerate] = col < row_n  # an all-zero draw becomes the uniform vector
+    totals[degenerate] = row_n
+    pq = (g / totals).reshape(len(ns), 2 * trials, width)
+    p, q = pq[:, 0::2], pq[:, 1::2]
+    mixed = ((1.0 - eps) * p[:, None] + eps * q[:, None]).reshape(len(ns), k * trials, width)
+    uniform = np.where(col < ns, 1.0 / ns, 0.0)[:, None]
+    # Per size the rows are: the uniform vector, every p, the eps-mixtures of
+    # each p toward its q (eps-major) and every p with a zero appended.
+    rows = np.concatenate([uniform, p, mixed, p], axis=1)
+    n_rows = rows.shape[1]
+    # the appended-zero rows are p rows, already in the block
+    check_rows(np.concatenate([rows[:, : n_rows - trials], q], axis=1).reshape(-1, width))
+    # true lengths: n, or n + 1 where s is evaluated at the appended zero too
+    lengths = ns + (np.arange(n_rows) >= n_rows - trials)
+    flat = rows[col < lengths[..., None]]
+    values = np.array(slice_entropies(F, flat, lengths.ravel().tolist())).reshape(lengths.shape)
     u_val = values[:, :1]
     sp = values[:, 1 : 1 + trials]
     mix = values[:, 1 + trials : 1 + (k + 1) * trials].reshape(len(sizes), k, trials)

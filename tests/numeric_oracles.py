@@ -18,7 +18,7 @@ from extenso.bounds import column_bounds
 from extenso.densities import DensityDomainError
 from extenso.extensivity import _require_sandwich_flags
 from extenso.numerics import OptResult, scan_extrema
-from extenso.simplex import SimplexVector, conditional, marginal, uniform_vector
+from extenso.simplex import SUM_TOL, InvalidDistributionError, SimplexVector, conditional, marginal
 
 
 class NoConvergenceError(ArithmeticError):
@@ -353,6 +353,29 @@ def reference_sandwich(F, P, cfg=None) -> dict:
 
 def reference_monotonicity(F, P) -> bool:
     return entropy_one(F, _flat(P)) - entropy_one(F, marginal(P)) >= -1e-10
+
+
+def reference_check_rows(block) -> None:
+    """check_rows as a plain loop over Python floats: every row summed with
+    its own math.fsum, and the first row off by more than SUM_TOL named."""
+    if np.ndim(block) != 2 or np.shape(block)[1] < 1:
+        raise InvalidDistributionError("entries must be a nonempty 1-d vector")
+    rows = np.asarray(block).tolist()
+    entries = [v for row in rows for v in row]
+    if any(math.isnan(v) for v in entries):
+        raise InvalidDistributionError("NaN entry in simplex vector")
+    if any(v < 0.0 for v in entries):
+        raise InvalidDistributionError("negative entry in simplex vector")
+    totals = [math.fsum(row) for row in rows]
+    for total in totals:
+        if abs(total - 1.0) > SUM_TOL:
+            raise InvalidDistributionError(f"entries sum to {total!r}, not 1")
+
+
+def uniform_vector(n: int) -> SimplexVector:
+    if n < 1:
+        raise InvalidDistributionError("n must be >= 1")
+    return SimplexVector(np.full(n, 1.0 / n))
 
 
 def _random_simplex(rng: np.random.Generator, n: int) -> SimplexVector:

@@ -24,8 +24,8 @@ from extenso.densities import (
     shifted_density,
     tsallis_density,
 )
-from extenso.simplex import SimplexVector, marginal, random_joint, uniform_vector
-from numeric_oracles import adaptive_quadrature, count_eval_s, entropy_one
+from extenso.simplex import SimplexVector, marginal, random_joint
+from numeric_oracles import adaptive_quadrature, count_eval_s, entropy_one, uniform_vector
 
 # Frozen oracle values (high-precision quadrature computed ahead of the build;
 # the log-sin constant also has the closed form -2*Catalan/pi - log 2).
@@ -216,11 +216,13 @@ class TestLogsincSeries:
             assert abs(got - ref) <= 1e-16
 
     def test_import_loads_no_reference_library(self):
-        # the coefficients are literals: computing them at import would pull
-        # in fractions or mpmath and slow every start
+        # the series coefficients and the Gauss rule are literals: computing
+        # them at import would pull in fractions, mpmath or numpy.polynomial
+        # and slow every start
         code = (
             "import sys, extenso, extenso.cli; "
-            "print(sorted(m for m in ('fractions', 'mpmath', 'scipy') if m in sys.modules))"
+            "print(sorted(m for m in ('fractions', 'mpmath', 'scipy', 'numpy.polynomial') "
+            "if m in sys.modules))"
         )
         src = str(Path(extenso.__file__).resolve().parents[1])
         env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
@@ -228,6 +230,13 @@ class TestLogsincSeries:
             [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
         )
         assert out.stdout.strip() == "[]"
+
+
+class TestGaussRule:
+    def test_literals_are_leggauss(self):
+        x, w = np.polynomial.legendre.leggauss(12)
+        assert np.array(_kernels.GL12_X).tolist() == x.tolist()
+        assert np.array(_kernels.GL12_W).tolist() == w.tolist()
 
 
 class TestShifted:

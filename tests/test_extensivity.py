@@ -30,6 +30,7 @@ from extenso.extensivity import (
     three_by_two_family,
 )
 from extenso.simplex import (
+    InvalidDistributionError,
     JointMatrix,
     RandomGenerationError,
     SimplexVector,
@@ -300,6 +301,14 @@ class TestAxioms:
         with pytest.raises(ValueError):
             axiom_suite(functional(bare))
 
+    def test_requires_an_eps(self):
+        with pytest.raises(ValueError, match="eps_seq must hold at least one eps"):
+            axiom_suite(functional(bg_density()), sizes=(2,), trials=1, eps_seq=())
+
+    def test_rejects_empty_vectors(self):
+        with pytest.raises(InvalidDistributionError, match="n must be >= 1"):
+            axiom_suite(functional(bg_density()), sizes=(3, 0), trials=1)
+
 
 class TestMonotonicity:
     @pytest.mark.parametrize(
@@ -511,10 +520,12 @@ class TestBlockValidation:
     def test_suite(self, monkeypatch, trials):
         built, rows = watch_validation(monkeypatch)
         sizes = (2, 3, 8)
-        axiom_suite(functional(remark5_density()), sizes=sizes, seed=0, trials=trials)
-        assert built == list(sizes)  # the uniform vectors
-        # per trial: p and q, three eps-mixtures, p with a zero appended
-        assert sum(rows) == len(sizes) * trials * (2 + 3 + 1)
+        eps_seq = (1e-3, 1e-5, 1e-7)
+        axiom_suite(functional(remark5_density()), sizes=sizes, seed=0, trials=trials, eps_seq=eps_seq)
+        assert built == []
+        # one padded block: per size the uniform vector and, per trial, p, q
+        # and the eps-mixtures (each p row doubles as p with a zero appended)
+        assert rows == [len(sizes) * (1 + (2 + len(eps_seq)) * trials)]
 
     @pytest.mark.parametrize("m, n", [(2, 2), (9, 7)])
     def test_joint_checks(self, monkeypatch, m, n):

@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -22,8 +23,8 @@ from extenso.simplex import (
     joint_to_json,
     marginal,
     random_joint,
-    uniform_vector,
 )
+from numeric_oracles import reference_check_rows, uniform_vector
 
 
 def eq_x_matrix(x):
@@ -223,12 +224,13 @@ class TestSerialization:
             joint_from_csv("bad header\n0.5,0.5")
 
 
-def _raises(build) -> bool:
+def _outcome(check, block):
+    """(exception type, message) raised by check(block), or None."""
     try:
-        build()
-    except InvalidDistributionError:
-        return True
-    return False
+        check(block)
+    except (InvalidDistributionError, OverflowError) as e:
+        return type(e), str(e)
+    return None
 
 
 def _sum_boundary(side: float) -> tuple[float, float]:
@@ -257,15 +259,58 @@ def blocks(draw):
     return np.array(rows)
 
 
+def _ulps_from(t: float, k: int) -> float:
+    for _ in range(abs(k)):
+        t = math.nextafter(t, math.copysign(math.inf, k))
+    return t
+
+
+def _long_rows_near_edge(n: int, seed: int) -> np.ndarray:
+    """Rows of n entries whose fsum lands within 3 ulps of either tolerance
+    edge: a random head summing to about 1/2 and a last entry that closes it."""
+    rng = np.random.default_rng(seed)
+    rows = []
+    for side in (1.0, -1.0):
+        edge = _sum_boundary(side)[0]
+        for k in range(-3, 4):
+            for _ in range(3):
+                head = rng.random(n - 1)
+                head *= 0.5 / math.fsum(head.tolist())
+                rows.append(np.append(head, _ulps_from(edge, k) - math.fsum(head.tolist())))
+    return np.array(rows)
+
+
 class TestCheckRows:
-    """check_rows(block) runs SimplexVector's checks on every row."""
+    """check_rows(block) reaches the verdict and message of a per-row fsum loop."""
 
     @settings(max_examples=400, deadline=None)
     @given(blocks())
     def test_raises_iff_some_row_raises(self, block):
-        assert _raises(lambda: check_rows(block)) == any(
-            _raises(lambda: SimplexVector(row)) for row in block
-        )
+        assert _outcome(check_rows, block) == _outcome(reference_check_rows, block)
+
+    @pytest.mark.parametrize("n", [1000, 10000])
+    def test_long_rows_at_the_edge(self, n):
+        block = _long_rows_near_edge(n, seed=n)
+        fsum_off = [abs(math.fsum(row.tolist()) - 1.0) > SUM_TOL for row in block]
+        numpy_off = (np.abs(block.sum(axis=1) - 1.0) > SUM_TOL).tolist()
+        assert any(fsum_off) and not all(fsum_off)
+        assert fsum_off != numpy_off  # a numpy sum alone would misjudge some row
+        for rows in (*np.split(block, len(block)), block):
+            assert _outcome(check_rows, rows) == _outcome(reference_check_rows, rows)
+
+    def test_infinite_and_overflowing_rows(self):
+        inf_row = np.array([[0.5, 0.5], [math.inf, 0.0]])
+        assert _outcome(check_rows, inf_row) == (InvalidDistributionError, "entries sum to inf, not 1")
+        big = np.array([[0.25, 0.25], [1e308, 1e308]])  # an earlier row is already off
+        assert _outcome(check_rows, big) == (OverflowError, "intermediate overflow in fsum")
+        near = np.array([[0.25, 0.25], [1.7e308, 1e292]])  # near overflow, yet finite
+        assert _outcome(check_rows, near) == (InvalidDistributionError, "entries sum to 0.5, not 1")
+        # a numpy sum that stays finite where fsum's exact sum overflows
+        edge = np.array([[0.25, 0.25, 0.0], [sys.float_info.max, 2.0**969, 2.0**969]])
+        assert np.isfinite(edge.sum(axis=1)).all()
+        assert _outcome(check_rows, edge) == (OverflowError, "intermediate overflow in fsum")
+        for block in (inf_row, big, near, edge):
+            assert _outcome(check_rows, block) == _outcome(reference_check_rows, block)
 
     @pytest.mark.parametrize("side", [1.0, -1.0], ids=["above", "below"])
     def test_sum_tolerance_edge(self, side):
