@@ -66,9 +66,9 @@ def column_bounds(d: Density, rs, cfg: BoundsConfig | None = None) -> list[Coeff
     if not d.concave:
         raise ValueError(f"density {d.label!r} lacks the concave flag")
     r = np.array(rs, dtype=np.float64).reshape(-1)
-    for x in r:
-        if not 0.0 < x <= 1.0 + 1e-12:
-            raise ValueError(f"r must lie in (0, 1], got {float(x)!r}")
+    ok = (r > 0.0) & (r <= 1.0 + 1e-12)  # false for NaN too
+    if not ok.all():
+        raise ValueError(f"r must lie in (0, 1], got {float(r[np.argmin(ok)])!r}")
     r = np.minimum(r, 1.0)  # marginals carry float dust one ulp above 1
     s2 = d.eval_s2
     rt = r[:, None]

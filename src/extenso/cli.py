@@ -167,6 +167,11 @@ def _instance_seeds(seed: int, count: int) -> list[int]:
 
 def _validate(args, parser: argparse.ArgumentParser) -> None:
     """Reject out-of-range numeric arguments as usage errors (exit 2)."""
+    # these reach the payload or the density as they are; JSON has no NaN or Infinity
+    for name in ("concentration", "tolerance", "power", "q"):
+        value = getattr(args, name, None)
+        if value is not None and not math.isfinite(value):
+            parser.error(f"--{name} must be finite, got {value!r}")
     checks = [
         ("m", lambda v: v >= 1, ">= 1"),
         ("n", lambda v: v >= 1, ">= 1"),
@@ -175,6 +180,7 @@ def _validate(args, parser: argparse.ArgumentParser) -> None:
         ("grid_n", lambda v: v >= 256, ">= 256"),
         ("t_min", lambda v: 0.0 < v < 1.0, "in (0, 1)"),
         ("k_max", lambda v: v >= 1, ">= 1"),
+        ("tolerance", lambda v: v >= 0.0, ">= 0"),
     ]
     for name, ok, want in checks:
         value = getattr(args, name, None)
@@ -280,13 +286,14 @@ def _parse_r_values(args, parser) -> list[float]:
 
 def _cmd_bounds(args, parser) -> tuple[dict, int]:
     d = _resolve_density(args, parser)
+    # a column without a finite ratio has no finite bound: null, and divergent
     rows = [
         {
             "r": cb.r,
-            "lower": cb.lower,
-            "upper": cb.upper,
-            "arg_inf": cb.lower_meta.arg,
-            "arg_sup": cb.upper_meta.arg,
+            "lower": _finite_or_none(cb.lower),
+            "upper": _finite_or_none(cb.upper),
+            "arg_inf": _finite_or_none(cb.lower_meta.arg),
+            "arg_sup": _finite_or_none(cb.upper_meta.arg),
             "divergent": cb.divergent,
         }
         for cb in column_bounds(d, _parse_r_values(args, parser), _bounds_cfg(args))

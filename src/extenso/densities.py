@@ -152,8 +152,8 @@ def tsallis_density(q: float) -> Density:
     s''(r) = -q r^(q-2).
     """
     q = float(q)
-    if not q > 0.0 or q == 1.0:
-        raise ValueError(f"q must be > 0 and != 1, got {q!r}")
+    if not 0.0 < q < math.inf or q == 1.0:
+        raise ValueError(f"q must be finite, > 0 and != 1, got {q!r}")
 
     def eval_s(r):
         r = np.asarray(r, dtype=np.float64)

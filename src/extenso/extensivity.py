@@ -65,12 +65,9 @@ def _joint_entropies(F: EntropyFunctional, P: JointMatrix, p: SimplexVector) -> 
     """[S(P), S(p), S(conditional_1), ..., S(conditional_n)] from one eval_s call.
 
     p = marginal(P).  JointMatrix has already validated the flattened grid
-    as a point of the mn-simplex.  Row j of the conditional block equals
-    conditional(P, j + 1) bit for bit, and check_rows validates every row.
+    as a point of the mn-simplex, and validates its conditional block once.
     """
-    conds = (P.entries / P.column_marginals).T
-    check_rows(conds)
-    flat = np.concatenate([P.entries.ravel(), p.entries, conds.ravel()])
+    flat = np.concatenate([P.entries.ravel(), p.entries, P.conditionals.ravel()])
     return slice_entropies(F, flat, [P.entries.size, P.n] + [P.m] * P.n)
 
 
@@ -93,12 +90,13 @@ def extensivity_residual(F: EntropyFunctional, P: JointMatrix, f: Callable[[floa
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SandwichReport:
     """Two-sided envelope check for one joint matrix.
 
     verdict is 'pass' iff both slacks clear -tolerance, 'divergent' when any
-    column's coefficient bounds are flagged divergent (check skipped).
+    column's coefficient bounds are flagged divergent (check skipped).  Slots
+    keep each report small: batch callers hold thousands of them.
     """
 
     diff: float

@@ -49,37 +49,64 @@ class OptResult:
 # other lanes of its batch.
 _ZOOM_POINTS = 31
 _ZOOM_ROUNDS = 12
+# A round's samples at fractions k/(_ZOOM_POINTS + 1) of the bracket, k = 0
+# and _ZOOM_POINTS + 1 being the bracket ends themselves.
+_ZOOM_FRAC = np.arange(_ZOOM_POINTS + 2, dtype=np.float64) / (_ZOOM_POINTS + 1)
+# Lane signs: the infimum lanes as they are, the supremum lanes negated, so
+# every lane minimizes.  _LANE_SIGN broadcasts over (rows, 2, points).
+_SIGN = np.array([1.0, -1.0])
+_LANE_SIGN = _SIGN[:, None]
 # Depth of the geometric probe ladder t = 2^-k, k = 1.._LADDER_K.
 _LADDER_K = 40
+_LADDER = 2.0 ** -np.arange(1, _LADDER_K + 1, dtype=np.float64)
+_LADDER.flags.writeable = False
+# Offsets of a grid lane's left neighbour, itself and its right neighbour.
+_NEIGHBOURS = np.array([-1, 0, 1])
 
 
-def _zoom(h, lo: np.ndarray, hi: np.ndarray, best: np.ndarray):
-    """Minimize each lane's signed h inside its bracket [lo, hi], all at once.
+def _zoom(h, lo: np.ndarray, hi: np.ndarray, value: np.ndarray, arg: np.ndarray):
+    """Refine each lane's extremum of h inside its bracket [lo, hi], all at once.
 
-    lo, hi and best have shape (rows, 2): column 0 holds the infimum lanes,
-    column 1 the supremum lanes, and best each lane's grid value with the
-    sign applied (negated for the supremum).  h maps a (rows, L) array of t
-    to (rows, L) values.  Returns (arg, best) of the same shape; arg is nan
-    in lanes where no finite sample beat the grid value.
+    lo, hi, value and arg have shape (rows, 2): column 0 holds the infimum
+    lanes, column 1 the supremum lanes, value and arg each lane's grid
+    extremum.  h maps a (rows, L) array of t to (rows, L) values.  Returns
+    the (value, arg) pair with every lane moved to its best sample that
+    strictly beats the grid value, if any.
+
+    Each round lays a lane's samples out as one padded row [lo, xs..., hi],
+    so the next bracket is read off the row around the best sample.  Column
+    0 is lo + d*0 = lo exactly, and hi is stored rather than computed, since
+    lo + (hi - lo) need not round to hi: a bracket end is always a sample of
+    an earlier round or of the grid.  Non-finite samples never win: argmin
+    picks a lane's first NaN, or else its first -inf, so a pick above -inf
+    proves the lane holds neither; only otherwise are they masked with +inf
+    and the lanes picked again.  A +inf sample needs no mask: it is +inf
+    either way, and +inf never beats the best value.
     """
-    shape = lo.shape
-    frac = np.arange(1, _ZOOM_POINTS + 1, dtype=np.float64) / (_ZOOM_POINTS + 1)
-    sign = np.tile([1.0, -1.0], shape[0])[:, None]
-    lanes = np.arange(lo.size)
-    lo, hi, best = lo.ravel(), hi.ravel(), best.ravel()
-    arg = np.full(lo.shape, np.nan)
+    rows = lo.shape[0]
+    best = _SIGN * value
+    lanes = np.arange(2 * rows).reshape(rows, 2)
+    sample_at = lanes * _ZOOM_POINTS
+    edge_at = lanes * _ZOOM_FRAC.size
     for _ in range(_ZOOM_ROUNDS):
-        xs = lo[:, None] + (hi - lo)[:, None] * frac
-        vals = h(xs.reshape(shape[0], -1)).reshape(xs.shape)
-        work = np.where(np.isfinite(vals), sign * vals, np.inf)
-        j = np.argmin(work, axis=1)
-        w = work[lanes, j]
+        pts = lo[..., None] + (hi - lo)[..., None] * _ZOOM_FRAC
+        pts[..., -1] = hi
+        vals = h(pts[..., 1:-1].reshape(rows, -1)).reshape(rows, 2, _ZOOM_POINTS)
+        work = _LANE_SIGN * vals
+        j = work.argmin(axis=-1)
+        w = work.ravel()[sample_at + j]
+        if not w.min() > -np.inf:  # a NaN or -inf pick
+            work = np.where(np.isfinite(work), work, np.inf)
+            j = work.argmin(axis=-1)
+            w = work.ravel()[sample_at + j]
+        at = edge_at + j
+        flat = pts.ravel()
         better = w < best
-        best = np.where(better, w, best)
-        arg = np.where(better, xs[lanes, j], arg)
-        edges = np.concatenate([lo[:, None], xs, hi[:, None]], axis=1)
-        lo, hi = edges[lanes, j], edges[lanes, j + 2]
-    return arg.reshape(shape), best.reshape(shape)
+        if np.count_nonzero(better):
+            best = np.where(better, w, best)
+            arg = np.where(better, flat[at + 1], arg)
+        lo, hi = flat[at], flat[at + 2]
+    return _SIGN * best, arg
 
 
 def _trend_labels(values: np.ndarray, window: int = 8) -> tuple[str, str]:
@@ -116,6 +143,14 @@ def _log_grid(t_min: float, grid_n: int) -> np.ndarray:
     return ts
 
 
+def _neighbourhood(vs: np.ndarray, idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Grid indices and values of each lane's left neighbour, the lane itself
+    and its right neighbour, clamped to the grid: two (rows, 2, 3) arrays."""
+    rows, grid_n = vs.shape
+    near = np.minimum(np.maximum(idx[..., None] + _NEIGHBOURS, 0), grid_n - 1)
+    return near, vs.ravel()[np.arange(0, rows * grid_n, grid_n)[:, None, None] + near]
+
+
 def scan_extrema(
     h,
     t_min: float = 1e-6,
@@ -132,6 +167,15 @@ def scan_extrema(
     around every row's grid extremum, then limit diagnostics on a geometric
     ladder t = 2^-k (k <= 40) and on any caller-declared probe points, each
     family judged separately per row.
+
+    NaN and +-inf never win: a row's grid extremes are its first finite
+    minimum and maximum, and a row without a finite value keeps index 0.
+    argmin and argmax pick a row's first NaN if it has one, else argmin its
+    first -inf and argmax its first +inf, so finite picks prove every row
+    finite.  Only otherwise is the grid masked, picked again and checked for
+    blow-ups.  A lane's error is the larger gap to a finite grid neighbour
+    (inf without one); the t_min edge widens it only where the lane's value
+    is finite.  Rows without a finite value raise no warning.
     """
     if grid_n < 256:
         raise ValueError("grid_n must be >= 256")
@@ -139,77 +183,90 @@ def scan_extrema(
         raise ValueError("t_min must lie in (0, 1)")
     ts = _log_grid(float(t_min), int(grid_n))
     vs = np.asarray(h(ts), dtype=np.float64)
-    finite = np.isfinite(vs)
-    bad = ~finite
-    has_bad = bad.any(axis=1)
-    first_bad = np.argmax(bad, axis=1)
+    rows = vs.shape[0]
     # lanes (row, mode), mode 0 the infimum and 1 the supremum
-    blowup = np.stack([np.isneginf(vs).any(axis=1), np.isposinf(vs).any(axis=1)], axis=1)
-    sign = np.array([1.0, -1.0])
-    work = np.where(finite[:, None, :], sign[:, None] * vs[:, None, :], np.inf)
-    idx = np.argmin(work, axis=-1)
-    rix = np.arange(vs.shape[0])[:, None]
-    value = vs[rix, idx]
-    arg = ts[idx]
+    idx = np.array([vs.argmin(axis=1), vs.argmax(axis=1)]).T
+    near, near_vals = _neighbourhood(vs, idx)
+    finite = None
+    if not np.isfinite(near_vals[..., 1]).all():
+        finite = np.isfinite(vs)
+        idx = np.array([
+            np.where(finite, vs, np.inf).argmin(axis=1),
+            np.where(finite, vs, -np.inf).argmax(axis=1),
+        ]).T
+        near, near_vals = _neighbourhood(vs, idx)
+    value = near_vals[..., 1]
     # resolution: the larger value gap to a finite grid neighbour
-    est_error = np.full(idx.shape, -np.inf)
-    for step in (-1, 1):
-        nb = np.clip(idx + step, 0, grid_n - 1)
-        ok = (nb != idx) & finite[rix, nb]
-        gap = np.abs(value - vs[rix, nb])
-        est_error = np.maximum(est_error, np.where(ok, gap, -np.inf))
-    est_error[est_error == -np.inf] = np.inf
+    if finite is None:
+        # the lane itself adds a gap of 0, below both neighbour gaps
+        est_error = np.abs(value[..., None] - near_vals).max(axis=-1)
+    else:
+        ok = np.isfinite(near_vals) & (near != idx[..., None])
+        with np.errstate(invalid="ignore"):  # inf - inf in a row without a finite value
+            gap = np.abs(value[..., None] - near_vals)
+        est_error = np.where(ok, gap, -np.inf).max(axis=-1)
+        est_error[est_error == -np.inf] = np.inf
+    bracket = ts[near]
+    arg = bracket[..., 1]
 
     if refine:
-        lo = ts[np.maximum(idx - 1, 0)]
-        hi = ts[np.minimum(idx + 1, grid_n - 1)]
-        z_arg, z_best = _zoom(h, lo, hi, sign * value)
-        moved = ~np.isnan(z_arg)
-        value = np.where(moved, sign * z_best, value)
-        arg = np.where(moved, z_arg, arg)
+        value, arg = _zoom(h, bracket[..., 0], bracket[..., 2], value, arg)
 
     # probe families: geometric ladder toward 0, then declared points
-    families = [2.0 ** -np.arange(1, _LADDER_K + 1, dtype=np.float64)]
+    families = [_LADDER]
     if len(probe_points):
         pts = np.sort(np.asarray(probe_points, dtype=np.float64))[::-1]
         families.append(pts[pts > 0.0])
     probe_vals = [np.asarray(h(fam), dtype=np.float64) for fam in families]
+    allv = probe_vals[0] if len(families) == 1 else np.concatenate(probe_vals, axis=1)
     # the t_min edge truncates the scan: widen an edge lane's error by how
-    # far the probes below t_min pass its value in the lane's direction
-    below = [pv[:, fam < t_min] for fam, pv in zip(families, probe_vals)]
-    below = np.concatenate(below, axis=1)
-    signed = np.where(np.isfinite(below)[:, None, :], sign[:, None] * below[:, None, :], np.inf)
-    past = sign * value - signed.min(axis=-1, initial=np.inf)
-    est_error = np.where((idx == 0) & (past > 0), est_error + past, est_error)
-    allv = np.concatenate(probe_vals, axis=1)
-    top = np.where(np.isfinite(allv), allv, -np.inf).max(axis=1)
-    probe_max = np.where(top > -np.inf, top, math.nan)
+    # far the probes below t_min pass its value in the lane's direction.  A
+    # lane without a finite value has no finite neighbour: its error is inf.
+    edge = idx == 0
+    if finite is not None:
+        edge &= np.isfinite(value)
+    if np.count_nonzero(edge):
+        probe_ts = families[0] if len(families) == 1 else np.concatenate(families)
+        signed = _LANE_SIGN * allv[:, None, probe_ts < t_min]
+        reach = np.where(np.isfinite(signed), signed, np.inf).min(axis=-1, initial=np.inf)
+        past = _SIGN * np.where(edge, value, 0.0) - reach
+        est_error = est_error + np.where(edge & (past > 0), past, 0.0)
+    probe_max = allv.max(axis=1)
+    if not np.isfinite(probe_max).all():
+        top = np.where(np.isfinite(allv), allv, -np.inf).max(axis=1)
+        probe_max = np.where(top > -np.inf, top, math.nan)
 
+    # the t_min edge is an artificial truncation: the true extremum may sit
+    # below it, so refinement there is not trusted
+    refined = (idx > 0).tolist() if refine else [[False, False]] * rows
+    if finite is None:
+        blowup = [[False, False]] * rows
+        offending = [None] * rows
+    else:
+        blowup = np.stack([np.isneginf(vs).any(axis=1), np.isposinf(vs).any(axis=1)], axis=1).tolist()
+        first_bad = ts[np.argmin(finite, axis=1)].tolist()
+        offending = [t if bad else None for t, bad in zip(first_bad, (~finite.all(axis=1)).tolist())]
     results = []
-    for row in range(vs.shape[0]):
-        offending = float(ts[first_bad[row]]) if has_bad[row] else None
-        pair = []
+    for row, (v2, a2, e2, r2, b2, top, off) in enumerate(zip(
+        value.tolist(), arg.tolist(), est_error.tolist(), refined, blowup, probe_max.tolist(), offending,
+    )):
         labels = [_trend_labels(pv[row]) for pv in probe_vals]
+        pair = []
         for m in range(2):
             trends = [lab[m] for lab in labels]
-            diverging = "diverging" in trends or bool(blowup[row, m])
-            trend = "diverging" if diverging else trends[0]
+            diverging = "diverging" in trends or b2[m]
             pair.append(
                 OptResult(
-                    value=float(value[row, m]),
-                    arg=float(arg[row, m]),
+                    value=v2[m],
+                    arg=a2[m],
                     grid_points=grid_n,
-                    # the t_min edge is an artificial truncation: the true
-                    # extremum may sit below it, so refinement there is not
-                    # trusted
-                    refined=bool(refine and idx[row, m] > 0),
-                    est_error=float(est_error[row, m]),
+                    refined=r2[m],
+                    est_error=e2[m],
                     diverging=diverging,
-                    probe_trend=trend,
-                    probe_max=float(probe_max[row]),
-                    offending_t=offending,
+                    probe_trend="diverging" if diverging else trends[0],
+                    probe_max=top,
+                    offending_t=off,
                 )
             )
         results.append(tuple(pair))
     return results
-

@@ -6,6 +6,7 @@ construction because every downstream operation conditions on columns.
 """
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass, field
@@ -116,10 +117,25 @@ class JointMatrix:
     def n(self) -> int:
         return self.entries.shape[1]
 
+    # The marginal and the conditional block are validated on first use and
+    # kept: every check of one joint shares them.
+    @functools.cached_property
+    def _marginal(self) -> SimplexVector:
+        return SimplexVector(self.column_marginals)
+
+    @functools.cached_property
+    def conditionals(self) -> np.ndarray:
+        """Read-only (n, m) block whose row j equals conditional(P, j + 1)
+        bit for bit; check_rows has validated every row."""
+        block = (self.entries / self.column_marginals).T
+        check_rows(block)
+        block.flags.writeable = False
+        return block
+
 
 def marginal(P: JointMatrix) -> SimplexVector:
     """Column marginals (p_1, ..., p_n); every entry strictly positive."""
-    return SimplexVector(P.column_marginals)
+    return P._marginal
 
 
 def conditional(P: JointMatrix, j: int) -> ConditionalColumn:

@@ -1,11 +1,12 @@
 """Reference numerics for the tests: quadrature, finite differences, a
-one-function view of the extremum scan, and per-vector entropy loops.
+one-function view of the extremum scan, the plain extremum scan, and
+per-vector entropy loops.
 
 None of this runs in the package.  The two quadrature rules share no code
 path beyond the integrand, so the tests use them as independent oracles for
-the densities' closed forms and integral identities.  The per-vector loops
-evaluate each entropy with its own eval_s call, which the package's batched
-evaluation must reproduce bit for bit.
+the densities' closed forms and integral identities.  The plain scan and
+the per-vector loops (each entropy from its own eval_s call) are what the
+package's scan and batched evaluation must reproduce bit for bit.
 """
 from __future__ import annotations
 
@@ -17,7 +18,15 @@ import numpy as np
 from extenso.bounds import column_bounds
 from extenso.densities import DensityDomainError
 from extenso.extensivity import _require_sandwich_flags
-from extenso.numerics import OptResult, scan_extrema
+from extenso.numerics import (
+    _LADDER_K,
+    _ZOOM_POINTS,
+    _ZOOM_ROUNDS,
+    OptResult,
+    _log_grid,
+    _trend_labels,
+    scan_extrema,
+)
 from extenso.simplex import SUM_TOL, InvalidDistributionError, SimplexVector, conditional, marginal
 
 
@@ -272,6 +281,141 @@ def global_extremum(
 
     [(lo, hi)] = scan_extrema(one_row, t_min, grid_n, probe_points, refine)
     return lo if mode == "inf" else hi
+
+
+# ---------------------------------------------------------------------------
+# the extremum scan as a plain, unoptimized reference
+# ---------------------------------------------------------------------------
+
+
+def _reference_zoom(h, lo: np.ndarray, hi: np.ndarray, best: np.ndarray):
+    """Minimize each lane's signed h inside its bracket [lo, hi], all at once.
+
+    lo, hi and best have shape (rows, 2): column 0 holds the infimum lanes,
+    column 1 the supremum lanes, and best each lane's grid value with the
+    sign applied (negated for the supremum).  h maps a (rows, L) array of t
+    to (rows, L) values.  Returns (arg, best) of the same shape; arg is nan
+    in lanes where no finite sample beat the grid value.
+    """
+    shape = lo.shape
+    frac = np.arange(1, _ZOOM_POINTS + 1, dtype=np.float64) / (_ZOOM_POINTS + 1)
+    sign = np.tile([1.0, -1.0], shape[0])[:, None]
+    lanes = np.arange(lo.size)
+    lo, hi, best = lo.ravel(), hi.ravel(), best.ravel()
+    arg = np.full(lo.shape, np.nan)
+    for _ in range(_ZOOM_ROUNDS):
+        xs = lo[:, None] + (hi - lo)[:, None] * frac
+        vals = h(xs.reshape(shape[0], -1)).reshape(xs.shape)
+        work = np.where(np.isfinite(vals), sign * vals, np.inf)
+        j = np.argmin(work, axis=1)
+        w = work[lanes, j]
+        better = w < best
+        best = np.where(better, w, best)
+        arg = np.where(better, xs[lanes, j], arg)
+        edges = np.concatenate([lo[:, None], xs, hi[:, None]], axis=1)
+        lo, hi = edges[lanes, j], edges[lanes, j + 2]
+    return arg.reshape(shape), best.reshape(shape)
+
+
+def reference_scan_extrema(
+    h,
+    t_min: float = 1e-6,
+    grid_n: int = 2048,
+    probe_points: tuple[float, ...] = (),
+    refine: bool = True,
+) -> list[tuple[OptResult, OptResult]]:
+    """scan_extrema as it was before its zoom rounds and grid reduction were
+    rewritten with fewer numpy calls; the rewrite must match it bit for bit.
+
+    One grid scan of each row of h over [t_min, 1]: an (inf, sup) pair per row.
+
+    h is row-batched: it maps a 1-d t of length L to a (rows, L) array, and
+    a (rows, L) t to (rows, L) values with row i taken at t[i].
+
+    Log-spaced coarse grid, a vectorized bracket zoom over the two cells
+    around every row's grid extremum, then limit diagnostics on a geometric
+    ladder t = 2^-k (k <= 40) and on any caller-declared probe points, each
+    family judged separately per row.
+    """
+    if grid_n < 256:
+        raise ValueError("grid_n must be >= 256")
+    if not 0.0 < t_min < 1.0:
+        raise ValueError("t_min must lie in (0, 1)")
+    ts = _log_grid(float(t_min), int(grid_n))
+    vs = np.asarray(h(ts), dtype=np.float64)
+    finite = np.isfinite(vs)
+    bad = ~finite
+    has_bad = bad.any(axis=1)
+    first_bad = np.argmax(bad, axis=1)
+    # lanes (row, mode), mode 0 the infimum and 1 the supremum
+    blowup = np.stack([np.isneginf(vs).any(axis=1), np.isposinf(vs).any(axis=1)], axis=1)
+    sign = np.array([1.0, -1.0])
+    work = np.where(finite[:, None, :], sign[:, None] * vs[:, None, :], np.inf)
+    idx = np.argmin(work, axis=-1)
+    rix = np.arange(vs.shape[0])[:, None]
+    value = vs[rix, idx]
+    arg = ts[idx]
+    # resolution: the larger value gap to a finite grid neighbour
+    est_error = np.full(idx.shape, -np.inf)
+    for step in (-1, 1):
+        nb = np.clip(idx + step, 0, grid_n - 1)
+        ok = (nb != idx) & finite[rix, nb]
+        gap = np.abs(value - vs[rix, nb])
+        est_error = np.maximum(est_error, np.where(ok, gap, -np.inf))
+    est_error[est_error == -np.inf] = np.inf
+
+    if refine:
+        lo = ts[np.maximum(idx - 1, 0)]
+        hi = ts[np.minimum(idx + 1, grid_n - 1)]
+        z_arg, z_best = _reference_zoom(h, lo, hi, sign * value)
+        moved = ~np.isnan(z_arg)
+        value = np.where(moved, sign * z_best, value)
+        arg = np.where(moved, z_arg, arg)
+
+    # probe families: geometric ladder toward 0, then declared points
+    families = [2.0 ** -np.arange(1, _LADDER_K + 1, dtype=np.float64)]
+    if len(probe_points):
+        pts = np.sort(np.asarray(probe_points, dtype=np.float64))[::-1]
+        families.append(pts[pts > 0.0])
+    probe_vals = [np.asarray(h(fam), dtype=np.float64) for fam in families]
+    # the t_min edge truncates the scan: widen an edge lane's error by how
+    # far the probes below t_min pass its value in the lane's direction
+    below = [pv[:, fam < t_min] for fam, pv in zip(families, probe_vals)]
+    below = np.concatenate(below, axis=1)
+    signed = np.where(np.isfinite(below)[:, None, :], sign[:, None] * below[:, None, :], np.inf)
+    past = sign * value - signed.min(axis=-1, initial=np.inf)
+    est_error = np.where((idx == 0) & (past > 0), est_error + past, est_error)
+    allv = np.concatenate(probe_vals, axis=1)
+    top = np.where(np.isfinite(allv), allv, -np.inf).max(axis=1)
+    probe_max = np.where(top > -np.inf, top, math.nan)
+
+    results = []
+    for row in range(vs.shape[0]):
+        offending = float(ts[first_bad[row]]) if has_bad[row] else None
+        pair = []
+        labels = [_trend_labels(pv[row]) for pv in probe_vals]
+        for m in range(2):
+            trends = [lab[m] for lab in labels]
+            diverging = "diverging" in trends or bool(blowup[row, m])
+            trend = "diverging" if diverging else trends[0]
+            pair.append(
+                OptResult(
+                    value=float(value[row, m]),
+                    arg=float(arg[row, m]),
+                    grid_points=grid_n,
+                    # the t_min edge is an artificial truncation: the true
+                    # extremum may sit below it, so refinement there is not
+                    # trusted
+                    refined=bool(refine and idx[row, m] > 0),
+                    est_error=float(est_error[row, m]),
+                    diverging=diverging,
+                    probe_trend=trend,
+                    probe_max=float(probe_max[row]),
+                    offending_t=offending,
+                )
+            )
+        results.append(tuple(pair))
+    return results
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -108,6 +109,37 @@ class TestCoefficientBounds:
         flat = Density(label="flat", eval_s=zero, eval_s1=zero, eval_s2=zero, concave=False)
         with pytest.raises(ValueError):
             coefficient_bounds(flat, 0.5)
+
+    @pytest.mark.parametrize("rs, bad", [
+        ([0.5, 1.5, 0.0], "1.5"),
+        ([0.5, 0.0, 1.5], "0.0"),
+        ([0.2, math.nan, -1.0], "nan"),
+        ([1.0 + 2e-12], "1.000000000002"),
+        ([0.3, -math.inf], "-inf"),
+    ])
+    def test_names_the_first_bad_r(self, rs, bad):
+        with pytest.raises(ValueError, match=rf"^r must lie in \(0, 1\], got {bad}$"):
+            column_bounds(bg_density(), rs)
+
+    def test_accepts_float_dust_above_one(self):
+        dust = 1.0 + 2.0**-52
+        [cb] = column_bounds(bg_density(), [dust])
+        assert cb.r == 1.0 and cb.lower == cb.upper == 1.0
+
+    def test_no_finite_ratio_is_divergent_and_quiet(self):
+        # s''(r t) overflows for every t: the density warns about its own
+        # overflow, the scan adds no warning of its own
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            lost, kept = column_bounds(tsallis_density(0.1), [1e-300, 0.5])
+        assert {w.category for w in caught} == {RuntimeWarning}
+        assert {str(w.message) for w in caught} == {"overflow encountered in power"}
+        assert all(w.filename.endswith("densities.py") for w in caught)
+        assert lost.divergent and not kept.divergent
+        assert math.isnan(lost.lower) and math.isnan(lost.upper)
+        assert lost.lower_meta.est_error == lost.upper_meta.est_error == math.inf
+        assert lost.upper_meta.offending_t == 1e-6
+        assert kept.lower == pytest.approx(0.5 ** 0.1, rel=1e-12)
 
     def test_config_respected(self):
         cb = coefficient_bounds(remark5_density(), 0.5, BoundsConfig(grid_n=256, t_min=1e-4))

@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 
 import pytest
 
@@ -270,6 +271,50 @@ class TestUsageErrors:
         spec.write_text('{"kind": "tsallis", "params": {"q": 2.0}}')
         _, payload = run_json(["recover-f", "--density-spec", f"@{spec}"], capsys)
         assert payload["density"] == "tsallis(q=2)"
+
+
+NON_FINITE_CASES = [
+    (["verify-sandwich", "--density", "remark5", "--tolerance", "nan"], "--tolerance must be finite, got nan"),
+    (["verify-sandwich", "--density", "remark5", "--tolerance", "inf"], "--tolerance must be finite, got inf"),
+    (["verify-sandwich", "--density", "remark5", "--tolerance=-1e-9"], "--tolerance must be >= 0, got -1e-09"),
+    (["residual", "--density", "bg", "--tolerance", "nan"], "--tolerance must be finite, got nan"),
+    (["residual", "--density", "bg", "--tolerance", "inf"], "--tolerance must be finite, got inf"),
+    (["residual", "--density", "bg", "--tolerance", "-1"], "--tolerance must be >= 0, got -1.0"),
+    (["residual", "--density", "bg", "--power", "nan"], "--power must be finite, got nan"),
+    (["residual", "--density", "bg", "--power", "inf"], "--power must be finite, got inf"),
+    (["bounds", "--density", "tsallis", "--q", "inf"], "--q must be finite, got inf"),
+    (["bounds", "--density-spec", '{"kind": "tsallis", "params": {"q": Infinity}}'],
+     "bad density: q must be finite, > 0 and != 1, got inf"),
+    (["verify-sandwich", "--density", "remark5", "--concentration", "inf"],
+     "--concentration must be finite, got inf"),
+]
+
+
+class TestNonFiniteFlags:
+    """Floats that would reach the payload or the density as NaN or inf are
+    usage errors, as is a negative tolerance."""
+
+    @pytest.mark.parametrize("args, message", NON_FINITE_CASES, ids=[" ".join(a) for a, _ in NON_FINITE_CASES])
+    def test_exit_2_with_one_line(self, args, message, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(args + ["--instances", "1"] if args[0] != "bounds" else args)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert err[-1] == f"extenso {args[0]}: error: {message}"
+
+    def test_bounds_without_a_finite_ratio(self, capsys):
+        # every grid ratio overflows at r = 1e-300: null bounds, divergent
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, out = run_cli(["bounds", "--density", "tsallis", "--q", "0.1",
+                                 "--r", "1e-300", "--r", "0.5"], capsys)
+        assert not [w for w in caught if not w.filename.endswith("densities.py")]
+        payload = json.loads(out, parse_constant=_reject_constant)
+        assert code == 0
+        lost, kept = payload["rows"]
+        assert lost == {"r": 1e-300, "lower": None, "upper": None, "arg_inf": 1e-06,
+                        "arg_sup": 1e-06, "divergent": True}
+        assert kept["divergent"] is False and kept["lower"] == pytest.approx(0.5 ** 0.1)
 
 
 class TestImportSurface:

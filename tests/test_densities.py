@@ -107,6 +107,11 @@ class TestTsallis:
             with pytest.raises(ValueError):
                 tsallis_density(q)
 
+    @pytest.mark.parametrize("q", [math.inf, math.nan, -math.inf])
+    def test_non_finite_q(self, q):
+        with pytest.raises(ValueError, match="q must be finite"):
+            tsallis_density(q)
+
     def test_curvature_closed_form(self):
         d = tsallis_density(0.5)
         r = np.array([0.2, 0.7])

@@ -15,7 +15,7 @@ from extenso.densities import (
     shifted_density,
     tsallis_density,
 )
-from extenso import extensivity
+from extenso import extensivity, simplex
 from extenso.extensivity import (
     axiom_suite,
     batch_report,
@@ -494,10 +494,12 @@ class TestEvalCount:
 
 
 def watch_validation(monkeypatch):
-    """(sizes of SimplexVectors built, row counts of blocks passed to check_rows)."""
+    """(sizes of SimplexVectors built, row counts of blocks passed to check_rows).
+
+    SimplexVector and JointMatrix validate themselves as one-row blocks."""
     built, rows = [], []
     post_init = SimplexVector.__post_init__
-    check_rows = extensivity.check_rows
+    check_rows = simplex.check_rows
 
     def counted_post_init(self):
         post_init(self)
@@ -509,6 +511,7 @@ def watch_validation(monkeypatch):
 
     monkeypatch.setattr(SimplexVector, "__post_init__", counted_post_init)
     monkeypatch.setattr(extensivity, "check_rows", counted_check_rows)
+    monkeypatch.setattr(simplex, "check_rows", counted_check_rows)
     return built, rows
 
 
@@ -529,13 +532,39 @@ class TestBlockValidation:
 
     @pytest.mark.parametrize("m, n", [(2, 2), (9, 7)])
     def test_joint_checks(self, monkeypatch, m, n):
-        built, rows = watch_validation(monkeypatch)
         P = random_joint(m, n, seed=1)
+        built, rows = watch_validation(monkeypatch)
         F = functional(remark5_density())
         extensivity_residual(F, P, power_coefficient(1.0))
-        assert built == [n] and rows == [n]  # the marginal; the conditionals
+        assert built == [n] and rows == [1, n]  # the marginal; the conditionals
+        # later checks of the same joint reuse both
         monotonicity_check(F, P)
-        assert built == [n, n] and rows == [n]
+        sandwich_check(F, P)
+        assert built == [n] and rows == [1, n]
+
+    def test_sandwich_op_validates_once(self, monkeypatch):
+        # the benchmark's sandwich op: one joint, checked under two functionals
+        entries = random_joint(4, 4, seed=3, concentration=0.05).entries
+        Fs = [functional(remark5_density()), functional(tsallis_density(0.1))]
+        built, rows = watch_validation(monkeypatch)
+        P = JointMatrix(entries)
+        reports = [sandwich_check(F, P) for F in Fs]
+        # the flattened grid, the marginal and the conditional block
+        assert rows == [1, 1, 4] and built == [4]
+        for F, rep in zip(Fs, reports):
+            assert repr(rep) == repr(sandwich_check(F, JointMatrix(entries)))
+            assert rep.to_dict() == reference_sandwich(F, JointMatrix(entries))
+
+    def test_cached_blocks_are_read_only(self):
+        P = random_joint(3, 4, seed=2)
+        assert marginal(P) is marginal(P)
+        assert P.conditionals is P.conditionals
+        for j in range(1, P.n + 1):
+            assert np.array_equal(P.conditionals[j - 1], conditional(P, j).entries)
+        with pytest.raises(ValueError):
+            P.conditionals[0, 0] = 0.5
+        with pytest.raises(ValueError):
+            marginal(P).entries[0] = 0.5
 
     def test_reports_share_labels_and_hold_no_dict(self):
         F = functional(bg_density())
@@ -544,3 +573,13 @@ class TestBlockValidation:
         assert a.eps_labels is b.eps_labels
         assert not hasattr(a, "__dict__")
         assert a.modulus == dict(zip(("0.001", "1e-05", "1e-07"), a.levels))
+
+    def test_sandwich_report_holds_no_dict(self):
+        F = functional(remark5_density())
+        rep = sandwich_check(F, random_joint(3, 3, seed=4))
+        assert not hasattr(rep, "__dict__")
+        assert list(rep.to_dict()) == [
+            "diff", "lower", "upper", "slack_lower", "slack_upper", "tolerance", "verdict", "divergent",
+        ]
+        with pytest.raises(AttributeError):
+            rep.verdict = "fail"

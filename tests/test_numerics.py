@@ -1,15 +1,26 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from extenso.densities import bg_density, remark5_density, tsallis_density
+from extenso.densities import (
+    bg_density,
+    remark2_density,
+    remark5_density,
+    shifted_density,
+    tsallis_density,
+)
+from extenso.numerics import _ZOOM_ROUNDS, scan_extrema
 from numeric_oracles import (
     NoConvergenceError,
     adaptive_quadrature,
     finite_difference,
     global_extremum,
     midpoint_richardson,
+    reference_scan_extrema,
 )
 
 # int_0^1 log sin((pi/4) t) dt in closed form via Catalan's constant
@@ -169,3 +180,127 @@ class TestGlobalExtremum:
             global_extremum(lambda t: t, "inf", grid_n=100)
         with pytest.raises(ValueError):
             global_extremum(lambda t: t, "inf", t_min=2.0)
+
+
+# ---------------------------------------------------------------------------
+# the scan against its plain reference, bit for bit
+# ---------------------------------------------------------------------------
+
+
+def curvature_ratio(d, rs):
+    """The row-batched h that column_bounds scans: s''(r t)/s''(t) per r."""
+    rt = np.minimum(np.asarray(rs, dtype=np.float64), 1.0)[:, None]
+
+    def h(t):
+        return np.asarray(d.eval_s2(rt * t)) / np.asarray(d.eval_s2(t))
+
+    return h
+
+
+def reference(h, *args):
+    # the reference predates the warning-free handling of non-finite rows
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        return reference_scan_extrema(h, *args)
+
+
+def patchy(t):
+    """Rows of NaN, +inf and -inf regions beside finite shapes; no warnings."""
+    t = np.asarray(t, dtype=np.float64)
+    rows = [
+        np.sin(13.0 * t) + t,
+        -((t - 0.37) ** 2),
+        np.full_like(t, 2.0),
+        np.where(t < 0.3, np.nan, t),
+        np.where(t > 0.5, np.inf, t),
+        np.where((t > 0.2) & (t < 0.4), -np.inf, -t),
+        np.full_like(t, np.inf),
+        np.full_like(t, -np.inf),
+        np.full_like(t, np.nan),
+        np.where(t < 1e-3, -np.inf, np.nan),
+        np.where(t < 0.01, np.inf, 1.0 / t),
+        np.where(t < 1e-4, 5.0, np.where(t < 0.6, np.nan, t)),
+    ]
+    return np.stack(rows) if t.ndim == 1 else np.stack([r[i] for i, r in enumerate(rows)])
+
+
+DUST = [1.0 + k * 2.0**-52 for k in range(1, 4)]
+
+
+@st.composite
+def scan_cases(draw):
+    kind = draw(st.sampled_from(["bg", "tsallis", "remark5", "remark2", "shifted-remark2", "shifted-remark5"]))
+    if kind == "tsallis":
+        q = draw(st.floats(0.05, 3.0).filter(lambda q: abs(q - 1.0) > 1e-3))
+        d = tsallis_density(q)
+    elif kind.startswith("shifted-"):
+        d = shifted_density({"remark2": remark2_density, "remark5": remark5_density}[kind[8:]]())
+    else:
+        d = {"bg": bg_density, "remark5": remark5_density, "remark2": remark2_density}[kind]()
+    r = st.one_of(st.floats(1e-9, 1.0), st.sampled_from([1.0, 1e-9] + DUST))
+    rs = draw(st.lists(r, min_size=1, max_size=5))
+    t_min = draw(st.sampled_from([1e-6, 1e-8, 1e-3, 0.05]))
+    grid_n = draw(st.sampled_from([2048, 256, 300]))
+    return d, rs, t_min, grid_n, draw(st.booleans())
+
+
+class TestScanMatchesReference:
+    """scan_extrema against the plain scan it replaced: repr compares every
+    float bit for bit, nan and the sign of zero included."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(scan_cases())
+    def test_curvature_ratios(self, case):
+        d, rs, t_min, grid_n, refine = case
+        h = curvature_ratio(d, rs)
+        args = (t_min, grid_n, d.probe_points, refine)
+        assert repr(scan_extrema(h, *args)) == repr(reference(h, *args))
+
+    @pytest.mark.parametrize("refine", [True, False])
+    @pytest.mark.parametrize("probes", [(), (0.5, 1e-7, 0.01), (2e-8,)])
+    @pytest.mark.parametrize("t_min, grid_n", [(1e-6, 512), (1e-3, 256)])
+    def test_nan_and_infinite_regions(self, refine, probes, t_min, grid_n):
+        # warnings are errors in this suite: the scan stays quiet on rows
+        # without a finite value
+        args = (t_min, grid_n, probes, refine)
+        got = scan_extrema(patchy, *args)
+        assert repr(got) == repr(reference(patchy, *args))
+        no_finite = got[6:10]
+        assert all(lo.est_error == hi.est_error == math.inf for lo, hi in no_finite)
+        assert all(lo.offending_t == t_min for lo, _ in no_finite)
+        assert got[0][0].offending_t is None
+
+    @pytest.mark.parametrize("probes", [(), (0.25, 1e-9)])
+    @pytest.mark.parametrize("refine", [True, False])
+    def test_calls_h_once_per_grid_round_and_family(self, probes, refine):
+        calls = []
+        ratio = curvature_ratio(remark5_density(), [0.3, 0.9, 1.0])
+
+        def h(t):
+            calls.append(np.shape(t))
+            return ratio(t)
+
+        scan_extrema(h, probe_points=probes, refine=refine)
+        families = 1 + bool(probes)
+        assert len(calls) == 1 + (_ZOOM_ROUNDS if refine else 0) + families
+        assert calls[0] == (2048,)
+        if refine:
+            assert set(calls[1 : 1 + _ZOOM_ROUNDS]) == {(3, 62)}
+
+    @pytest.mark.parametrize("t_min, grid_n", [(1e-300, 260), (1e-200, 256)])
+    def test_stored_bracket_end(self, t_min, grid_n):
+        # On so coarse a log grid, lo + (hi - lo) need not round to hi.  A
+        # ramp that falls until the grid point b and jumps after it keeps
+        # picking the last sample below b, so every round's bracket ends at b.
+        ts = np.geomspace(t_min, 1.0, grid_n)
+        ts[0], ts[-1] = t_min, 1.0
+        i = np.flatnonzero(ts[:-2] + (ts[2:] - ts[:-2]) != ts[2:])[0]
+        b = ts[i + 2]
+
+        def h(t):
+            return np.where(np.asarray(t) < b, -np.asarray(t) / b, 10.0).reshape(1, -1)
+
+        got = scan_extrema(h, t_min, grid_n)
+        assert repr(got) == repr(reference(h, t_min, grid_n))
+        lo = got[0][0]
+        assert lo.refined and ts[i] < lo.arg < b
