@@ -69,6 +69,8 @@ def column_bounds(d: Density, rs, cfg: BoundsConfig | None = None) -> list[Coeff
     ok = (r > 0.0) & (r <= 1.0 + 1e-12)  # false for NaN too
     if not ok.all():
         raise ValueError(f"r must lie in (0, 1], got {float(r[np.argmin(ok)])!r}")
+    if not r.size:
+        return []
     r = np.minimum(r, 1.0)  # marginals carry float dust one ulp above 1
     s2 = d.eval_s2
     rt = r[:, None]

@@ -9,13 +9,19 @@ Catalog kinds (also the JSON wire tokens): "bg", "tsallis", "remark2",
 curvature -r(|cos(1/r)|+r), whose curvature half-ratio blows up along
 t_k = 1/((k+1/2)pi); remark5 integrates -log sin((pi/4) t), whose curvature
 half-ratio stays pinned inside [2, 1+sqrt(2)].
+
+remark2's s and s' read a panel table built on first use: a ladder of
+prefix integrals and, per panel, the antiderivative polynomial of the Gauss
+rule's node interpolant.  A point's panel comes from the ladder's closed
+form, and its partial panel from one Horner pass, so evaluation runs no
+trig except on the ten widest panels.
 """
 from __future__ import annotations
 
 import json
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -165,7 +171,9 @@ def tsallis_density(q: float) -> Density:
 
     def eval_s2(r):
         r = np.asarray(r, dtype=np.float64)
-        return -q * r ** (q - 2.0)
+        # r^(q-2) overflows to inf for tiny r when q < 2; inf is the value
+        with np.errstate(over="ignore"):
+            return -q * r ** (q - 2.0)
 
     return Density(
         label=f"tsallis(q={q:g})",
@@ -250,14 +258,41 @@ def remark5_density() -> Density:
 # most 0.43 b0^3, about 4e-13.
 _LADDER_CUTOFF = 1e-4
 _MEAN_ABS_COS = 2.0 / math.pi
-_REMARK2_TABLES: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
+# Points on the widest panels, j <= 10 (r >= 2/(10 pi) ~ 0.064), keep the
+# per-point Gauss rule.  There the integrated degree-11 interpolant of the
+# integrand strays from that rule by up to 1.3e-10 (j = 2) and still 1.5e-17
+# at j = 10; from j = 11 on it stays within 5e-18.
+_WIDE_PANELS = 10
 
 
-def _remark2_tables() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(breaks, G_prefix, H_prefix) with G = int u|cos(1/u)|, H = int u^2|cos(1/u)|.
+class _Remark2Tables(NamedTuple):
+    """The panel ladder of G = int u|cos(1/u)| and H = int u^2|cos(1/u)|.
 
-    breaks is ascending, ending at 1.0; prefix[i] holds the integral from 0 to
-    breaks[i].
+    breaks is ascending, ending at 1.0, with +inf appended; prefix_g[i] and
+    prefix_h[i] hold the integrals from 0 to breaks[i].  On the first
+    n_poly panels the integral from breaks[i] to r is a degree-12
+    polynomial in r - center[i]: coef[:, 0, i] holds its ascending
+    coefficients for G and coef[:, 1, i] those for H.
+    """
+
+    breaks: np.ndarray
+    prefix_g: np.ndarray
+    prefix_h: np.ndarray
+    j_max: int
+    n_poly: int
+    center: np.ndarray
+    coef: np.ndarray
+
+
+_REMARK2_TABLES: _Remark2Tables | None = None
+
+
+def _remark2_tables() -> _Remark2Tables:
+    """The ladder, built on first use from one Gauss-rule pass over its panels.
+
+    The rule's node values give both the prefix sums and, through the
+    interpolant at those nodes, each narrow panel's antiderivative
+    polynomial: (13, 2, 6 356) coefficients, about 1.3 MB.
     """
     global _REMARK2_TABLES
     if _REMARK2_TABLES is not None:
@@ -265,22 +300,57 @@ def _remark2_tables() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     j_max = int(math.floor(2.0 / (math.pi * _LADDER_CUTOFF)))
     j = np.arange(j_max, 0, -1, dtype=np.float64)
     breaks = np.concatenate([2.0 / (j * math.pi), [1.0]])
-    g_panels, h_panels = _kernels.osc_panel_moments(breaks[:-1], breaks[1:])
+    lo, hi = breaks[:-1], breaks[1:]
+    g_panels, h_panels, g_nodes, h_nodes = _kernels.osc_panel_moments(lo, hi)
     b0 = breaks[0]
     g_prefix = np.concatenate([[0.0], np.cumsum(g_panels)]) + _MEAN_ABS_COS * b0 * b0 / 2.0
     h_prefix = np.concatenate([[0.0], np.cumsum(h_panels)]) + _MEAN_ABS_COS * b0**3 / 3.0
-    _REMARK2_TABLES = (breaks, g_prefix, h_prefix)
+    # the integral over [lo, r] is half * A(x), x = (r - center) / half, with
+    # A the antiderivative of the node interpolant; fold half^(1 - k), from
+    # running powers of 1/half, into the coefficient of x^k to evaluate in
+    # r - center directly
+    n_poly = j_max - _WIDE_PANELS
+    half = 0.5 * (hi - lo)[:n_poly]
+    center = 0.5 * (hi + lo)[:n_poly]
+    anti = _kernels.gl12_antiderivative_matrix()
+    coef = np.empty((len(anti), 2, n_poly))
+    np.matmul(anti, g_nodes[:n_poly].T, out=coef[:, 0])
+    np.matmul(anti, h_nodes[:n_poly].T, out=coef[:, 1])
+    coef[0] *= half
+    inv = 1.0 / half
+    power = inv.copy()
+    for row in coef[2:]:
+        row *= power
+        power *= inv
+    _REMARK2_TABLES = _Remark2Tables(
+        np.append(breaks, math.inf), g_prefix, h_prefix, j_max, n_poly, center, coef
+    )
     return _REMARK2_TABLES
+
+
+def _remark2_panel(r: np.ndarray) -> np.ndarray:
+    """Ladder index of each r >= b0: searchsorted(breaks, r, "right") - 1.
+
+    Read off the closed form breaks[i] = 2/((j_max - i) pi), then moved by
+    one where an exact comparison with breaks says the estimate rounded
+    across a break.  NaN and r >= 1 map to the last break, j_max.
+    """
+    t = _remark2_tables()
+    est = t.j_max - np.ceil(2.0 / math.pi / r)
+    idx = np.fmax(np.fmin(est, t.j_max), 0.0).astype(np.intp)
+    idx -= t.breaks[idx] > r
+    idx += t.breaks[idx + 1] <= r
+    return idx
 
 
 def _remark2_moments(r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """G(r), H(r) for array r in [0, 1]: ladder prefix plus a partial panel."""
-    breaks, g_prefix, h_prefix = _remark2_tables()
+    t = _remark2_tables()
     r = np.asarray(r, dtype=np.float64)
     flat = np.atleast_1d(r).ravel()
     G = np.empty(flat.shape)
     H = np.empty(flat.shape)
-    below = flat < breaks[0]
+    below = flat < t.breaks[0]
     if below.any():
         rb = flat[below]
         G[below] = _MEAN_ABS_COS * rb * rb / 2.0
@@ -288,10 +358,17 @@ def _remark2_moments(r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     above = ~below
     if above.any():
         ra = flat[above]
-        idx = np.searchsorted(breaks, ra, side="right") - 1
-        pg, ph = _kernels.osc_panel_moments(breaks[idx], ra)
-        G[above] = g_prefix[idx] + pg
-        H[above] = h_prefix[idx] + ph
+        idx = _remark2_panel(ra)
+        # a point on a wide panel runs the last narrow panel's polynomial,
+        # finite on [b0, 1], and is overwritten by the Gauss rule
+        i = np.minimum(idx, t.n_poly - 1)
+        part = _kernels.horner_rows(np.take(t.coef, i, axis=2), ra - t.center[i])
+        wide = idx >= t.n_poly
+        if wide.any():
+            w = idx[wide]
+            part[:, wide] = _kernels.osc_panel_moments(t.breaks[w], ra[wide])[:2]
+        G[above] = t.prefix_g[idx] + part[0]
+        H[above] = t.prefix_h[idx] + part[1]
     return G.reshape(np.shape(r)), H.reshape(np.shape(r))
 
 
@@ -299,7 +376,8 @@ def remark2_density() -> Density:
     """Catalog density with curvature s''(r) = -r(|cos(1/r)| + r).
 
     s' and s come from the panel-ladder quadrature of s'' (absolute error
-    <= 1e-9; in practice ~1e-12), using s(r) = r s'(r) - int_0^r u s''(u) du.
+    <= 1e-9; in practice ~1e-12), using s(r) = r s'(r) - int_0^r u s''(u) du;
+    see ``_remark2_tables`` for how a point's partial panel is evaluated.
     The curvature half-ratio grows without bound along t_k = 1/((k+1/2) pi),
     which the probe_points expose to extremum scans.
     """

@@ -1,6 +1,6 @@
 """Reference numerics for the tests: quadrature, finite differences, a
-one-function view of the extremum scan, the plain extremum scan, and
-per-vector entropy loops.
+one-function view of the extremum scan, the plain extremum scan, remark2's
+panel ladder by the Gauss rule alone, and per-vector entropy loops.
 
 None of this runs in the package.  The two quadrature rules share no code
 path beyond the integrand, so the tests use them as independent oracles for
@@ -11,6 +11,7 @@ package's scan and batched evaluation must reproduce bit for bit.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
 
 import numpy as np
@@ -416,6 +417,45 @@ def reference_scan_extrema(
             )
         results.append(tuple(pair))
     return results
+
+
+# ---------------------------------------------------------------------------
+# remark2's panel ladder by the 12-node Gauss rule alone
+# ---------------------------------------------------------------------------
+
+
+def _gl12_moments(lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Integrals of u|cos(1/u)| and u^2|cos(1/u)| over each [lo_i, hi_i]."""
+    x, w = np.polynomial.legendre.leggauss(12)
+    half = 0.5 * (hi - lo)
+    u = 0.5 * (hi + lo)[:, None] + half[:, None] * x
+    f = u * np.abs(np.cos(1.0 / u))
+    return (f * w).sum(axis=1) * half, ((f * u) * w).sum(axis=1) * half
+
+
+@functools.lru_cache(maxsize=1)
+def gl12_remark2_ladder(cutoff: float = 1e-4) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(breaks, G prefix, H prefix) of remark2's ladder: breaks 2/(j pi) from
+    the first below cutoff up to 1.0, each prefix the panel sums plus the
+    [0, b0] tail through the 2/pi mean of |cos|."""
+    j_max = int(math.floor(2.0 / (math.pi * cutoff)))
+    j = np.arange(j_max, 0, -1, dtype=np.float64)
+    breaks = np.concatenate([2.0 / (j * math.pi), [1.0]])
+    g, h = _gl12_moments(breaks[:-1], breaks[1:])
+    b0 = breaks[0]
+    prefix_g = np.concatenate([[0.0], np.cumsum(g)]) + (2.0 / math.pi) * b0 * b0 / 2.0
+    prefix_h = np.concatenate([[0.0], np.cumsum(h)]) + (2.0 / math.pi) * b0**3 / 3.0
+    return breaks, prefix_g, prefix_h
+
+
+def gl12_remark2_moments(r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """G(r), H(r) for r in [b0, 1]: the ladder prefix up to r's panel, found
+    by searchsorted, plus the Gauss rule over the partial panel up to r."""
+    breaks, prefix_g, prefix_h = gl12_remark2_ladder()
+    r = np.asarray(r, dtype=np.float64)
+    idx = np.searchsorted(breaks, r, side="right") - 1
+    g, h = _gl12_moments(breaks[idx], r)
+    return prefix_g[idx] + g, prefix_h[idx] + h
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,14 @@
 import json
 import math
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import pytest
 
+import extenso
 from extenso.cli import main
 
 
@@ -308,13 +313,27 @@ class TestNonFiniteFlags:
             warnings.simplefilter("always")
             code, out = run_cli(["bounds", "--density", "tsallis", "--q", "0.1",
                                  "--r", "1e-300", "--r", "0.5"], capsys)
-        assert not [w for w in caught if not w.filename.endswith("densities.py")]
+        assert caught == []
         payload = json.loads(out, parse_constant=_reject_constant)
         assert code == 0
         lost, kept = payload["rows"]
         assert lost == {"r": 1e-300, "lower": None, "upper": None, "arg_inf": 1e-06,
                         "arg_sup": 1e-06, "divergent": True}
         assert kept["divergent"] is False and kept["lower"] == pytest.approx(0.5 ** 0.1)
+
+    def test_bounds_overflow_under_warnings_as_errors(self, capsys):
+        # the density's own overflow at r = 1e-300 is quiet, so a run that
+        # turns RuntimeWarning into an error prints the same payload
+        args = ["bounds", "--density", "tsallis", "--q", "0.1", "--r", "1e-300"]
+        src = str(Path(extenso.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        proc = subprocess.run(
+            [sys.executable, "-W", "error::RuntimeWarning", "-m", "extenso.cli", *args],
+            env=env, capture_output=True, text=True,
+        )
+        assert (proc.returncode, proc.stderr) == (0, "")
+        code, out = run_cli(args, capsys)
+        assert code == 0 and proc.stdout == out
 
 
 class TestImportSurface:

@@ -7,9 +7,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import extenso
-from extenso import _kernels
+from extenso import _kernels, densities
 from extenso.densities import (
     Density,
     DensityDomainError,
@@ -25,7 +27,14 @@ from extenso.densities import (
     tsallis_density,
 )
 from extenso.simplex import SimplexVector, marginal, random_joint
-from numeric_oracles import adaptive_quadrature, count_eval_s, entropy_one, uniform_vector
+from numeric_oracles import (
+    adaptive_quadrature,
+    count_eval_s,
+    entropy_one,
+    gl12_remark2_ladder,
+    gl12_remark2_moments,
+    uniform_vector,
+)
 
 # Frozen oracle values (high-precision quadrature computed ahead of the build;
 # the log-sin constant also has the closed form -2*Catalan/pi - log 2).
@@ -117,6 +126,12 @@ class TestTsallis:
         r = np.array([0.2, 0.7])
         np.testing.assert_allclose(d.eval_s2(r), -0.5 * r**-1.5, rtol=1e-14)
 
+    def test_curvature_overflow_is_quiet(self):
+        # r^(q-2) overflows for q < 2 and tiny r; the value is -inf, unwarned
+        with np.errstate(over="raise"):
+            vals = tsallis_density(0.1).eval_s2(np.array([1e-300, 0.5]))
+        assert vals[0] == -math.inf and vals[1] == -0.1 * 0.5**-1.9
+
 
 class TestRemark2:
     def test_curvature_at_ladder_zero(self):
@@ -153,6 +168,85 @@ class TestRemark2:
         d = remark2_density()
         assert d.probe_points[0] == pytest.approx(1.0 / (1.5 * math.pi))
         assert len(d.probe_points) >= 40
+
+
+B0 = float(gl12_remark2_ladder()[0][0])
+# points at or above this keep the per-point Gauss rule
+WIDE_CUT = 2.0 / (10 * math.pi)
+
+
+def break_neighbours() -> np.ndarray:
+    """Every ladder break and its float neighbours up to two steps away."""
+    breaks = gl12_remark2_ladder()[0]
+    out = [breaks]
+    for toward in (0.0, 2.0):
+        r = breaks
+        for _ in range(2):
+            r = np.nextafter(r, toward)
+            out.append(r)
+    return np.concatenate(out)
+
+
+class TestRemark2Ladder:
+    """The table-driven partial panels against the Gauss rule alone."""
+
+    def test_prefix_tables_match_gl12_rebuild(self):
+        breaks, prefix_g, prefix_h = gl12_remark2_ladder()
+        t = densities._remark2_tables()
+        assert t.breaks[:-1].tolist() == breaks.tolist()
+        assert t.prefix_g.tolist() == prefix_g.tolist()
+        assert t.prefix_h.tolist() == prefix_h.tolist()
+
+    def test_panel_index_is_searchsorted(self):
+        breaks = gl12_remark2_ladder()[0]
+        r = np.concatenate([break_neighbours(), [B0, 1.0]])
+        r = r[r >= B0]
+        want = np.searchsorted(breaks, r, side="right") - 1
+        assert densities._remark2_panel(r).tolist() == want.tolist()
+
+    def test_moments_near_every_break(self):
+        r = break_neighbours()
+        r = r[(r >= B0) & (r <= 1.0)]
+        G, H = densities._remark2_moments(r)
+        G_ref, H_ref = gl12_remark2_moments(r)
+        assert np.abs(G - G_ref).max() <= 1e-17
+        assert np.abs(H - H_ref).max() <= 1e-17
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.floats(min_value=B0, max_value=1.0))
+    def test_moments_against_gauss_rule(self, r):
+        (G,), (H,) = densities._remark2_moments(np.array([r]))
+        (G_ref,), (H_ref,) = gl12_remark2_moments(np.array([r]))
+        assert abs(G - G_ref) <= 1e-17
+        assert abs(H - H_ref) <= 1e-17
+        if r >= WIDE_CUT:
+            assert (G, H) == (G_ref, H_ref)
+
+    def test_log_uniform_sample_against_gauss_rule(self):
+        r = np.geomspace(B0, 1.0, 100_001)
+        G, H = densities._remark2_moments(r)
+        G_ref, H_ref = gl12_remark2_moments(r)
+        assert np.abs(G - G_ref).max() <= 1e-17
+        assert np.abs(H - H_ref).max() <= 1e-17
+        wide = r >= WIDE_CUT
+        assert G[wide].tolist() == G_ref[wide].tolist()
+        assert H[wide].tolist() == H_ref[wide].tolist()
+
+    def test_below_cutoff_is_the_mean_tail(self):
+        r = np.array([0.0, 1e-12, 3e-5, np.nextafter(B0, 0.0)])
+        G, H = densities._remark2_moments(r)
+        assert G.tolist() == (2.0 / math.pi * r * r / 2.0).tolist()
+        assert H.tolist() == (2.0 / math.pi * r**3 / 3.0).tolist()
+
+    @settings(max_examples=50, deadline=None)
+    @given(st.lists(st.floats(min_value=0.0, max_value=1.0), min_size=1, max_size=40))
+    def test_values_do_not_depend_on_the_batch(self, rs):
+        d = remark2_density()
+        x = np.array(rs)
+        for name in ("eval_s", "eval_s1"):
+            batch = getattr(d, name)(x)
+            for k in range(x.size):
+                assert batch[k] == getattr(d, name)(x[k : k + 1])[0]
 
 
 class TestRemark5:
