@@ -21,7 +21,6 @@ from .numerics import OptResult, scan_extrema
 __all__ = [
     "BoundsConfig",
     "CoefficientBounds",
-    "PhiFunction",
     "coefficient_bounds",
     "column_bounds",
     "phi_from_density",
@@ -120,22 +119,11 @@ def coefficient_bounds(d: Density, r: float, cfg: BoundsConfig | None = None) ->
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class PhiFunction:
-    """Positive nondecreasing deformation profile on (0, inf).
-
-    Given by -1/s'' on (0, 1] and continued linearly (continuous, with the
-    one-sided slope at 1) beyond 1.
-    """
-
-    eval_phi: Callable
-    label: str
-    domain_note: str = "-1/s'' on (0,1]; linear continuation beyond 1"
-
-
-def phi_from_density(d: Density) -> PhiFunction:
-    """Deformation profile phi = -1/s''; rejects curvature that is not
-    negative or a profile that fails to be nondecreasing on the sample grid."""
+def phi_from_density(d: Density) -> Callable:
+    """Deformation profile phi, vectorized: -1/s'' on (0, 1], continued
+    linearly beyond 1 with the one-sided slope at 1.  Rejects curvature that
+    is not negative or a profile that is not positive and nondecreasing on
+    the sample grid."""
     s2 = d.eval_s2
     grid = canonical_grid()
     vals = np.asarray(s2(grid), dtype=np.float64)
@@ -164,7 +152,7 @@ def phi_from_density(d: Density) -> PhiFunction:
         raise ValueError("phi not positive on the sample grid")
     if np.any(np.diff(pv) < -1e-10):
         raise ValueError("phi not nondecreasing on the sample grid")
-    return PhiFunction(eval_phi=eval_phi, label=f"phi[{d.label}]")
+    return eval_phi
 
 
 # theta's log grid over r; the odd count keeps r = 1 exactly on it
@@ -173,7 +161,7 @@ THETA_GRID_N = 2001
 THETA_EPS = (1e-4, 1e-5, 1e-6)  # forward steps relative to r
 
 
-def theta_phi(phi: PhiFunction) -> float:
+def theta_phi(phi: Callable) -> float:
     """Growth index: sup over r of (r/phi(r)) times the upper forward
     difference quotient of phi, the quotient maximized over an eps-ladder
     of steps eps*r (equals r phi'/phi for differentiable phi).
@@ -183,14 +171,14 @@ def theta_phi(phi: PhiFunction) -> float:
     Returns math.inf on overflow or non-finite quotients.
     """
     rs = np.geomspace(*THETA_R_RANGE, THETA_GRID_N)
-    base = np.asarray(phi.eval_phi(rs), dtype=np.float64)
+    base = np.asarray(phi(rs), dtype=np.float64)
     if not np.all(base > 0.0):
         return math.inf
     best = np.full(rs.shape, -np.inf)
     for eps in THETA_EPS:
         shifted = rs * (1.0 + eps)
         h_eff = shifted - rs  # exactly representable step
-        quot = (np.asarray(phi.eval_phi(shifted)) - base) / h_eff
+        quot = (np.asarray(phi(shifted)) - base) / h_eff
         best = np.maximum(best, quot)
     theta = (rs / base) * best
     if not np.all(np.isfinite(theta)):

@@ -26,7 +26,6 @@ from .densities import (
 )
 from .extensivity import (
     axiom_suite,
-    batch_report,
     extensivity_residual,
     iff_counterexample_matrix,
     iff_lhs,
@@ -54,8 +53,8 @@ def _add_batch_args(p: argparse.ArgumentParser) -> None:
 
 
 def _add_numeric_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--t-min", type=float, default=1e-6)
-    p.add_argument("--grid-n", type=int, default=2048)
+    p.add_argument("--t-min", type=float, default=BoundsConfig.t_min)
+    p.add_argument("--grid-n", type=int, default=BoundsConfig.grid_n)
     p.add_argument("--tolerance", type=float, default=None)
 
 
@@ -180,6 +179,7 @@ def _validate(args, parser: argparse.ArgumentParser) -> None:
         ("grid_n", lambda v: v >= 256, ">= 256"),
         ("t_min", lambda v: 0.0 < v < 1.0, "in (0, 1)"),
         ("k_max", lambda v: v >= 1, ">= 1"),
+        ("max_size", lambda v: v >= 2, ">= 2"),
         ("tolerance", lambda v: v >= 0.0, ">= 0"),
     ]
     for name, ok, want in checks:
@@ -191,6 +191,26 @@ def _validate(args, parser: argparse.ArgumentParser) -> None:
 def _finite_or_none(x: float) -> float | None:
     """JSON has no NaN or Infinity: an undefined summary value is null."""
     return x if math.isfinite(x) else None
+
+
+def batch_report(density_label: str, check: str, seed: int, outcomes: list[str], slacks: list[float]) -> dict:
+    """Summary dict in the stable report schema of the batch commands.
+
+    outcomes are per-instance verdict strings ('pass'/'fail'/'divergent');
+    worst_slack is the minimum finite slack across instances (None when
+    there is none).
+    """
+    finite_slacks = [s for s in slacks if math.isfinite(s)]
+    return {
+        "density": density_label,
+        "check": check,
+        "instances": len(outcomes),
+        "pass_count": sum(1 for o in outcomes if o == "pass"),
+        "fail_count": sum(1 for o in outcomes if o == "fail"),
+        "divergent_count": sum(1 for o in outcomes if o == "divergent"),
+        "worst_slack": min(finite_slacks) if finite_slacks else None,
+        "seed": seed,
+    }
 
 
 # ---------------------------------------------------------------------------

@@ -31,14 +31,11 @@ from .simplex import SimplexVector
 __all__ = [
     "Density",
     "EntropyFunctional",
-    "DensityDomainError",
     "bg_density",
     "tsallis_density",
     "remark2_density",
     "remark5_density",
-    "shifted_density",
     "entropy",
-    "entropies",
     "slice_entropies",
     "density_from_spec",
     "canonical_grid",
@@ -77,17 +74,9 @@ class EntropyFunctional:
     density: Density
 
 
-def canonical_grid(n: int = 2048) -> np.ndarray:
-    """The sampling grid {k/n : 1 <= k <= n} over (0, 1]."""
-    return np.arange(1, n + 1, dtype=np.float64) / n
-
-
-def entropies(F: EntropyFunctional, vectors: Sequence[SimplexVector]) -> list[float]:
-    """[S(p) for p in vectors]: ``slice_entropies`` over their concatenation."""
-    if not vectors:
-        return []
-    flat = np.concatenate([p.entries for p in vectors])
-    return slice_entropies(F, flat, [p.entries.size for p in vectors])
+def canonical_grid() -> np.ndarray:
+    """The sampling grid {k/2048 : 1 <= k <= 2048} over (0, 1]."""
+    return np.arange(1, 2049, dtype=np.float64) / 2048
 
 
 def slice_entropies(F: EntropyFunctional, flat: np.ndarray, lengths: Sequence[int]) -> list[float]:
@@ -114,8 +103,8 @@ def slice_entropies(F: EntropyFunctional, flat: np.ndarray, lengths: Sequence[in
 
 
 def entropy(F: EntropyFunctional, p: SimplexVector) -> float:
-    """S(p) = sum_j s(p_j): the one-vector case of ``entropies``."""
-    return entropies(F, [p])[0]
+    """S(p) = sum_j s(p_j): the one-slice case of ``slice_entropies``."""
+    return slice_entropies(F, p.entries, [p.n])[0]
 
 
 # ---------------------------------------------------------------------------
@@ -156,18 +145,27 @@ def tsallis_density(q: float) -> Density:
     Summed over a probability vector this equals (1 - sum p_j^q)/(q - 1)
     because the entries sum to 1, and it satisfies s(0) = s(1) = 0.
     s''(r) = -q r^(q-2).
+
+    s and s' use expm1 of a multiple of log r, exact to rounding as q nears
+    1, where r - r^q cancels.  For s that argument is never positive:
+    s = -r expm1((q-1) log r)/(q-1) for q > 1, r^q expm1((1-q) log r)/(q-1)
+    for q < 1, and log is taken at 1 for r = 0, where s is 0.
     """
     q = float(q)
     if not 0.0 < q < math.inf or q == 1.0:
         raise ValueError(f"q must be finite, > 0 and != 1, got {q!r}")
+    qm1 = q - 1.0
 
     def eval_s(r):
         r = np.asarray(r, dtype=np.float64)
-        return (r - r**q) / (q - 1.0)
+        log_r = np.log(np.where(r > 0.0, r, 1.0))
+        if qm1 > 0.0:
+            return -r * np.expm1(qm1 * log_r) / qm1
+        return r**q * np.expm1(-qm1 * log_r) / qm1
 
     def eval_s1(r):
         r = np.asarray(r, dtype=np.float64)
-        return (1.0 - q * r ** (q - 1.0)) / (q - 1.0)
+        return -q * np.expm1(qm1 * np.log(r)) / qm1 - 1.0
 
     def eval_s2(r):
         r = np.asarray(r, dtype=np.float64)
@@ -415,47 +413,26 @@ def remark2_density() -> Density:
 
 
 # ---------------------------------------------------------------------------
-# combinators
-# ---------------------------------------------------------------------------
-
-
-def shifted_density(d: Density) -> Density:
-    """r -> s(r) - s(1) r: kills the value at 1, keeps the curvature.
-
-    Joint-minus-marginal entropy differences are invariant under this shift.
-    """
-    s1_val = float(np.asarray(d.eval_s(1.0), dtype=np.float64))
-
-    def eval_s(r):
-        r = np.asarray(r, dtype=np.float64)
-        return np.asarray(d.eval_s(r)) - s1_val * r
-
-    def eval_s1(r):
-        return np.asarray(d.eval_s1(r)) - s1_val
-
-    return Density(
-        label=f"shifted({d.label})",
-        eval_s=eval_s,
-        eval_s1=eval_s1,
-        eval_s2=d.eval_s2,
-        s0_zero=d.s0_zero,
-        s1_zero=True,
-        concave=d.concave,
-        params=dict(d.params, shift=s1_val),
-        probe_points=d.probe_points,
-    )
-
-
-# ---------------------------------------------------------------------------
 # JSON density specs: {"kind": "...", "params": {...}}
 # ---------------------------------------------------------------------------
 
 _CATALOG = {
     "bg": lambda params: bg_density(),
-    "tsallis": lambda params: tsallis_density(params["q"]),
+    "tsallis": lambda params: tsallis_density(_number(params, "q")),
     "remark2": lambda params: remark2_density(),
     "remark5": lambda params: remark5_density(),
 }
+
+
+def _number(params: Mapping, name: str) -> float:
+    """params[name] as a float; a JSON number only, so no string or bool."""
+    value = params[name]
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"density parameter {name!r} must be a number, got {value!r}")
+    try:
+        return float(value)
+    except OverflowError:  # an integer literal beyond the float range
+        raise ValueError(f"density parameter {name!r} is out of range") from None
 
 
 def density_from_spec(spec: str | Mapping) -> Density:
@@ -465,9 +442,11 @@ def density_from_spec(spec: str | Mapping) -> Density:
     if not isinstance(spec, Mapping):
         raise ValueError("a density spec must be a JSON object")
     kind = spec.get("kind")
-    if kind not in _CATALOG:
+    if not isinstance(kind, str) or kind not in _CATALOG:
         raise ValueError(f"unknown density kind {kind!r}; expected one of {sorted(_CATALOG)}")
-    params = spec.get("params", {}) or {}
+    params = spec.get("params", {})
+    if not isinstance(params, Mapping):
+        raise ValueError(f"density params must be a JSON object, got {params!r}")
     try:
         return _CATALOG[kind](params)
     except KeyError as e:

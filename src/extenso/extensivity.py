@@ -12,7 +12,6 @@ exponent and closed-form reconstruction are then reported.
 """
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -33,21 +32,14 @@ from .simplex import (  # noqa: F401
 )
 
 __all__ = [
-    "SandwichReport",
-    "PowerRecovery",
-    "Reconstruction",
-    "AxiomReport",
     "extensivity_residual",
     "sandwich_check",
     "iff_lhs",
     "recover_f",
-    "check_twice_equation",
-    "three_by_two_family",
     "iff_counterexample_matrix",
     "axiom_suite",
     "monotonicity_check",
     "power_coefficient",
-    "batch_report",
 ]
 
 
@@ -329,72 +321,34 @@ def recover_f(d: Density) -> PowerRecovery:
     return PowerRecovery(q_est, consistency, defect, "power", recon)
 
 
-def three_by_two_family(r: float, xi: float, x: float) -> JointMatrix:
-    """The 3x2 construction behind the twice-differentiated relation.
-
-    Column 1 holds (rx, r(xi - x), r(1 - xi)); column 2 is uniform mass
-    (1-r)/3.  Differentiating the chain rule twice in x over this family
-    isolates the curvature relation tested by check_twice_equation.
-    """
-    if not (0.0 < x < xi <= 1.0):
-        raise ValueError(f"need 0 < x < xi <= 1, got x={x!r}, xi={xi!r}")
-    if not 0.0 < r < 1.0:
-        raise ValueError(f"need r in (0, 1), got {r!r}")
-    col2 = (1.0 - r) / 3.0
-    return JointMatrix(
-        [
-            [r * x, col2],
-            [r * (xi - x), col2],
-            [r * (1.0 - xi), col2],
-        ]
-    )
-
-
-def check_twice_equation(
-    d: Density, f_candidate: Callable[[float], float], r: float, xi: float, x: float
-) -> float:
-    """Residual of r^2 {s''(rx) + s''(r(xi-x))} = f(r) {s''(x) + s''(xi-x)}.
-
-    Vanishes for all admissible (r, xi, x) iff f_candidate matches the
-    density's coefficient law; x = xi/2 reduces it to the single-ratio form
-    f(r)/r^2 = s''(r xi/2)/s''(xi/2).
-    """
-    if not (0.0 < x < xi <= 1.0):
-        raise ValueError(f"need 0 < x < xi <= 1, got x={x!r}, xi={xi!r}")
-    if not 0.0 < r < 1.0:
-        raise ValueError(f"need r in (0, 1), got {r!r}")
-    s2 = d.eval_s2
-    lhs = r * r * (float(np.asarray(s2(r * x))) + float(np.asarray(s2(r * (xi - x)))))
-    rhs = f_candidate(r) * (float(np.asarray(s2(x))) + float(np.asarray(s2(xi - x))))
-    return lhs - rhs
-
-
 # ---------------------------------------------------------------------------
 # axiom property suite and monotonicity
 # ---------------------------------------------------------------------------
+
+
+# the continuity check's mixing weights, largest first, and their labels
+_EPS_LADDER = (1e-3, 1e-5, 1e-7)
+_EPS_LABELS = tuple(f"{eps:g}" for eps in _EPS_LADDER)
 
 
 @dataclass(frozen=True, slots=True)
 class AxiomReport:
     """Verdicts of one axiom suite.
 
-    levels[k] is the observed continuity modulus L(eps) at eps_seq[k], and
-    eps_labels[k] is f"{eps:g}".  Reports of one eps ladder share a single
-    label tuple, and slots keep each report small: batch callers hold
-    thousands of them.
+    levels[k] is the observed continuity modulus L(eps) at _EPS_LADDER[k].
+    Slots keep each report small: batch callers hold thousands of them.
     """
 
     continuity: bool
     maximality: bool
     expandability: bool
-    eps_labels: tuple[str, ...]
     levels: tuple[float, ...]
     worst_maximality_gap: float
 
     @property
     def modulus(self) -> dict:
-        """{label: L(eps)} in ladder order."""
-        return dict(zip(self.eps_labels, self.levels))
+        """{f"{eps:g}": L(eps)} in ladder order."""
+        return dict(zip(_EPS_LABELS, self.levels))
 
     @property
     def all_pass(self) -> bool:
@@ -411,17 +365,11 @@ class AxiomReport:
         }
 
 
-@functools.lru_cache(maxsize=16)
-def _eps_labels(eps_seq: tuple[float, ...]) -> tuple[str, ...]:
-    return tuple(f"{eps:g}" for eps in eps_seq)
-
-
 def axiom_suite(
     F: EntropyFunctional,
     sizes: Sequence[int] = tuple(range(2, 9)),
     seed: int = 0,
     trials: int = 200,
-    eps_seq: tuple[float, ...] = (1e-3, 1e-5, 1e-7),
 ) -> AxiomReport:
     """Empirical check of continuity, maximality, and expandability.
 
@@ -433,13 +381,13 @@ def axiom_suite(
     """
     if not F.density.s0_zero:
         raise ValueError("axiom suite needs the s(0) = 0 convention")
-    if not eps_seq:
-        raise ValueError("eps_seq must hold at least one eps")
-    if min(sizes, default=1) < 1:
+    if not len(sizes):
+        raise ValueError("sizes must hold at least one size")
+    if min(sizes) < 1:
         raise InvalidDistributionError("n must be >= 1")
     rng = np.random.default_rng(seed)
-    k = len(eps_seq)
-    eps = np.asarray(eps_seq, dtype=np.float64)[:, None, None]
+    k = len(_EPS_LADDER)
+    eps = np.asarray(_EPS_LADDER, dtype=np.float64)[:, None, None]
     # All sizes share one zero-padded layout: rows of width max(sizes) + 1
     # with a size-n vector in columns :n.  A zero column is always spare, so
     # each p row also serves as p with a zero appended.
@@ -490,7 +438,6 @@ def axiom_suite(
         continuity=continuity_ok,
         maximality=maximality_ok,
         expandability=expandability_ok,
-        eps_labels=_eps_labels(tuple(eps_seq)),
         levels=levels,
         worst_maximality_gap=worst_gap,
     )
@@ -505,35 +452,3 @@ def monotonicity_check(F: EntropyFunctional, P: JointMatrix) -> bool:
     flat = np.concatenate([P.entries.ravel(), p.entries])
     s_joint, s_marg = slice_entropies(F, flat, [P.entries.size, p.n])
     return s_joint - s_marg >= -1e-10
-
-
-# ---------------------------------------------------------------------------
-# batch report schema shared with the CLI
-# ---------------------------------------------------------------------------
-
-
-def batch_report(
-    density_label: str,
-    check: str,
-    seed: int,
-    outcomes: Sequence[str],
-    slacks: Sequence[float],
-) -> dict:
-    """Summary dict in the stable report schema.
-
-    outcomes are per-instance verdict strings ('pass'/'fail'/'divergent');
-    worst_slack is the minimum finite slack across instances (None when
-    there is none).
-    """
-    outcomes = list(outcomes)
-    finite_slacks = [s for s in slacks if math.isfinite(s)]
-    return {
-        "density": density_label,
-        "check": check,
-        "instances": len(outcomes),
-        "pass_count": sum(1 for o in outcomes if o == "pass"),
-        "fail_count": sum(1 for o in outcomes if o == "fail"),
-        "divergent_count": sum(1 for o in outcomes if o == "divergent"),
-        "worst_slack": min(finite_slacks) if finite_slacks else None,
-        "seed": seed,
-    }

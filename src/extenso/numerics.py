@@ -60,6 +60,8 @@ _LANE_SIGN = _SIGN[:, None]
 _LADDER_K = 40
 _LADDER = 2.0 ** -np.arange(1, _LADDER_K + 1, dtype=np.float64)
 _LADDER.flags.writeable = False
+# A probe family's trend is judged on its last _TREND_WINDOW finite values.
+_TREND_WINDOW = 8
 # Offsets of a grid lane's left neighbour, itself and its right neighbour.
 _NEIGHBOURS = np.array([-1, 0, 1])
 
@@ -109,18 +111,18 @@ def _zoom(h, lo: np.ndarray, hi: np.ndarray, value: np.ndarray, arg: np.ndarray)
     return _SIGN * best, arg
 
 
-def _trend_labels(values: np.ndarray, window: int = 8) -> tuple[str, str]:
+def _trend_labels(values: np.ndarray) -> tuple[str, str]:
     """Trend of h along a probe family ordered by decreasing t, judged for
     the infimum and for the supremum.
 
-    'diverging' means the last `window` values move monotonically in the
+    'diverging' means the last _TREND_WINDOW values move monotonically in the
     unbounded direction for the given mode and the move has not slowed below
     5% of scale: the limit-style growth a fixed grid would miss.
     """
     v = values[np.isfinite(values)]
-    if v.size < window + 1:
+    if v.size < _TREND_WINDOW + 1:
         return "short", "short"
-    w = v[-window:].tolist()
+    w = v[-_TREND_WINDOW:].tolist()
     d = [b - a for a, b in zip(w, w[1:])]
     away = abs(w[-1] - w[0]) > max(1e-9, 0.05 * abs(w[0]))
     if all(x > 0 for x in d):
@@ -153,8 +155,8 @@ def _neighbourhood(vs: np.ndarray, idx: np.ndarray) -> tuple[np.ndarray, np.ndar
 
 def scan_extrema(
     h,
-    t_min: float = 1e-6,
-    grid_n: int = 2048,
+    t_min: float,
+    grid_n: int,
     probe_points: tuple[float, ...] = (),
     refine: bool = True,
 ) -> list[tuple[OptResult, OptResult]]:

@@ -7,14 +7,25 @@ construction because every downstream operation conditions on columns.
 from __future__ import annotations
 
 import functools
-import json
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
+__all__ = [
+    "InvalidDistributionError",
+    "RandomGenerationError",
+    "SimplexVector",
+    "JointMatrix",
+    "check_rows",
+    "marginal",
+    "conditional",
+    "random_joint",
+]
+
 SUM_TOL = 1e-12  # absolute tolerance on probability sums (<= 1e4 entries)
 MIN_MARGINAL = 1e-9  # columns with smaller mass are rejected at construction
+_MAX_DRAWS = 64  # random_joint gives up after this many draws
 
 
 class InvalidDistributionError(ValueError):
@@ -85,10 +96,6 @@ class SimplexVector:
         return float(self.entries[i])
 
 
-class ConditionalColumn(SimplexVector):
-    """Distribution of the row variable given a fixed column outcome."""
-
-
 @dataclass(frozen=True, eq=False)
 class JointMatrix:
     """An m x n joint distribution with strictly positive column marginals."""
@@ -138,21 +145,15 @@ def marginal(P: JointMatrix) -> SimplexVector:
     return P._marginal
 
 
-def conditional(P: JointMatrix, j: int) -> ConditionalColumn:
+def conditional(P: JointMatrix, j: int) -> SimplexVector:
     """Column j (1-based) normalized by its marginal."""
     if not 1 <= j <= P.n:
         raise IndexError(f"column index {j} outside 1..{P.n}")
     col = P.entries[:, j - 1]
-    return ConditionalColumn(col / P.column_marginals[j - 1])
+    return SimplexVector(col / P.column_marginals[j - 1])
 
 
-def random_joint(
-    m: int,
-    n: int,
-    seed: int,
-    concentration: float = 1.0,
-    max_retries: int = 64,
-) -> JointMatrix:
+def random_joint(m: int, n: int, seed: int, concentration: float = 1.0) -> JointMatrix:
     """Seeded Dirichlet-style joint matrix; resamples thin columns.
 
     Gamma draws with the given shape parameter are normalized over all m*n
@@ -166,7 +167,7 @@ def random_joint(
     if not concentration > 0.0:
         raise InvalidDistributionError("concentration must be > 0")
     rng = np.random.default_rng(seed)
-    for _ in range(max_retries):
+    for _ in range(_MAX_DRAWS):
         g = rng.gamma(shape=concentration, scale=1.0, size=(m, n))
         total = math.fsum(g.ravel().tolist())
         if total <= 0.0:
@@ -175,64 +176,6 @@ def random_joint(
         if g.sum(axis=0).min() >= MIN_MARGINAL:
             return JointMatrix(g)
     raise RandomGenerationError(
-        f"no valid joint matrix after {max_retries} draws "
+        f"no valid joint matrix after {_MAX_DRAWS} draws "
         f"(m={m}, n={n}, concentration={concentration})"
     )
-
-
-def joint_from_marginal_and_conditionals(
-    p: SimplexVector, cols: list[ConditionalColumn] | list[SimplexVector]
-) -> JointMatrix:
-    """Inverse of factorization: p^i_j = cols[j][i] * p_j."""
-    if len(cols) != p.n:
-        raise InvalidDistributionError(f"need {p.n} conditional columns, got {len(cols)}")
-    if np.any(p.entries <= 0.0):
-        raise InvalidDistributionError("marginal entries must be strictly positive")
-    m = cols[0].n
-    if any(c.n != m for c in cols):
-        raise InvalidDistributionError("conditional columns must share one length")
-    grid = np.empty((m, p.n))
-    for j, c in enumerate(cols):
-        grid[:, j] = c.entries * p.entries[j]
-    return JointMatrix(grid)
-
-
-# ---------------------------------------------------------------------------
-# serialization: round-trips through decimal at full float precision
-# ---------------------------------------------------------------------------
-
-
-def joint_to_csv(P: JointMatrix) -> str:
-    lines = [f"{P.m},{P.n}"]
-    for row in P.entries:
-        lines.append(",".join(repr(float(v)) for v in row))
-    return "\n".join(lines) + "\n"
-
-
-def joint_from_csv(text: str) -> JointMatrix:
-    lines = [ln for ln in text.strip().splitlines() if ln.strip()]
-    if not lines:
-        raise InvalidDistributionError("empty CSV")
-    header = lines[0].split(",")
-    if len(header) != 2:
-        raise InvalidDistributionError("CSV header must be 'm,n'")
-    m, n = int(header[0]), int(header[1])
-    if len(lines) != m + 1:
-        raise InvalidDistributionError(f"expected {m} data rows, got {len(lines) - 1}")
-    grid = np.array([[float(v) for v in ln.split(",")] for ln in lines[1:]])
-    if grid.shape != (m, n):
-        raise InvalidDistributionError(f"data shape {grid.shape} does not match header")
-    return JointMatrix(grid)
-
-
-def joint_to_json(P: JointMatrix) -> str:
-    payload = {"m": P.m, "n": P.n, "entries": [[float(v) for v in row] for row in P.entries]}
-    return json.dumps(payload, sort_keys=True)
-
-
-def joint_from_json(text: str) -> JointMatrix:
-    payload = json.loads(text)
-    grid = np.array(payload["entries"], dtype=np.float64)
-    if grid.shape != (payload["m"], payload["n"]):
-        raise InvalidDistributionError("entries shape does not match m, n")
-    return JointMatrix(grid)

@@ -1,6 +1,9 @@
 """Reference numerics for the tests: quadrature, finite differences, a
 one-function view of the extremum scan, the plain extremum scan, remark2's
-panel ladder by the Gauss rule alone, and per-vector entropy loops.
+panel ladder by the Gauss rule alone, per-vector entropy loops, and the
+test-only constructions: a joint rebuilt from its factors, the shifted
+density and the 3x2 family behind the twice-differentiated curvature
+relation.
 
 None of this runs in the package.  The two quadrature rules share no code
 path beyond the integrand, so the tests use them as independent oracles for
@@ -13,11 +16,12 @@ from __future__ import annotations
 import dataclasses
 import functools
 import math
+from typing import Callable
 
 import numpy as np
 
 from extenso.bounds import column_bounds
-from extenso.densities import DensityDomainError
+from extenso.densities import Density, DensityDomainError
 from extenso.extensivity import _require_sandwich_flags
 from extenso.numerics import (
     _LADDER_K,
@@ -28,7 +32,14 @@ from extenso.numerics import (
     _trend_labels,
     scan_extrema,
 )
-from extenso.simplex import SUM_TOL, InvalidDistributionError, SimplexVector, conditional, marginal
+from extenso.simplex import (
+    SUM_TOL,
+    InvalidDistributionError,
+    JointMatrix,
+    SimplexVector,
+    conditional,
+    marginal,
+)
 
 
 class NoConvergenceError(ArithmeticError):
@@ -610,3 +621,81 @@ def reference_axiom_suite(F, sizes, seed, trials, eps_seq=(1e-3, 1e-5, 1e-7)) ->
         "worst_maximality_gap": worst_gap,
         "all_pass": continuity_ok and maximality_ok and expandability_ok,
     }
+
+
+# ---------------------------------------------------------------------------
+# test-only constructions
+# ---------------------------------------------------------------------------
+
+
+def rebuild(P) -> np.ndarray:
+    """The joint's entries from its factors: column j is conditional(P, j) * p_j."""
+    cols = [conditional(P, j).entries for j in range(1, P.n + 1)]
+    return np.stack(cols, axis=1) * marginal(P).entries
+
+
+def shifted_density(d: Density) -> Density:
+    """r -> s(r) - s(1) r: kills the value at 1, keeps the curvature.
+
+    Joint-minus-marginal entropy differences are invariant under this shift.
+    """
+    s1_val = float(np.asarray(d.eval_s(1.0), dtype=np.float64))
+
+    def eval_s(r):
+        r = np.asarray(r, dtype=np.float64)
+        return np.asarray(d.eval_s(r)) - s1_val * r
+
+    def eval_s1(r):
+        return np.asarray(d.eval_s1(r)) - s1_val
+
+    return Density(
+        label=f"shifted({d.label})",
+        eval_s=eval_s,
+        eval_s1=eval_s1,
+        eval_s2=d.eval_s2,
+        s0_zero=d.s0_zero,
+        s1_zero=True,
+        concave=d.concave,
+        params=dict(d.params, shift=s1_val),
+        probe_points=d.probe_points,
+    )
+
+
+def three_by_two_family(r: float, xi: float, x: float) -> JointMatrix:
+    """The 3x2 construction behind the twice-differentiated relation.
+
+    Column 1 holds (rx, r(xi - x), r(1 - xi)); column 2 is uniform mass
+    (1-r)/3.  Differentiating the chain rule twice in x over this family
+    isolates the curvature relation tested by check_twice_equation.
+    """
+    if not (0.0 < x < xi <= 1.0):
+        raise ValueError(f"need 0 < x < xi <= 1, got x={x!r}, xi={xi!r}")
+    if not 0.0 < r < 1.0:
+        raise ValueError(f"need r in (0, 1), got {r!r}")
+    col2 = (1.0 - r) / 3.0
+    return JointMatrix(
+        [
+            [r * x, col2],
+            [r * (xi - x), col2],
+            [r * (1.0 - xi), col2],
+        ]
+    )
+
+
+def check_twice_equation(
+    d: Density, f_candidate: Callable[[float], float], r: float, xi: float, x: float
+) -> float:
+    """Residual of r^2 {s''(rx) + s''(r(xi-x))} = f(r) {s''(x) + s''(xi-x)}.
+
+    Vanishes for all admissible (r, xi, x) iff f_candidate matches the
+    density's coefficient law; x = xi/2 reduces it to the single-ratio form
+    f(r)/r^2 = s''(r xi/2)/s''(xi/2).
+    """
+    if not (0.0 < x < xi <= 1.0):
+        raise ValueError(f"need 0 < x < xi <= 1, got x={x!r}, xi={xi!r}")
+    if not 0.0 < r < 1.0:
+        raise ValueError(f"need r in (0, 1), got {r!r}")
+    s2 = d.eval_s2
+    lhs = r * r * (float(np.asarray(s2(r * x))) + float(np.asarray(s2(r * (xi - x)))))
+    rhs = f_candidate(r) * (float(np.asarray(s2(x))) + float(np.asarray(s2(xi - x))))
+    return lhs - rhs

@@ -202,26 +202,26 @@ class TestPhi:
         phi = phi_from_density(remark5_density())
         r = np.linspace(0.05, 1.0, 64)
         np.testing.assert_allclose(
-            phi.eval_phi(r), (4.0 / math.pi) * np.tan(np.pi * r / 4.0), rtol=1e-12
+            phi(r), (4.0 / math.pi) * np.tan(np.pi * r / 4.0), rtol=1e-12
         )
-        assert phi.eval_phi(1.0) == pytest.approx(4.0 / math.pi, rel=1e-12)
+        assert phi(1.0) == pytest.approx(4.0 / math.pi, rel=1e-12)
 
     def test_remark5_linear_continuation(self):
         phi = phi_from_density(remark5_density())
         # slope 2 continuation: 2(r-1) + 4/pi
         for r in (1.5, 2.0, 5.0):
-            assert phi.eval_phi(r) == pytest.approx(2.0 * (r - 1.0) + 4.0 / math.pi, abs=1e-8)
+            assert phi(r) == pytest.approx(2.0 * (r - 1.0) + 4.0 / math.pi, abs=1e-8)
 
     def test_bg_identity(self):
         phi = phi_from_density(bg_density())
         r = np.linspace(0.1, 1.0, 16)
-        np.testing.assert_allclose(phi.eval_phi(r), r, rtol=1e-12)
+        np.testing.assert_allclose(phi(r), r, rtol=1e-12)
 
     def test_tsallis_closed_form(self):
         q = 0.5
         phi = phi_from_density(tsallis_density(q))
         r = np.linspace(0.1, 1.0, 16)
-        np.testing.assert_allclose(phi.eval_phi(r), r ** (2.0 - q) / q, rtol=1e-12)
+        np.testing.assert_allclose(phi(r), r ** (2.0 - q) / q, rtol=1e-12)
 
     def test_rejects_nonconcave(self):
         convex = Density(

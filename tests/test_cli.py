@@ -1,6 +1,8 @@
+import importlib
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -111,6 +113,18 @@ class TestResidual:
         assert code == 1
         assert payload["fail_count"] == 5
 
+    @pytest.mark.parametrize("dq", [1e-8, -1e-8, -1e-7, 1e-12])
+    def test_tsallis_near_one(self, dq, capsys):
+        # s = (r - r^q)/(q - 1) loses about -log10|q - 1| digits to
+        # cancellation; the expm1 form keeps the residual at rounding level
+        code, payload = run_json(
+            ["residual", "--density", "tsallis", "--q", repr(1.0 + dq),
+             "--m", "6", "--n", "6", "--instances", "50", "--seed", "1"],
+            capsys,
+        )
+        assert (code, payload["pass_count"]) == (0, 50)
+        assert payload["tolerance"] == 1e-10
+
 
 class TestBounds:
     def test_grid_json(self, capsys):
@@ -200,7 +214,7 @@ class TestStrictJson:
             (["verify-sandwich", "--density", "remark5", "--instances", "0"], "worst_slack"),
             (["verify-sandwich", "--density", "remark5", "--instances", "0"], "worst_bound_gap"),
             (["residual", "--density", "bg", "--instances", "0"], "max_abs_residual"),
-            (["axioms", "--density", "remark5", "--max-size", "1"], "worst_maximality_gap"),
+            (["axioms", "--density", "remark5", "--instances", "0"], "worst_maximality_gap"),
         ],
     )
     def test_undefined_summary_is_null(self, args, key, capsys):
@@ -233,6 +247,12 @@ class TestUsageErrors:
             ["recover-f", "--density-spec", '{"kind": "nope"}'],
             ["recover-f", "--density-spec", "[1, 2]"],
             ["recover-f", "--density-spec", "@no-such-spec.json"],
+            ["recover-f", "--density-spec", '{"kind":["bg"]}'],
+            ["recover-f", "--density-spec", '{"kind":"tsallis","params":{"q":null}}'],
+            ["recover-f", "--density-spec", '{"kind":"tsallis","params":[1]}'],
+            ["recover-f", "--density-spec", '{"kind":"tsallis","params":{"q":"2"}}'],
+            ["axioms", "--density", "remark5", "--max-size", "1"],
+            ["axioms", "--density", "remark5", "--max-size", "0"],
             ["recover-f", "--density", "tsallis", "--q", "1"],
             ["verify-sandwich", "--density", "remark2"],
             ["theta-phi", "--density", "remark2"],
@@ -379,3 +399,26 @@ class TestImportSurface:
         assert extensivity.entropy is densities.entropy
         assert extensivity.marginal is simplex.marginal
         assert extensivity.conditional is simplex.conditional
+
+
+class TestShippedSurface:
+    """The package ships only what the CLI, the acceptance suite or the
+    benchmark runs: every exported name has a caller outside the tests."""
+
+    def test_every_exported_name_has_a_caller(self):
+        src = Path(extenso.__file__).resolve().parent
+        root = src.parents[1]
+        unused = {}
+        for name in ("simplex", "densities", "numerics", "bounds", "extensivity"):
+            mod = importlib.import_module(f"extenso.{name}")
+            names = getattr(mod, "__all__", None)
+            if names is None:  # no declared surface: every public callable it defines
+                names = [n for n, v in vars(mod).items()
+                         if callable(v) and getattr(v, "__module__", None) == mod.__name__ and not n.startswith("_")]
+            callers = [p for p in src.glob("*.py") if p.stem != name]
+            callers += [root / "tests" / "test_acceptance.py", *sorted((root / "perfbench").glob("*.py"))]
+            text = "\n".join(p.read_text(encoding="utf-8") for p in callers)
+            missing = [n for n in names if not re.search(rf"\b{re.escape(n)}\b", text)]
+            if missing:
+                unused[name] = missing
+        assert unused == {}, f"exported with no caller outside the tests: {unused}"

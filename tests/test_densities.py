@@ -19,11 +19,10 @@ from extenso.densities import (
     bg_density,
     canonical_grid,
     density_from_spec,
-    entropies,
     entropy,
     remark2_density,
     remark5_density,
-    shifted_density,
+    slice_entropies,
     tsallis_density,
 )
 from extenso.simplex import SimplexVector, marginal, random_joint
@@ -33,6 +32,7 @@ from numeric_oracles import (
     entropy_one,
     gl12_remark2_ladder,
     gl12_remark2_moments,
+    shifted_density,
     uniform_vector,
 )
 
@@ -342,7 +342,7 @@ class TestShifted:
     def test_tsallis_fixed_point(self):
         d = tsallis_density(0.5)
         sh = shifted_density(d)
-        grid = canonical_grid(256)
+        grid = canonical_grid()
         np.testing.assert_allclose(sh.eval_s(grid), d.eval_s(grid), atol=1e-15)
 
     def test_vanishes_at_one(self):
@@ -381,7 +381,7 @@ class TestEntropyContract:
         with pytest.raises(DensityDomainError):
             entropy(F, SimplexVector([1.0, 0.0]))
         with pytest.raises(DensityDomainError):
-            entropies(F, [SimplexVector([0.5, 0.5]), SimplexVector([1.0, 0.0])])
+            slice_entropies(F, np.array([0.5, 0.5, 1.0, 0.0]), [2, 2])
         assert entropy(F, SimplexVector([0.5, 0.5])) == pytest.approx(math.sqrt(2), abs=1e-15)
 
 
@@ -391,13 +391,14 @@ class TestEntropies:
         counted, calls = count_eval_s(d)
         vectors = [uniform_vector(3), SimplexVector([1.0]), SimplexVector([0.25, 0.0, 0.75])]
         vectors += [marginal(random_joint(1, n, seed=n)) for n in range(1, 7)]
-        got = entropies(EntropyFunctional(counted), vectors)
+        flat = np.concatenate([p.entries for p in vectors])
+        got = slice_entropies(EntropyFunctional(counted), flat, [p.n for p in vectors])
         assert calls == [sum(p.n for p in vectors)]
         assert got == [entropy_one(EntropyFunctional(d), p) for p in vectors]
 
     def test_empty_batch_makes_no_call(self):
         counted, calls = count_eval_s(remark5_density())
-        assert entropies(EntropyFunctional(counted), []) == []
+        assert slice_entropies(EntropyFunctional(counted), np.empty(0), []) == []
         assert calls == []
 
 
@@ -470,3 +471,24 @@ class TestDensitySpec:
     def test_missing_param(self):
         with pytest.raises(ValueError):
             density_from_spec({"kind": "tsallis"})
+
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            '{"kind": ["bg"]}',
+            '{"kind": {"bg": 1}}',
+            '{"kind": "bg", "params": [1]}',
+            '{"kind": "bg", "params": null}',
+            '{"kind": "tsallis", "params": {"q": null}}',
+            '{"kind": "tsallis", "params": {"q": "2"}}',
+            '{"kind": "tsallis", "params": {"q": true}}',
+            '{"kind": "tsallis", "params": {"q": 1' + "0" * 400 + "}}",
+        ],
+        ids=["list kind", "object kind", "list params", "null params", "null q", "string q", "bool q", "huge q"],
+    )
+    def test_malformed_fields(self, spec):
+        with pytest.raises(ValueError):
+            density_from_spec(spec)
+
+    def test_integer_q(self):
+        assert density_from_spec('{"kind": "tsallis", "params": {"q": 2}}').params["q"] == 2.0

@@ -12,14 +12,12 @@ from extenso.densities import (
     bg_density,
     remark2_density,
     remark5_density,
-    shifted_density,
     tsallis_density,
 )
 from extenso import extensivity, simplex
+from extenso.cli import batch_report
 from extenso.extensivity import (
     axiom_suite,
-    batch_report,
-    check_twice_equation,
     extensivity_residual,
     iff_counterexample_matrix,
     iff_lhs,
@@ -27,7 +25,6 @@ from extenso.extensivity import (
     power_coefficient,
     recover_f,
     sandwich_check,
-    three_by_two_family,
 )
 from extenso.simplex import (
     InvalidDistributionError,
@@ -35,17 +32,20 @@ from extenso.simplex import (
     RandomGenerationError,
     SimplexVector,
     conditional,
-    joint_from_marginal_and_conditionals,
     marginal,
     random_joint,
 )
 from numeric_oracles import (
+    check_twice_equation,
     count_eval_s,
     finite_difference,
+    rebuild,
     reference_axiom_suite,
     reference_monotonicity,
     reference_residual,
     reference_sandwich,
+    shifted_density,
+    three_by_two_family,
 )
 
 # frozen quadrature-oracle values for the log-sin density
@@ -301,10 +301,6 @@ class TestAxioms:
         with pytest.raises(ValueError):
             axiom_suite(functional(bare))
 
-    def test_requires_an_eps(self):
-        with pytest.raises(ValueError, match="eps_seq must hold at least one eps"):
-            axiom_suite(functional(bg_density()), sizes=(2,), trials=1, eps_seq=())
-
     def test_rejects_empty_vectors(self):
         with pytest.raises(InvalidDistributionError, match="n must be >= 1"):
             axiom_suite(functional(bg_density()), sizes=(3, 0), trials=1)
@@ -372,9 +368,7 @@ class TestProperties:
     @settings(max_examples=100, deadline=None)
     @given(joints())
     def test_factorization_round_trip(self, P):
-        cols = [conditional(P, j) for j in range(1, P.n + 1)]
-        rebuilt = joint_from_marginal_and_conditionals(marginal(P), cols)
-        assert np.max(np.abs(rebuilt.entries - P.entries)) <= 1e-15
+        assert np.max(np.abs(rebuild(P) - P.entries)) <= 1e-15
 
     @settings(max_examples=100, deadline=None)
     @given(st.sampled_from(CONCAVE_DENSITIES), joints())
@@ -411,7 +405,7 @@ class TestBatchedEvaluation:
     @settings(max_examples=40, deadline=None)
     @given(
         st.sampled_from(BATCH_DENSITIES),
-        st.lists(st.integers(1, 6), max_size=3),
+        st.lists(st.integers(1, 6), min_size=1, max_size=3),  # no sizes raises
         st.integers(0, 4),
         st.integers(0, 2**32 - 1),
     )
@@ -453,6 +447,11 @@ class TestBatchedEvaluation:
                              ids=["no-sizes", "size-1", "no-trials"])
     def test_edge_suites(self, sizes, trials):
         F = functional(remark5_density())
+        if not sizes:
+            # a suite without sizes checks no vector: rejected, not a vacuous pass
+            with pytest.raises(ValueError, match="sizes must hold at least one size"):
+                axiom_suite(F, sizes=sizes, seed=3, trials=trials)
+            return
         rep = axiom_suite(F, sizes=sizes, seed=3, trials=trials)
         assert rep.to_dict() == reference_axiom_suite(F, sizes, 3, trials)
         assert rep.all_pass
@@ -489,7 +488,8 @@ class TestEvalCount:
 
     def test_empty_suite(self):
         d, calls = count_eval_s(remark5_density())
-        axiom_suite(functional(d), sizes=(), seed=0, trials=5)
+        with pytest.raises(ValueError, match="sizes must hold at least one size"):
+            axiom_suite(functional(d), sizes=(), seed=0, trials=5)
         assert calls == []
 
 
@@ -523,12 +523,11 @@ class TestBlockValidation:
     def test_suite(self, monkeypatch, trials):
         built, rows = watch_validation(monkeypatch)
         sizes = (2, 3, 8)
-        eps_seq = (1e-3, 1e-5, 1e-7)
-        axiom_suite(functional(remark5_density()), sizes=sizes, seed=0, trials=trials, eps_seq=eps_seq)
+        axiom_suite(functional(remark5_density()), sizes=sizes, seed=0, trials=trials)
         assert built == []
         # one padded block: per size the uniform vector and, per trial, p, q
-        # and the eps-mixtures (each p row doubles as p with a zero appended)
-        assert rows == [len(sizes) * (1 + (2 + len(eps_seq)) * trials)]
+        # and the 3 eps-mixtures (each p row doubles as p with a zero appended)
+        assert rows == [len(sizes) * (1 + (2 + 3) * trials)]
 
     @pytest.mark.parametrize("m, n", [(2, 2), (9, 7)])
     def test_joint_checks(self, monkeypatch, m, n):
@@ -570,7 +569,7 @@ class TestBlockValidation:
         F = functional(bg_density())
         a = axiom_suite(F, sizes=(2,), seed=0, trials=3)
         b = axiom_suite(F, sizes=(3,), seed=1, trials=3)
-        assert a.eps_labels is b.eps_labels
+        assert list(a.modulus) == list(b.modulus)
         assert not hasattr(a, "__dict__")
         assert a.modulus == dict(zip(("0.001", "1e-05", "1e-07"), a.levels))
 

@@ -10,7 +10,6 @@ from extenso.densities import (
     bg_density,
     remark2_density,
     remark5_density,
-    shifted_density,
     tsallis_density,
 )
 from extenso.numerics import _ZOOM_ROUNDS, scan_extrema
@@ -21,6 +20,7 @@ from numeric_oracles import (
     global_extremum,
     midpoint_richardson,
     reference_scan_extrema,
+    shifted_density,
 )
 
 # int_0^1 log sin((pi/4) t) dt in closed form via Catalan's constant
@@ -280,7 +280,7 @@ class TestScanMatchesReference:
             calls.append(np.shape(t))
             return ratio(t)
 
-        scan_extrema(h, probe_points=probes, refine=refine)
+        scan_extrema(h, 1e-6, 2048, probe_points=probes, refine=refine)
         families = 1 + bool(probes)
         assert len(calls) == 1 + (_ZOOM_ROUNDS if refine else 0) + families
         assert calls[0] == (2048,)

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from extenso.simplex import (
     SUM_TOL,
-    ConditionalColumn,
     InvalidDistributionError,
     JointMatrix,
     RandomGenerationError,
@@ -16,15 +15,10 @@ from extenso.simplex import (
     ZeroMarginalError,
     check_rows,
     conditional,
-    joint_from_csv,
-    joint_from_json,
-    joint_from_marginal_and_conditionals,
-    joint_to_csv,
-    joint_to_json,
     marginal,
     random_joint,
 )
-from numeric_oracles import reference_check_rows, uniform_vector
+from numeric_oracles import rebuild, reference_check_rows, uniform_vector
 
 
 def eq_x_matrix(x):
@@ -102,7 +96,7 @@ class TestConditional:
     def test_eq_x_first_column(self):
         P = eq_x_matrix(0.5)
         c = conditional(P, 1)
-        assert isinstance(c, ConditionalColumn)
+        assert isinstance(c, SimplexVector)
         np.testing.assert_allclose(c.entries, [1.0, 0.0])
 
     def test_eq_x_second_column(self):
@@ -149,41 +143,20 @@ class TestRandomJoint:
     def test_retry_budget(self):
         # microscopic concentration makes thin columns near-certain
         with pytest.raises(RandomGenerationError):
-            random_joint(8, 8, seed=0, concentration=1e-4, max_retries=2)
+            random_joint(8, 8, seed=0, concentration=1e-4)
 
 
 class TestRebuild:
     def test_single_column(self):
-        P = joint_from_marginal_and_conditionals(
-            SimplexVector([1.0]), [SimplexVector([0.5, 0.5])]
-        )
-        np.testing.assert_allclose(P.entries, [[0.5], [0.5]])
+        P = JointMatrix([[0.5], [0.5]])
+        np.testing.assert_array_equal(marginal(P).entries, [1.0])
+        np.testing.assert_array_equal(rebuild(P), [[0.5], [0.5]])
 
     def test_eq_x_reconstruction(self):
         x = 0.3
-        P = joint_from_marginal_and_conditionals(
-            SimplexVector([0.5, 0.5]),
-            [SimplexVector([1.0, 0.0]), SimplexVector([x, 1.0 - x])],
-        )
-        np.testing.assert_allclose(P.entries, eq_x_matrix(x).entries, atol=1e-15)
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(InvalidDistributionError):
-            joint_from_marginal_and_conditionals(
-                SimplexVector([0.5, 0.5]), [SimplexVector([1.0, 0.0])]
-            )
-        with pytest.raises(InvalidDistributionError):
-            joint_from_marginal_and_conditionals(
-                SimplexVector([0.5, 0.5]),
-                [SimplexVector([1.0, 0.0]), SimplexVector([0.5, 0.25, 0.25])],
-            )
-
-    def test_nonpositive_marginal_rejected(self):
-        p = SimplexVector([1.0, 0.0])
-        with pytest.raises(InvalidDistributionError):
-            joint_from_marginal_and_conditionals(
-                p, [SimplexVector([1.0, 0.0]), SimplexVector([0.5, 0.5])]
-            )
+        P = eq_x_matrix(x)
+        np.testing.assert_allclose(marginal(P).entries, [0.5, 0.5], atol=1e-15)
+        np.testing.assert_allclose(rebuild(P), P.entries, atol=1e-15)
 
     def test_factorization_round_trip_1000_seeds(self):
         # factor then rebuild must reproduce the matrix entrywise
@@ -191,37 +164,9 @@ class TestRebuild:
             m = 1 + seed % 5
             n = 1 + (seed * 13) % 5
             P = random_joint(m, n, seed=seed)
-            cols = [conditional(P, j) for j in range(1, n + 1)]
-            Q = joint_from_marginal_and_conditionals(marginal(P), cols)
-            np.testing.assert_allclose(Q.entries, P.entries, atol=1e-12, rtol=0.0)
-            for c in cols:
-                assert abs(math.fsum(c.entries.tolist()) - 1.0) <= 1e-12
-
-
-class TestSerialization:
-    def test_csv_round_trip_exact(self):
-        P = random_joint(3, 4, seed=42)
-        text = joint_to_csv(P)
-        assert text.splitlines()[0] == "3,4"
-        Q = joint_from_csv(text)
-        assert np.array_equal(P.entries, Q.entries)
-
-    def test_json_round_trip_exact(self):
-        P = random_joint(4, 2, seed=9)
-        Q = joint_from_json(joint_to_json(P))
-        assert np.array_equal(P.entries, Q.entries)
-
-    def test_csv_rejects_nan(self):
-        with pytest.raises(InvalidDistributionError, match="NaN"):
-            joint_from_csv("2,2\nnan,0.5\n0,0.5\n")
-
-    def test_csv_shape_errors(self):
-        with pytest.raises(InvalidDistributionError):
-            joint_from_csv("")
-        with pytest.raises(InvalidDistributionError):
-            joint_from_csv("2,2\n0.5,0.5")
-        with pytest.raises(InvalidDistributionError):
-            joint_from_csv("bad header\n0.5,0.5")
+            np.testing.assert_allclose(rebuild(P), P.entries, atol=1e-12, rtol=0.0)
+            for j in range(1, n + 1):
+                assert abs(math.fsum(conditional(P, j).entries.tolist()) - 1.0) <= 1e-12
 
 
 def _outcome(check, block):
