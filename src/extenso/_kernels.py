@@ -4,14 +4,16 @@ A fixed Gauss rule carries the oscillation panel moments behind remark2's s
 and s'; a power series carries the log-sinc integral behind remark5's s.
 The Gauss rule runs when ``densities`` builds remark2's panel table (its node
 values also give each panel's antiderivative polynomial, through
-``gl12_antiderivative_matrix``) and at points on the widest panels; other
-remark2 points evaluate those polynomials with ``horner_rows``.  Each kernel
+``gl12_antiderivative_matrix``); remark2 points evaluate those polynomials
+with ``horner_rows``.  ``fsum_rows`` sums rows exactly rounded.  Each kernel
 works on a whole batch in vectorized numpy expressions.
 
 All kernels are pure functions of arrays with a fixed reduction order, so
 repeated calls are bit-reproducible.
 """
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -156,3 +158,38 @@ def logsinc_integral(r: np.ndarray) -> np.ndarray:
     for c in LOGSINC_SERIES[-2::-1]:
         acc = acc * r2 + c
     return acc * r2 * r
+
+
+def fsum_rows(block: np.ndarray) -> np.ndarray:
+    """math.fsum of every row of a 2-d array, bit for bit.
+
+    A pairwise TwoSum tree leaves each row's float sum s and error terms
+    adding up to the rest, all multiples of the ulp of the row's smallest
+    nonzero entry.  While their absolute sum stays below that entry, their
+    float sum E is exact and fl(s + E) the correctly rounded sum.  Other
+    rows, zero sums and blocks with an entry beyond 2^1020 / (2 width) or
+    not finite go to math.fsum, which also raises as it does.
+    """
+    rows, width = block.shape
+    x = block.T.copy()  # rows along the last axis: each level adds two blocks
+    mag = np.abs(x)
+    if not rows or not width or not mag.max() < 2.0**1020 / (2 * width):
+        return np.array([math.fsum(row) for row in block.tolist()], dtype=np.float64)
+    smallest = np.minimum.reduce(mag, axis=0, initial=np.inf, where=mag > 0.0)
+    errors = np.empty((width - 1, rows))
+    n = width
+    while n > 1:  # the top m entries onto the bottom m; an odd middle one waits
+        m = n // 2
+        a, b = x[:m], x[n - m : n]
+        s = a + b
+        err = errors[n - m - 1 : n - 1]  # Knuth's TwoSum: a + b - s exactly
+        back = s - a
+        np.subtract(a, np.subtract(s, back, out=err), out=err)
+        err += np.subtract(b, back, out=back)
+        x[:m] = s
+        n -= m
+    r = x[0] + errors.sum(axis=0)
+    # math.fsum signs a zero sum
+    for i in np.flatnonzero((np.abs(errors).sum(axis=0) >= smallest) | (r == 0.0)).tolist():
+        r[i] = math.fsum(block[i].tolist())
+    return r

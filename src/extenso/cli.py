@@ -375,6 +375,8 @@ def _cmd_counterexample(args, parser) -> tuple[dict, int]:
 
 def _cmd_axioms(args, parser) -> tuple[dict, int]:
     d = _resolve_density(args, parser)
+    if args.instances < 1:  # no draws: continuity and expandability hold vacuously
+        parser.error(f"--instances must be >= 1, got {args.instances!r}")
     F = EntropyFunctional(d)
     seed = _resolve_seed(args)
     rep = axiom_suite(F, sizes=tuple(range(2, args.max_size + 1)), seed=seed, trials=args.instances)

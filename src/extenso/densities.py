@@ -12,9 +12,9 @@ half-ratio stays pinned inside [2, 1+sqrt(2)].
 
 remark2's s and s' read a panel table built on first use: a ladder of
 prefix integrals and, per panel, the antiderivative polynomial of the Gauss
-rule's node interpolant.  A point's panel comes from the ladder's closed
-form, and its partial panel from one Horner pass, so evaluation runs no
-trig except on the ten widest panels.
+rule's node interpolant, with the ten widest panels cut into sub-panels.
+A point's panel comes from the ladder's closed form, and its partial panel
+from one Horner pass, so evaluation runs no trig at all.
 """
 from __future__ import annotations
 
@@ -256,19 +256,25 @@ def remark5_density() -> Density:
 # most 0.43 b0^3, about 4e-13.
 _LADDER_CUTOFF = 1e-4
 _MEAN_ABS_COS = 2.0 / math.pi
-# Points on the widest panels, j <= 10 (r >= 2/(10 pi) ~ 0.064), keep the
-# per-point Gauss rule.  There the integrated degree-11 interpolant of the
-# integrand strays from that rule by up to 1.3e-10 (j = 2) and still 1.5e-17
-# at j = 10; from j = 11 on it stays within 5e-18.
+# The ten widest panels, j <= 10 (r >= 2/(10 pi) ~ 0.064), are cut into
+# sub-panels: a break's ladder step y = j_max - i is piecewise linear in
+# x = 2/(pi r) through these knots, y = x on the narrow panels, then 2, 4, 32
+# and 256 steps per unit of x below x = 10, 4, 3 and 1.  The knots sit at
+# integer x, so each 2/(j pi) stays a break.  The antiderivative
+# coefficients' rounding grows with a panel's width times u|cos(1/u)|; on
+# this ladder a partial panel strays from the per-point Gauss rule by at
+# most 3e-17 (sub-panels) and 5e-18 (narrow panels).
+_LADDER_X = np.array([0.0, 1.0, 3.0, 4.0, 10.0, 2.0**40])
+_LADDER_Y = np.array([-326.0, -70.0, -6.0, -2.0, 10.0, 2.0**40])
 _WIDE_PANELS = 10
 
 
 class _Remark2Tables(NamedTuple):
     """The panel ladder of G = int u|cos(1/u)| and H = int u^2|cos(1/u)|.
 
-    breaks is ascending, ending at 1.0, with +inf appended; prefix_g[i] and
-    prefix_h[i] hold the integrals from 0 to breaks[i].  On the first
-    n_poly panels the integral from breaks[i] to r is a degree-12
+    breaks holds each panel's left end, ascending, with +inf appended: the
+    top panel ends at 1.0.  prefix_g[i] and prefix_h[i] hold the integrals
+    from 0 to breaks[i], and the integral from breaks[i] to r is a degree-12
     polynomial in r - center[i]: coef[:, 0, i] holds its ascending
     coefficients for G and coef[:, 1, i] those for H.
     """
@@ -277,7 +283,6 @@ class _Remark2Tables(NamedTuple):
     prefix_g: np.ndarray
     prefix_h: np.ndarray
     j_max: int
-    n_poly: int
     center: np.ndarray
     coef: np.ndarray
 
@@ -289,85 +294,85 @@ def _remark2_tables() -> _Remark2Tables:
     """The ladder, built on first use from one Gauss-rule pass over its panels.
 
     The rule's node values give both the prefix sums and, through the
-    interpolant at those nodes, each narrow panel's antiderivative
-    polynomial: (13, 2, 6 356) coefficients, about 1.3 MB.
+    interpolant at those nodes, each panel's antiderivative polynomial:
+    6 356 narrow panels and 174 sub-panels of the ten widest, (13, 2, 6 530)
+    coefficients, about 1.36 MB.
     """
     global _REMARK2_TABLES
     if _REMARK2_TABLES is not None:
         return _REMARK2_TABLES
     j_max = int(math.floor(2.0 / (math.pi * _LADDER_CUTOFF)))
-    j = np.arange(j_max, 0, -1, dtype=np.float64)
-    breaks = np.concatenate([2.0 / (j * math.pi), [1.0]])
-    lo, hi = breaks[:-1], breaks[1:]
+    # steps y down to the last break below r = 1; their x are exact, as every
+    # slope is a power of two
+    y = np.arange(j_max, math.ceil(np.interp(2.0 / math.pi, _LADDER_X, _LADDER_Y)) - 1, -1.0)
+    x = np.interp(y, _LADDER_Y, _LADDER_X)
+    edges = np.concatenate([2.0 / (x * math.pi), [1.0]])
+    lo, hi = edges[:-1], edges[1:]
     g_panels, h_panels, g_nodes, h_nodes = _kernels.osc_panel_moments(lo, hi)
-    b0 = breaks[0]
-    g_prefix = np.concatenate([[0.0], np.cumsum(g_panels)]) + _MEAN_ABS_COS * b0 * b0 / 2.0
-    h_prefix = np.concatenate([[0.0], np.cumsum(h_panels)]) + _MEAN_ABS_COS * b0**3 / 3.0
+    b0 = edges[0]
+    g_prefix = np.concatenate([[0.0], np.cumsum(g_panels[:-1])]) + _MEAN_ABS_COS * b0 * b0 / 2.0
+    h_prefix = np.concatenate([[0.0], np.cumsum(h_panels[:-1])]) + _MEAN_ABS_COS * b0**3 / 3.0
     # the integral over [lo, r] is half * A(x), x = (r - center) / half, with
     # A the antiderivative of the node interpolant; fold half^(1 - k), from
     # running powers of 1/half, into the coefficient of x^k to evaluate in
     # r - center directly
-    n_poly = j_max - _WIDE_PANELS
-    half = 0.5 * (hi - lo)[:n_poly]
-    center = 0.5 * (hi + lo)[:n_poly]
+    half = 0.5 * (hi - lo)
+    center = 0.5 * (hi + lo)
     anti = _kernels.gl12_antiderivative_matrix()
-    coef = np.empty((len(anti), 2, n_poly))
-    np.matmul(anti, g_nodes[:n_poly].T, out=coef[:, 0])
-    np.matmul(anti, h_nodes[:n_poly].T, out=coef[:, 1])
+    coef = np.empty((len(anti), 2, len(lo)))
+    np.matmul(anti, g_nodes.T, out=coef[:, 0])
+    np.matmul(anti, h_nodes.T, out=coef[:, 1])
     coef[0] *= half
     inv = 1.0 / half
     power = inv.copy()
     for row in coef[2:]:
         row *= power
         power *= inv
-    _REMARK2_TABLES = _Remark2Tables(
-        np.append(breaks, math.inf), g_prefix, h_prefix, j_max, n_poly, center, coef
-    )
+    # fl(lo - center) is not -half, which costs up to 4e-17 on a sub-panel:
+    # there the constant is solved to make the polynomial vanish at lo
+    wide = j_max - _WIDE_PANELS
+    sub = coef[..., wide:]
+    sub[0] = 0.0
+    sub[0] = -_kernels.horner_rows(sub, lo[wide:] - center[wide:])
+    breaks = np.append(lo, math.inf)
+    _REMARK2_TABLES = _Remark2Tables(breaks, g_prefix, h_prefix, j_max, center, coef)
     return _REMARK2_TABLES
 
 
 def _remark2_panel(r: np.ndarray) -> np.ndarray:
     """Ladder index of each r >= b0: searchsorted(breaks, r, "right") - 1.
 
-    Read off the closed form breaks[i] = 2/((j_max - i) pi), then moved by
-    one where an exact comparison with breaks says the estimate rounded
-    across a break.  NaN and r >= 1 map to the last break, j_max.
+    Read off the closed form: ladder step y, piecewise linear in x = 2/(pi r),
+    gives index j_max - ceil(y), then moved by one where an exact comparison
+    with breaks says the estimate rounded across a break.  NaN and r >= 1
+    map to the top panel.
     """
     t = _remark2_tables()
-    est = t.j_max - np.ceil(2.0 / math.pi / r)
-    idx = np.fmax(np.fmin(est, t.j_max), 0.0).astype(np.intp)
+    top = len(t.center) - 1
+    est = t.j_max - np.ceil(np.interp(2.0 / math.pi / r, _LADDER_X, _LADDER_Y))
+    idx = np.fmax(np.fmin(est, top), 0.0).astype(np.intp)
     idx -= t.breaks[idx] > r
     idx += t.breaks[idx + 1] <= r
     return idx
 
 
 def _remark2_moments(r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """G(r), H(r) for array r in [0, 1]: ladder prefix plus a partial panel."""
+    """G(r), H(r) for array r in [0, 1]: ladder prefix plus a partial panel,
+    and the mean tail below b0."""
     t = _remark2_tables()
     r = np.asarray(r, dtype=np.float64)
     flat = np.atleast_1d(r).ravel()
-    G = np.empty(flat.shape)
-    H = np.empty(flat.shape)
+    ra = np.maximum(flat, t.breaks[0])
+    idx = _remark2_panel(ra)
+    part = _kernels.horner_rows(np.take(t.coef, idx, axis=2), ra - t.center[idx])
+    G = t.prefix_g[idx] + part[0]
+    H = t.prefix_h[idx] + part[1]
     below = flat < t.breaks[0]
     if below.any():
         rb = flat[below]
         G[below] = _MEAN_ABS_COS * rb * rb / 2.0
         H[below] = _MEAN_ABS_COS * rb**3 / 3.0
-    above = ~below
-    if above.any():
-        ra = flat[above]
-        idx = _remark2_panel(ra)
-        # a point on a wide panel runs the last narrow panel's polynomial,
-        # finite on [b0, 1], and is overwritten by the Gauss rule
-        i = np.minimum(idx, t.n_poly - 1)
-        part = _kernels.horner_rows(np.take(t.coef, i, axis=2), ra - t.center[i])
-        wide = idx >= t.n_poly
-        if wide.any():
-            w = idx[wide]
-            part[:, wide] = _kernels.osc_panel_moments(t.breaks[w], ra[wide])[:2]
-        G[above] = t.prefix_g[idx] + part[0]
-        H[above] = t.prefix_h[idx] + part[1]
-    return G.reshape(np.shape(r)), H.reshape(np.shape(r))
+    return G.reshape(r.shape), H.reshape(r.shape)
 
 
 def remark2_density() -> Density:

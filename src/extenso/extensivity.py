@@ -13,11 +13,13 @@ exponent and closed-form reconstruction are then reported.
 from __future__ import annotations
 
 import math
+import struct
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
 
+from ._kernels import fsum_rows
 # coefficient_bounds stays importable from here: perfbench/tracer.py patches it
 from .bounds import BoundsConfig, CoefficientBounds, coefficient_bounds, column_bounds  # noqa: F401
 # entropy and conditional stay importable from here: perfbench/tracer.py patches them
@@ -211,14 +213,14 @@ def iff_counterexample_matrix(x: float) -> JointMatrix:
 
 
 # recover_f samples the candidate f(r; x) at r in _R_GRID and x in _X_PROBES.
-# A power law needs both defects within their tolerances; |q - 1| below
-# _Q_ONE_WINDOW takes the log branch; the rebuilt density is compared with
-# eval_s on _RECON_GRID_N points.
+# A power law needs both defects within their tolerances; q within rounding
+# of 1 (_Q_ONE_WINDOW) takes the log branch; the rebuilt density is compared
+# with eval_s on _RECON_GRID_N points.
 _R_GRID = tuple(np.linspace(0.1, 0.9, 17).tolist())
 _X_PROBES = (0.125, 0.25, 0.375, 0.5)
 _CONSISTENCY_TOL = 1e-4
 _MULTIPLICATIVITY_TOL = 1e-6
-_Q_ONE_WINDOW = 1e-3
+_Q_ONE_WINDOW = 8 * 2.0**-52
 _RECON_GRID_N = 256
 
 
@@ -227,8 +229,8 @@ class Reconstruction:
     """Closed-form density rebuilt from (q, s(1), s'(1), s''(1)).
 
     branch 'log' is the q = 1 form k r log r + a r + b; branch 'power' is
-    k (r^q - r)/(q - 1) + a r + b.  max_abs_err compares against eval_s on
-    the recovery grid.
+    k (r^q - r)/(q - 1) + a r + b, in expm1 so it stays exact as q nears 1.
+    max_abs_err compares against eval_s on the recovery grid.
     """
 
     k_q: float
@@ -304,7 +306,7 @@ def recover_f(d: Density) -> PowerRecovery:
     s1_1 = float(np.asarray(d.eval_s1(1.0)))
     s2_1 = float(np.asarray(s2(1.0)))
     grid = np.arange(1, _RECON_GRID_N + 1, dtype=np.float64) / _RECON_GRID_N
-    if abs(q_est - 1.0) < _Q_ONE_WINDOW:
+    if abs(q_est - 1.0) <= _Q_ONE_WINDOW:
         k = s2_1
         a = -s2_1 + s1_1
         b = s2_1 - s1_1 + s_1
@@ -314,7 +316,7 @@ def recover_f(d: Density) -> PowerRecovery:
         k = s2_1 / q_est
         a = -s2_1 / q_est + s1_1
         b = s2_1 / q_est - s1_1 + s_1
-        rebuilt = k * (grid**q_est - grid) / (q_est - 1.0) + a * grid + b
+        rebuilt = k * grid * np.expm1((q_est - 1.0) * np.log(grid)) / (q_est - 1.0) + a * grid + b
         branch = "power"
     max_err = float(np.abs(rebuilt - np.asarray(d.eval_s(grid))).max())
     recon = Reconstruction(k_q=k, a_q=a, b_q=b, branch=branch, max_abs_err=max_err)
@@ -331,19 +333,31 @@ _EPS_LADDER = (1e-3, 1e-5, 1e-7)
 _EPS_LABELS = tuple(f"{eps:g}" for eps in _EPS_LADDER)
 
 
+# an axiom report's levels, then its worst maximality gap, as float64
+_AXIOM_NUMBERS = struct.Struct(f"<{len(_EPS_LADDER) + 1}d")
+
+
 @dataclass(frozen=True, slots=True)
 class AxiomReport:
     """Verdicts of one axiom suite.
 
     levels[k] is the observed continuity modulus L(eps) at _EPS_LADDER[k].
-    Slots keep each report small: batch callers hold thousands of them.
+    Slots, and the numbers packed in one bytes object, keep each report at
+    about 140 bytes: batch callers hold thousands of them.
     """
 
     continuity: bool
     maximality: bool
     expandability: bool
-    levels: tuple[float, ...]
-    worst_maximality_gap: float
+    numbers: bytes
+
+    @property
+    def levels(self) -> tuple[float, ...]:
+        return _AXIOM_NUMBERS.unpack(self.numbers)[:-1]
+
+    @property
+    def worst_maximality_gap(self) -> float:
+        return _AXIOM_NUMBERS.unpack(self.numbers)[-1]
 
     @property
     def modulus(self) -> dict:
@@ -377,12 +391,16 @@ def axiom_suite(
     every coordinate by at most eps; the observed modulus L(eps) must be
     finite, shrink along the eps ladder, and end below 1e-2.  Maximality:
     S(p) <= S(uniform) + 1e-12.  Expandability: appending a zero coordinate
-    changes nothing, exactly.
+    changes nothing, exactly.  Without trials both would hold vacuously.
+    Each entropy is a row sum (math.fsum, by ``_kernels.fsum_rows``) of one
+    zero-padded block of s values.
     """
     if not F.density.s0_zero:
         raise ValueError("axiom suite needs the s(0) = 0 convention")
     if not len(sizes):
         raise ValueError("sizes must hold at least one size")
+    if trials < 1:
+        raise ValueError(f"trials must be >= 1, got {trials!r}")
     if min(sizes) < 1:
         raise InvalidDistributionError("n must be >= 1")
     rng = np.random.default_rng(seed)
@@ -399,7 +417,7 @@ def axiom_suite(
     for i, n in enumerate(sizes):
         g[i, ..., :n] = rng.gamma(shape=1.0, scale=1.0, size=(trials, 2, n))
     g = g.reshape(-1, width)
-    totals = np.array([math.fsum(row) for row in g.tolist()]).reshape(-1, 1)
+    totals = fsum_rows(g)[:, None]
     degenerate = totals[:, 0] <= 0.0
     row_n = np.repeat(ns, 2 * trials, axis=0)[degenerate]
     g[degenerate] = col < row_n  # an all-zero draw becomes the uniform vector
@@ -416,8 +434,10 @@ def axiom_suite(
     check_rows(np.concatenate([rows[:, : n_rows - trials], q], axis=1).reshape(-1, width))
     # true lengths: n, or n + 1 where s is evaluated at the appended zero too
     lengths = ns + (np.arange(n_rows) >= n_rows - trials)
-    flat = rows[col < lengths[..., None]]
-    values = np.array(slice_entropies(F, flat, lengths.ravel().tolist())).reshape(lengths.shape)
+    cells = col < lengths[..., None]
+    s_block = np.zeros(rows.shape)
+    s_block[cells] = F.density.eval_s(rows[cells])
+    values = fsum_rows(s_block.reshape(-1, width)).reshape(lengths.shape)
     u_val = values[:, :1]
     sp = values[:, 1 : 1 + trials]
     mix = values[:, 1 + trials : 1 + (k + 1) * trials].reshape(len(sizes), k, trials)
@@ -438,8 +458,7 @@ def axiom_suite(
         continuity=continuity_ok,
         maximality=maximality_ok,
         expandability=expandability_ok,
-        levels=levels,
-        worst_maximality_gap=worst_gap,
+        numbers=_AXIOM_NUMBERS.pack(*levels, worst_gap),
     )
 
 

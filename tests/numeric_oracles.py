@@ -1,6 +1,7 @@
 """Reference numerics for the tests: quadrature, finite differences, a
 one-function view of the extremum scan, the plain extremum scan, remark2's
-panel ladder by the Gauss rule alone, per-vector entropy loops, and the
+panel ladder by the Gauss rule alone and its moments in closed form at 30
+digits, per-vector entropy loops, and the
 test-only constructions: a joint rebuilt from its factors, the shifted
 density and the 3x2 family behind the twice-differentiated curvature
 relation.
@@ -467,6 +468,68 @@ def gl12_remark2_moments(r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     idx = np.searchsorted(breaks, r, side="right") - 1
     g, h = _gl12_moments(breaks[idx], r)
     return prefix_g[idx] + g, prefix_h[idx] + h
+
+
+def _cos_recip_antiderivatives(u):
+    """Antiderivatives of u cos(1/u) and u^2 cos(1/u), in mpmath:
+    u^2 cos/2 - u sin/2 + Ci(1/u)/2 and u^3 cos/3 - u^2 sin/6 - u cos/6 - Si(1/u)/6."""
+    import mpmath as mp
+
+    t = 1 / u
+    c, s = mp.cos(t), mp.sin(t)
+    return (
+        u * u * c / 2 - u * s / 2 + mp.ci(t) / 2,
+        u**3 * c / 3 - u * u * s / 6 - u * c / 6 - mp.si(t) / 6,
+    )
+
+
+def _cos_sign_above(n_points: int, i: int) -> int:
+    """Sign of cos(1/u) just above the i-th of n_points: the last is the
+    zero at 2/pi, above which cos(1/u) > 0, and each zero below flips it."""
+    return 1 if (n_points - 1 - i) % 2 == 0 else -1
+
+
+@functools.lru_cache(maxsize=1)
+def _mp_remark2_zeros(cutoff: float, dps: int):
+    """(points, antiderivatives, G, H): b0 and every zero of cos(1/u) in
+    (b0, 1), ascending, with G and H from 0 up to each, at dps digits."""
+    import mpmath as mp
+
+    with mp.workdps(dps):
+        j_max = int(math.floor(2.0 / (math.pi * cutoff)))
+        b0 = mp.mpf(2.0 / (j_max * math.pi))
+        zeros = [2 / ((2 * k + 1) * mp.pi) for k in range((j_max - 1) // 2, -1, -1)]
+        pts = [b0] + [z for z in zeros if z > b0]
+        anti = [_cos_recip_antiderivatives(u) for u in pts]
+        G = [2 / mp.pi * b0**2 / 2]
+        H = [2 / mp.pi * b0**3 / 3]
+        for i in range(1, len(pts)):
+            sign = _cos_sign_above(len(pts), i - 1)
+            G.append(G[-1] + sign * (anti[i][0] - anti[i - 1][0]))
+            H.append(H[-1] + sign * (anti[i][1] - anti[i - 1][1]))
+        return pts, anti, G, H
+
+
+def mp_remark2_moments(r, cutoff: float = 1e-4, dps: int = 30):
+    """G(r), H(r) as lists of mpmath numbers at dps digits, for r in [b0, 1]:
+    the [0, b0] tail through the 2/pi mean of |cos|, as the package folds it
+    in, plus the exact integrals from b0 through the antiderivatives
+    (Ci and Si) between consecutive zeros of cos(1/u)."""
+    import bisect
+
+    import mpmath as mp
+
+    pts, anti, G, H = _mp_remark2_zeros(cutoff, dps)
+    out_g, out_h = [], []
+    with mp.workdps(dps):
+        for x in np.asarray(r, dtype=np.float64).tolist():
+            u = mp.mpf(x)
+            i = bisect.bisect_right(pts, u) - 1
+            sign = _cos_sign_above(len(pts), i)
+            ag, ah = _cos_recip_antiderivatives(u)
+            out_g.append(G[i] + sign * (ag - anti[i][0]))
+            out_h.append(H[i] + sign * (ah - anti[i][1]))
+    return out_g, out_h
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,4 @@
+import dataclasses
 import importlib
 import json
 import math
@@ -8,10 +9,13 @@ import sys
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import extenso
+from extenso import cli
 from extenso.cli import main
+from extenso.densities import remark5_density
 
 
 def run_cli(args, capsys):
@@ -214,7 +218,6 @@ class TestStrictJson:
             (["verify-sandwich", "--density", "remark5", "--instances", "0"], "worst_slack"),
             (["verify-sandwich", "--density", "remark5", "--instances", "0"], "worst_bound_gap"),
             (["residual", "--density", "bg", "--instances", "0"], "max_abs_residual"),
-            (["axioms", "--density", "remark5", "--instances", "0"], "worst_maximality_gap"),
         ],
     )
     def test_undefined_summary_is_null(self, args, key, capsys):
@@ -222,6 +225,18 @@ class TestStrictJson:
         payload = json.loads(out, parse_constant=_reject_constant)
         assert code == 0
         assert payload[key] is None
+
+    def test_maximality_gap_without_a_finite_gap_is_null(self, capsys, monkeypatch):
+        # an axiom suite has trials, so only a density whose s is NaN leaves
+        # no finite maximality gap; no catalog density does
+        nan_density = dataclasses.replace(
+            remark5_density(), label="nan", eval_s=lambda r: np.full(np.shape(r), np.nan)
+        )
+        monkeypatch.setattr(cli, "density_from_spec", lambda spec: nan_density)
+        code, out = run_cli(["axioms", "--density", "remark5", "--instances", "3"], capsys)
+        payload = json.loads(out, parse_constant=_reject_constant)
+        assert payload["worst_maximality_gap"] is None
+        assert code == 1 and payload["expandability"] is False
 
 
 class TestUsageErrors:
@@ -253,6 +268,7 @@ class TestUsageErrors:
             ["recover-f", "--density-spec", '{"kind":"tsallis","params":{"q":"2"}}'],
             ["axioms", "--density", "remark5", "--max-size", "1"],
             ["axioms", "--density", "remark5", "--max-size", "0"],
+            ["axioms", "--density", "remark5", "--instances", "0"],
             ["recover-f", "--density", "tsallis", "--q", "1"],
             ["verify-sandwich", "--density", "remark2"],
             ["theta-phi", "--density", "remark2"],

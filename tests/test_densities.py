@@ -32,6 +32,7 @@ from numeric_oracles import (
     entropy_one,
     gl12_remark2_ladder,
     gl12_remark2_moments,
+    mp_remark2_moments,
     shifted_density,
     uniform_vector,
 )
@@ -171,13 +172,13 @@ class TestRemark2:
 
 
 B0 = float(gl12_remark2_ladder()[0][0])
-# points at or above this keep the per-point Gauss rule
+# the ten widest panels, from here to 1, are cut into sub-panels
 WIDE_CUT = 2.0 / (10 * math.pi)
+N_NARROW = len(gl12_remark2_ladder()[0]) - 11
 
 
-def break_neighbours() -> np.ndarray:
-    """Every ladder break and its float neighbours up to two steps away."""
-    breaks = gl12_remark2_ladder()[0]
+def break_neighbours(breaks: np.ndarray) -> np.ndarray:
+    """Every break and its float neighbours up to two steps away."""
     out = [breaks]
     for toward in (0.0, 2.0):
         r = breaks
@@ -187,50 +188,91 @@ def break_neighbours() -> np.ndarray:
     return np.concatenate(out)
 
 
+def table_breaks() -> np.ndarray:
+    """The table's finite breaks: each panel's left end."""
+    return densities._remark2_tables().breaks[:-1]
+
+
 class TestRemark2Ladder:
-    """The table-driven partial panels against the Gauss rule alone."""
+    """The table-driven partial panels against the Gauss rule alone on the
+    narrow panels, and against the closed form on the sub-panels."""
 
     def test_prefix_tables_match_gl12_rebuild(self):
         breaks, prefix_g, prefix_h = gl12_remark2_ladder()
         t = densities._remark2_tables()
-        assert t.breaks[:-1].tolist() == breaks.tolist()
-        assert t.prefix_g.tolist() == prefix_g.tolist()
-        assert t.prefix_h.tolist() == prefix_h.tolist()
+        n = N_NARROW + 1  # up to and including the first wide break 2/(10 pi)
+        assert t.breaks[:n].tolist() == breaks[:n].tolist()
+        assert t.prefix_g[:n].tolist() == prefix_g[:n].tolist()
+        assert t.prefix_h[:n].tolist() == prefix_h[:n].tolist()
+        # every zero and extremum of cos(1/u) is a break, so no panel straddles one
+        assert set(breaks[:-1].tolist()) <= set(t.breaks.tolist())
+
+    def test_wide_prefix_tables_against_closed_form(self):
+        pytest.importorskip("mpmath")
+        t = densities._remark2_tables()
+        lefts = table_breaks()[N_NARROW:]
+        G_ref, H_ref = mp_remark2_moments(lefts)
+        # the rounding of the running sums and of each panel's Gauss rule
+        for i, (g, h) in enumerate(zip(G_ref, H_ref)):
+            assert abs(t.prefix_g[N_NARROW + i] - g) <= 6e-17
+            assert abs(t.prefix_h[N_NARROW + i] - h) <= 6e-17
 
     def test_panel_index_is_searchsorted(self):
-        breaks = gl12_remark2_ladder()[0]
-        r = np.concatenate([break_neighbours(), [B0, 1.0]])
-        r = r[r >= B0]
+        breaks = table_breaks()
+        r = np.concatenate([break_neighbours(breaks), [B0, 1.0, np.nextafter(1.0, 0.0)]])
+        r = r[(r >= B0) & (r <= 1.0)]
         want = np.searchsorted(breaks, r, side="right") - 1
         assert densities._remark2_panel(r).tolist() == want.tolist()
 
     def test_moments_near_every_break(self):
-        r = break_neighbours()
-        r = r[(r >= B0) & (r <= 1.0)]
+        r = break_neighbours(gl12_remark2_ladder()[0])
+        r = r[(r >= B0) & (r < WIDE_CUT)]
         G, H = densities._remark2_moments(r)
         G_ref, H_ref = gl12_remark2_moments(r)
         assert np.abs(G - G_ref).max() <= 1e-17
         assert np.abs(H - H_ref).max() <= 1e-17
 
     @settings(max_examples=200, deadline=None)
-    @given(st.floats(min_value=B0, max_value=1.0))
+    @given(st.floats(min_value=B0, max_value=WIDE_CUT, exclude_max=True))
     def test_moments_against_gauss_rule(self, r):
         (G,), (H,) = densities._remark2_moments(np.array([r]))
         (G_ref,), (H_ref,) = gl12_remark2_moments(np.array([r]))
         assert abs(G - G_ref) <= 1e-17
         assert abs(H - H_ref) <= 1e-17
-        if r >= WIDE_CUT:
-            assert (G, H) == (G_ref, H_ref)
 
     def test_log_uniform_sample_against_gauss_rule(self):
-        r = np.geomspace(B0, 1.0, 100_001)
+        r = np.geomspace(B0, WIDE_CUT, 100_001)[:-1]
         G, H = densities._remark2_moments(r)
         G_ref, H_ref = gl12_remark2_moments(r)
         assert np.abs(G - G_ref).max() <= 1e-17
         assert np.abs(H - H_ref).max() <= 1e-17
-        wide = r >= WIDE_CUT
-        assert G[wide].tolist() == G_ref[wide].tolist()
-        assert H[wide].tolist() == H_ref[wide].tolist()
+
+    def test_wide_moments_against_closed_form(self):
+        # a bound the per-point Gauss rule on the ten wide panels also meets
+        pytest.importorskip("mpmath")
+        rng = np.random.default_rng(2024)
+        r = np.concatenate([
+            rng.uniform(WIDE_CUT, 1.0, 100),
+            np.geomspace(WIDE_CUT, 1.0, 20),
+            break_neighbours(table_breaks()[N_NARROW::7])[::3],
+            [1.0],
+        ])
+        r = r[(r >= WIDE_CUT) & (r <= 1.0)]
+        G, H = densities._remark2_moments(r)
+        G_ref, H_ref = mp_remark2_moments(r)
+        for g, h, g_ref, h_ref in zip(G.tolist(), H.tolist(), G_ref, H_ref):
+            assert abs(g - g_ref) <= 1.2e-16
+            assert abs(h - h_ref) <= 1.2e-16
+
+    def test_closed_form_against_quadrature(self):
+        mp = pytest.importorskip("mpmath")
+        lo, hi = 0.3, 0.9
+        (G_lo, G_hi), (H_lo, H_hi) = mp_remark2_moments([lo, hi])
+        with mp.workdps(30):
+            g = mp.quad(lambda u: u * abs(mp.cos(1 / u)), [lo, 2 / mp.pi, hi])
+            h = mp.quad(lambda u: u * u * abs(mp.cos(1 / u)), [lo, 2 / mp.pi, hi])
+            assert abs(G_hi - G_lo - g) <= 1e-25
+            assert abs(H_hi - H_lo - h) <= 1e-25
 
     def test_below_cutoff_is_the_mean_tail(self):
         r = np.array([0.0, 1e-12, 3e-5, np.nextafter(B0, 0.0)])
@@ -322,6 +364,25 @@ class TestLogsincSeries:
             "import sys, extenso, extenso.cli; "
             "print(sorted(m for m in ('fractions', 'mpmath', 'scipy', 'numpy.polynomial') "
             "if m in sys.modules))"
+        )
+        src = str(Path(extenso.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        out = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+        )
+        assert out.stdout.strip() == "[]"
+
+
+    def test_first_evaluations_load_no_module(self):
+        # the remark2 table build and an axiom suite run on what import
+        # extenso has loaded, besides numpy.random for the suite's draws: a
+        # lazy numpy import (np.unique pulls one in) would cost every start
+        code = (
+            "import sys, numpy as np, extenso; from extenso import extensivity; "
+            "np.random.default_rng; before = set(sys.modules); d = extenso.remark2_density(); "
+            "d.eval_s(np.linspace(0.0, 1.0, 101)); "
+            "extensivity.axiom_suite(extensivity.EntropyFunctional(d), trials=3); "
+            "print(sorted(set(sys.modules) - before))"
         )
         src = str(Path(extenso.__file__).resolve().parents[1])
         env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))

@@ -196,7 +196,15 @@ class TestRecovery:
         assert abs(rec.q_est - 1.0) <= 1e-6
         assert rec.reconstruction.branch == "log"
         assert rec.reconstruction.k_q == pytest.approx(-1.0, abs=1e-12)
-        assert rec.reconstruction.max_abs_err <= 1e-8
+        assert rec.reconstruction.max_abs_err == 0.0
+
+    @pytest.mark.parametrize("q", [0.999, 0.9995, 1.0011])
+    def test_tsallis_near_one_rebuilds(self, q):
+        # the power form, in expm1, stays exact to rounding as q nears 1
+        rec = recover_f(tsallis_density(q))
+        assert rec.verdict == "power"
+        assert rec.reconstruction.branch == "power"
+        assert rec.reconstruction.max_abs_err <= 1e-12
 
     def test_remark5_rejected(self):
         rec = recover_f(remark5_density())
@@ -406,7 +414,7 @@ class TestBatchedEvaluation:
     @given(
         st.sampled_from(BATCH_DENSITIES),
         st.lists(st.integers(1, 6), min_size=1, max_size=3),  # no sizes raises
-        st.integers(0, 4),
+        st.integers(1, 4),  # no trials raises
         st.integers(0, 2**32 - 1),
     )
     def test_axiom_suite_matches_per_vector(self, d, sizes, trials, seed):
@@ -447,19 +455,16 @@ class TestBatchedEvaluation:
                              ids=["no-sizes", "size-1", "no-trials"])
     def test_edge_suites(self, sizes, trials):
         F = functional(remark5_density())
-        if not sizes:
-            # a suite without sizes checks no vector: rejected, not a vacuous pass
-            with pytest.raises(ValueError, match="sizes must hold at least one size"):
+        if not sizes or not trials:
+            # a suite that draws no vector would pass vacuously: rejected
+            match = "sizes must hold at least one size" if not sizes else "trials must be >= 1"
+            with pytest.raises(ValueError, match=match):
                 axiom_suite(F, sizes=sizes, seed=3, trials=trials)
             return
         rep = axiom_suite(F, sizes=sizes, seed=3, trials=trials)
         assert rep.to_dict() == reference_axiom_suite(F, sizes, 3, trials)
         assert rep.all_pass
-        if sizes == (1,):
-            assert rep.worst_maximality_gap == 0.0
-        else:
-            assert rep.worst_maximality_gap == -math.inf
-            assert set(rep.modulus.values()) == {0.0}
+        assert rep.worst_maximality_gap == 0.0
 
 
 class TestEvalCount:
@@ -483,6 +488,11 @@ class TestEvalCount:
     @pytest.mark.parametrize("sizes, trials", [((2, 3, 8), 4), ((1,), 2), ((2, 3), 0)])
     def test_suite(self, sizes, trials):
         d, calls = count_eval_s(remark5_density())
+        if not trials:  # rejected before any evaluation
+            with pytest.raises(ValueError, match="trials must be >= 1"):
+                axiom_suite(functional(d), sizes=sizes, seed=0, trials=trials)
+            assert calls == []
+            return
         axiom_suite(functional(d), sizes=sizes, seed=0, trials=trials)
         assert calls == [suite_points(sizes, trials)]
 
