@@ -3,8 +3,10 @@
 Reports are JSON (canonical) or CSV (a projection).  Payloads are pure
 functions of the arguments: identical invocations produce byte-identical
 output, and the seed falls back to the EXTENSO_SEED environment variable.
-Exit status is 0 for clean runs (divergent instances are reported, not
-failures), 1 when any check fails, 2 for usage errors.
+One null rule covers every report: the emitter writes each non-finite float,
+at any depth, as null (None in CSV), as JSON has no NaN or Infinity.  Exit
+status is 0 for clean runs (divergent instances are reported, not failures),
+1 when any check fails, 2 for usage errors, an unwritable --output among them.
 """
 from __future__ import annotations
 
@@ -126,11 +128,14 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
-def _resolve_seed(args) -> int:
-    if getattr(args, "seed", None) is not None:
-        return int(args.seed)
-    env = os.environ.get("EXTENSO_SEED")
-    return int(env) if env else 0
+def _resolve_seed(args, parser: argparse.ArgumentParser) -> int:
+    """--seed (checked by _validate), else EXTENSO_SEED, else 0."""
+    if args.seed is not None:
+        return args.seed
+    env = os.environ.get("EXTENSO_SEED") or "0"
+    if not (env.isascii() and env.isdigit()):
+        parser.error(f"EXTENSO_SEED must be a non-negative integer, got {env!r}")
+    return int(env)
 
 
 def _resolve_density(args, parser: argparse.ArgumentParser):
@@ -166,7 +171,7 @@ def _instance_seeds(seed: int, count: int) -> list[int]:
 
 def _validate(args, parser: argparse.ArgumentParser) -> None:
     """Reject out-of-range numeric arguments as usage errors (exit 2)."""
-    # these reach the payload or the density as they are; JSON has no NaN or Infinity
+    # NaN or inf makes no sense as any of these, so it is bad input
     for name in ("concentration", "tolerance", "power", "q"):
         value = getattr(args, name, None)
         if value is not None and not math.isfinite(value):
@@ -181,16 +186,12 @@ def _validate(args, parser: argparse.ArgumentParser) -> None:
         ("k_max", lambda v: v >= 1, ">= 1"),
         ("max_size", lambda v: v >= 2, ">= 2"),
         ("tolerance", lambda v: v >= 0.0, ">= 0"),
+        ("seed", lambda v: v >= 0, ">= 0"),
     ]
     for name, ok, want in checks:
         value = getattr(args, name, None)
         if value is not None and not ok(value):
             parser.error(f"--{name.replace('_', '-')} must be {want}, got {value!r}")
-
-
-def _finite_or_none(x: float) -> float | None:
-    """JSON has no NaN or Infinity: an undefined summary value is null."""
-    return x if math.isfinite(x) else None
 
 
 def batch_report(density_label: str, check: str, seed: int, outcomes: list[str], slacks: list[float]) -> dict:
@@ -230,7 +231,7 @@ def _cmd_verify_sandwich(args, parser) -> tuple[dict, int]:
     if not (d.s0_zero and d.s1_zero and d.concave):
         parser.error(f"density {d.label} lacks s(0) = 0, s(1) = 0 or concavity, which the envelope needs")
     F = EntropyFunctional(d)
-    seed = _resolve_seed(args)
+    seed = _resolve_seed(args, parser)
     cfg = _bounds_cfg(args)
     seeds = _instance_seeds(seed, args.instances)
 
@@ -245,7 +246,7 @@ def _cmd_verify_sandwich(args, parser) -> tuple[dict, int]:
     payload = batch_report(d.label, "verify-sandwich", seed, outcomes, slacks)
     worst_gap = max((row["upper"] - row["lower"] for row in details), default=math.nan)
     collapse_tol = max((row["tolerance"] for row in details), default=math.nan)
-    payload["worst_bound_gap"] = _finite_or_none(worst_gap)
+    payload["worst_bound_gap"] = worst_gap
     payload["equality_collapse"] = bool(worst_gap <= collapse_tol)
     payload["details"] = details
     return payload, 0 if payload["fail_count"] == 0 else 1
@@ -254,7 +255,7 @@ def _cmd_verify_sandwich(args, parser) -> tuple[dict, int]:
 def _cmd_residual(args, parser) -> tuple[dict, int]:
     d = _resolve_density(args, parser)
     F = EntropyFunctional(d)
-    seed = _resolve_seed(args)
+    seed = _resolve_seed(args, parser)
     if args.power is not None:
         q = args.power
     elif d.label == "bg":
@@ -278,7 +279,7 @@ def _cmd_residual(args, parser) -> tuple[dict, int]:
     payload = batch_report(d.label, "residual", seed, outcomes, slacks)
     payload["power"] = q
     payload["tolerance"] = args.tolerance
-    payload["max_abs_residual"] = _finite_or_none(max((abs(r["residual"]) for r in details), default=math.nan))
+    payload["max_abs_residual"] = max((abs(r["residual"]) for r in details), default=math.nan)
     payload["details"] = details
     return payload, 0 if payload["fail_count"] == 0 else 1
 
@@ -306,14 +307,14 @@ def _parse_r_values(args, parser) -> list[float]:
 
 def _cmd_bounds(args, parser) -> tuple[dict, int]:
     d = _resolve_density(args, parser)
-    # a column without a finite ratio has no finite bound: null, and divergent
+    # a column without a finite ratio has no finite bound (null) and is divergent
     rows = [
         {
             "r": cb.r,
-            "lower": _finite_or_none(cb.lower),
-            "upper": _finite_or_none(cb.upper),
-            "arg_inf": _finite_or_none(cb.lower_meta.arg),
-            "arg_sup": _finite_or_none(cb.upper_meta.arg),
+            "lower": cb.lower,
+            "upper": cb.upper,
+            "arg_inf": cb.lower_meta.arg,
+            "arg_sup": cb.upper_meta.arg,
             "divergent": cb.divergent,
         }
         for cb in column_bounds(d, _parse_r_values(args, parser), _bounds_cfg(args))
@@ -378,7 +379,7 @@ def _cmd_axioms(args, parser) -> tuple[dict, int]:
     if args.instances < 1:  # no draws: continuity and expandability hold vacuously
         parser.error(f"--instances must be >= 1, got {args.instances!r}")
     F = EntropyFunctional(d)
-    seed = _resolve_seed(args)
+    seed = _resolve_seed(args, parser)
     rep = axiom_suite(F, sizes=tuple(range(2, args.max_size + 1)), seed=seed, trials=args.instances)
     payload = {
         "density": d.label,
@@ -387,7 +388,6 @@ def _cmd_axioms(args, parser) -> tuple[dict, int]:
         "seed": seed,
         **rep.to_dict(),
     }
-    payload["worst_maximality_gap"] = _finite_or_none(rep.worst_maximality_gap)
     return payload, 0 if rep.all_pass else 1
 
 
@@ -442,16 +442,29 @@ def _to_csv(payload: dict) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _finite(v):
+    """v with every non-finite float in it, at any depth, replaced by None."""
+    if isinstance(v, dict):
+        return {k: _finite(x) for k, x in v.items()}
+    if isinstance(v, (list, tuple)):
+        return [_finite(x) for x in v]
+    return None if isinstance(v, float) and not math.isfinite(v) else v
+
+
 def _emit(payload: dict, args) -> None:
+    payload = _finite(payload)
     if args.format == "csv":
         text = _to_csv(payload)
     else:
         text = json.dumps(payload, sort_keys=True, indent=2, allow_nan=False) + "\n"
-    if args.output:
+    if not args.output:
+        sys.stdout.write(text)
+        return
+    try:
         with open(args.output, "w", encoding="utf-8") as fh:
             fh.write(text)
-    else:
-        sys.stdout.write(text)
+    except OSError as e:
+        args._parser.error(f"--output: cannot write {args.output!r}: {e.strerror}")
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -18,6 +18,7 @@ from one Horner pass, so evaluation runs no trig at all.
 """
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass, field
@@ -144,7 +145,8 @@ def tsallis_density(q: float) -> Density:
 
     Summed over a probability vector this equals (1 - sum p_j^q)/(q - 1)
     because the entries sum to 1, and it satisfies s(0) = s(1) = 0.
-    s''(r) = -q r^(q-2).
+    s''(r) = -q r^(q-2), as numpy gives it: -inf where r^(q-2) overflows
+    (q < 2, tiny r), 0 or subnormal where it underflows (large q).
 
     s and s' use expm1 of a multiple of log r, exact to rounding as q nears
     1, where r - r^q cancels.  For s that argument is never positive:
@@ -169,9 +171,7 @@ def tsallis_density(q: float) -> Density:
 
     def eval_s2(r):
         r = np.asarray(r, dtype=np.float64)
-        # r^(q-2) overflows to inf for tiny r when q < 2; inf is the value
-        with np.errstate(over="ignore"):
-            return -q * r ** (q - 2.0)
+        return -q * r ** (q - 2.0)
 
     return Density(
         label=f"tsallis(q={q:g})",
@@ -189,8 +189,6 @@ def tsallis_density(q: float) -> Density:
 # remark5: s(r) = -int_0^r log sin((pi/4) t) dt + C r
 # ---------------------------------------------------------------------------
 
-_REMARK5_C: float | None = None
-
 
 def _remark5_logsin_integral(r):
     """Integral over [0, r] of log sin((pi/4) t).
@@ -207,11 +205,9 @@ def _remark5_logsin_integral(r):
     return np.where(r > 0.0, exact + smooth, 0.0)
 
 
+@functools.cache
 def _remark5_constant() -> float:
-    global _REMARK5_C
-    if _REMARK5_C is None:
-        _REMARK5_C = float(_remark5_logsin_integral(1.0))
-    return _REMARK5_C
+    return float(_remark5_logsin_integral(1.0))
 
 
 def remark5_density() -> Density:
@@ -287,9 +283,7 @@ class _Remark2Tables(NamedTuple):
     coef: np.ndarray
 
 
-_REMARK2_TABLES: _Remark2Tables | None = None
-
-
+@functools.cache
 def _remark2_tables() -> _Remark2Tables:
     """The ladder, built on first use from one Gauss-rule pass over its panels.
 
@@ -298,9 +292,6 @@ def _remark2_tables() -> _Remark2Tables:
     6 356 narrow panels and 174 sub-panels of the ten widest, (13, 2, 6 530)
     coefficients, about 1.36 MB.
     """
-    global _REMARK2_TABLES
-    if _REMARK2_TABLES is not None:
-        return _REMARK2_TABLES
     j_max = int(math.floor(2.0 / (math.pi * _LADDER_CUTOFF)))
     # steps y down to the last break below r = 1; their x are exact, as every
     # slope is a power of two
@@ -335,8 +326,7 @@ def _remark2_tables() -> _Remark2Tables:
     sub[0] = 0.0
     sub[0] = -_kernels.horner_rows(sub, lo[wide:] - center[wide:])
     breaks = np.append(lo, math.inf)
-    _REMARK2_TABLES = _Remark2Tables(breaks, g_prefix, h_prefix, j_max, center, coef)
-    return _REMARK2_TABLES
+    return _Remark2Tables(breaks, g_prefix, h_prefix, j_max, center, coef)
 
 
 def _remark2_panel(r: np.ndarray) -> np.ndarray:

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 import struct
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -103,16 +103,7 @@ class SandwichReport:
     divergent: bool
 
     def to_dict(self) -> dict:
-        return {
-            "diff": self.diff,
-            "lower": self.lower,
-            "upper": self.upper,
-            "slack_lower": self.slack_lower,
-            "slack_upper": self.slack_upper,
-            "tolerance": self.tolerance,
-            "verdict": self.verdict,
-            "divergent": self.divergent,
-        }
+        return asdict(self)
 
 
 def _require_sandwich_flags(d: Density) -> None:
@@ -222,6 +213,7 @@ _CONSISTENCY_TOL = 1e-4
 _MULTIPLICATIVITY_TOL = 1e-6
 _Q_ONE_WINDOW = 8 * 2.0**-52
 _RECON_GRID_N = 256
+_NORMAL_MIN = float(np.finfo(np.float64).tiny)  # smallest normal float64
 
 
 @dataclass(frozen=True)
@@ -249,20 +241,10 @@ class PowerRecovery:
     reconstruction: Reconstruction | None
 
     def to_dict(self) -> dict:
-        out = {
-            "q_est": self.q_est,
-            "consistency": self.consistency,
-            "multiplicativity_defect": self.multiplicativity_defect,
-            "verdict": self.verdict,
-        }
-        if self.reconstruction is not None:
-            out["reconstruction"] = {
-                "k_q": self.reconstruction.k_q,
-                "a_q": self.reconstruction.a_q,
-                "b_q": self.reconstruction.b_q,
-                "branch": self.reconstruction.branch,
-                "max_abs_err": self.reconstruction.max_abs_err,
-            }
+        """The fields in order, without a reconstruction where there is none."""
+        out = asdict(self)
+        if self.reconstruction is None:
+            del out["reconstruction"]
         return out
 
 
@@ -272,29 +254,31 @@ def recover_f(d: Density) -> PowerRecovery:
     Candidates f(r; x) = r^2 s''(rx)/s''(x) must agree across base points x;
     agreement plus multiplicativity f(r1) f(r2) = f(r1 r2) forces f(r) = r^q
     with q > 0, in which case the density itself is rebuilt in closed form
-    from s(1), s'(1), s''(1) and compared to eval_s.
+    from s(1), s'(1), s''(1) and compared to eval_s.  Where an s'' it reads is
+    not finite or not normal, the verdict is 'inconclusive'.
     """
     if not d.concave:
         raise ValueError(f"density {d.label!r} lacks the concave flag")
     s2 = d.eval_s2
     rs = np.asarray(_R_GRID)
     xs = np.asarray(_X_PROBES)
-    cand = rs[:, None] ** 2 * np.asarray(s2(rs[:, None] * xs[None, :])) / np.asarray(s2(xs))[None, :]
-    if not np.all(np.isfinite(cand)):
-        return PowerRecovery(math.nan, math.nan, math.nan, "inconclusive", None)
-    consistency = float((cand.max(axis=1) - cand.min(axis=1)).max())
-
-    def f_hat(r: np.ndarray) -> np.ndarray:
-        r = np.asarray(r, dtype=np.float64)
-        vals = r[..., None] ** 2 * np.asarray(s2(r[..., None] * xs)) / np.asarray(s2(xs))
-        return vals.mean(axis=-1)
-
     pair_rs = rs[::3]
     r1, r2 = np.meshgrid(pair_rs, pair_rs)
-    defect = float(
-        np.abs(f_hat(r1) * f_hat(r2) - f_hat(r1 * r2)).max()
-    )
-    f_on_grid = f_hat(rs)
+    # every s'' value the verdict reads: at the base points x, on the
+    # candidate grid r x and at multiplicativity's r1 r2 x
+    s2_x = np.asarray(s2(xs))
+    s2_rx = np.asarray(s2(rs[:, None] * xs))
+    s2_pairs = np.asarray(s2((r1 * r2)[..., None] * xs))
+    # a non-finite s'' has no ratio, and a zero or subnormal one has lost
+    # its digits to underflow (tsallis, large q): no verdict rests on either
+    if not all((np.isfinite(v) & (np.abs(v) >= _NORMAL_MIN)).all() for v in (s2_x, s2_rx, s2_pairs)):
+        return PowerRecovery(math.nan, math.nan, math.nan, "inconclusive", None)
+    cand = rs[:, None] ** 2 * s2_rx / s2_x
+    consistency = float((cand.max(axis=1) - cand.min(axis=1)).max())
+    # f_hat: the candidates' mean over x, on the grid and at the pairs' products
+    f_on_grid = cand.mean(axis=1)
+    f_products = ((r1 * r2)[..., None] ** 2 * s2_pairs / s2_x).mean(axis=-1)
+    defect = float(np.abs(f_on_grid[::3] * f_on_grid[::3, None] - f_products).max())
     if np.any(f_on_grid <= 0.0):
         return PowerRecovery(math.nan, consistency, defect, "not_power", None)
     q_est = float(np.mean(np.log(f_on_grid) / np.log(rs)))

@@ -5,7 +5,10 @@ overestimate the true infimum and grid maxima underestimate the true
 supremum; consumers receive est_error and must apply it as slack, which keeps
 one-sided-error reasoning sound.  Limit behavior toward 0 is probed on a
 geometric ladder (plus caller-declared points) and only reported as a trend,
-never asserted as an attained extremum.
+never asserted as an attained extremum.  ``scan_extrema`` runs under one
+floating-point state that ignores overflow, invalid operations and division
+by zero: what it scans may yield inf and NaN quietly, and the scan sees to
+it that those never win.
 """
 from __future__ import annotations
 
@@ -153,6 +156,7 @@ def _neighbourhood(vs: np.ndarray, idx: np.ndarray) -> tuple[np.ndarray, np.ndar
     return near, vs.ravel()[np.arange(0, rows * grid_n, grid_n)[:, None, None] + near]
 
 
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def scan_extrema(
     h,
     t_min: float,
@@ -177,7 +181,8 @@ def scan_extrema(
     finite.  Only otherwise is the grid masked, picked again and checked for
     blow-ups.  A lane's error is the larger gap to a finite grid neighbour
     (inf without one); the t_min edge widens it only where the lane's value
-    is finite.  Rows without a finite value raise no warning.
+    is finite.  Every evaluation of h, grid, zoom and probes, runs inside
+    this function's floating-point state, so none of it raises a warning.
     """
     if grid_n < 256:
         raise ValueError("grid_n must be >= 256")
@@ -204,8 +209,7 @@ def scan_extrema(
         est_error = np.abs(value[..., None] - near_vals).max(axis=-1)
     else:
         ok = np.isfinite(near_vals) & (near != idx[..., None])
-        with np.errstate(invalid="ignore"):  # inf - inf in a row without a finite value
-            gap = np.abs(value[..., None] - near_vals)
+        gap = np.abs(value[..., None] - near_vals)  # inf - inf is NaN where no value is finite
         est_error = np.where(ok, gap, -np.inf).max(axis=-1)
         est_error[est_error == -np.inf] = np.inf
     bracket = ts[near]

@@ -131,8 +131,8 @@ class TestCoefficientBounds:
         assert cb.r == 1.0 and cb.lower == cb.upper == 1.0
 
     def test_no_finite_ratio_is_divergent_and_quiet(self):
-        # s''(r t) overflows to -inf for every t: neither the density nor
-        # the scan warns about it
+        # s''(r t) overflows to -inf for every t: the scan evaluates the
+        # ratios under its own floating-point state, so nothing warns
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             lost, kept = column_bounds(tsallis_density(0.1), [1e-300, 0.5])
@@ -142,6 +142,16 @@ class TestCoefficientBounds:
         assert lost.lower_meta.est_error == lost.upper_meta.est_error == math.inf
         assert lost.upper_meta.offending_t == 1e-6
         assert kept.lower == pytest.approx(0.5 ** 0.1, rel=1e-12)
+
+    @pytest.mark.parametrize("q", [300.0, 1000.0])
+    def test_underflowed_curvature_is_quiet(self, q):
+        # s'' underflows to 0 on most of the grid: 0/0 ratios never win, and
+        # the scan makes no warning of them
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            (cb,) = column_bounds(tsallis_density(q), [0.5])
+        assert caught == []
+        assert math.isfinite(cb.lower) and math.isfinite(cb.upper)
 
     def test_config_respected(self):
         cb = coefficient_bounds(remark5_density(), 0.5, BoundsConfig(grid_n=256, t_min=1e-4))

@@ -79,6 +79,12 @@ class TestDeterminism:
         capsys.readouterr()
         assert out1.read_bytes() == out2.read_bytes()
 
+    def test_large_seed(self, capsys):
+        code, payload = run_json(
+            ["residual", "--density", "bg", "--instances", "2", "--seed", str(2**70)], capsys
+        )
+        assert code == 0 and payload["seed"] == 2**70
+
     def test_seed_env_fallback(self, capsys, monkeypatch):
         monkeypatch.setenv("EXTENSO_SEED", "99")
         _, payload = run_json(
@@ -162,6 +168,23 @@ class TestRecoverF:
         _, payload = run_json(["recover-f", "--density", "remark5"], capsys)
         assert payload["verdict"] == "not_power"
 
+    @pytest.mark.parametrize("q", ["120", "150", "200", "300", "1000"])
+    def test_underflowed_curvature_is_inconclusive(self, q, capsys):
+        # s'' underflows at some r1 r2 x (or on the candidate grid itself)
+        code, out = run_cli(["recover-f", "--density", "tsallis", "--q", q], capsys)
+        payload = json.loads(out, parse_constant=_reject_constant)
+        assert code == 0 and payload["verdict"] == "inconclusive"
+        assert payload["q_est"] is None and payload["consistency"] is None
+        assert "reconstruction" not in payload
+
+    def test_largest_q_with_normal_curvature(self, capsys):
+        code, payload = run_json(["recover-f", "--density", "tsallis", "--q", "100"], capsys)
+        assert code == 0 and payload["verdict"] == "power"
+        assert payload["q_est"] == 100.0
+        assert payload["reconstruction"] == {
+            "a_q": 0.0, "b_q": 0.0, "branch": "power", "k_q": -1.0, "max_abs_err": 0.0,
+        }
+
 
 class TestCounterexamples:
     def test_remark5_negative_lhs(self, capsys):
@@ -239,6 +262,28 @@ class TestStrictJson:
         assert code == 1 and payload["expandability"] is False
 
 
+# Inputs where s'' overflows or underflows: every run exits 0, quiet and strict.
+STRICT_SWEEP = [
+    *(["recover-f", "--density", "tsallis", "--q", q] for q in ("200", "300", "1000")),
+    *(["bounds", "--density", "tsallis", "--q", q, "--r", "0.5"] for q in ("300", "1000")),
+    ["bounds", "--density", "tsallis", "--q", "0.1", "--r", "1e-300"],
+    ["verify-sandwich", "--density", "tsallis", "--q", "1000", "--instances", "5", "--seed", "1"],
+]
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+@pytest.mark.parametrize("args", STRICT_SWEEP, ids=lambda a: " ".join(a))
+def test_extreme_curvature_output_is_strict(args, fmt, capsys):
+    # RuntimeWarning is an error under this suite's settings
+    code = main(args + ["--format", fmt])
+    captured = capsys.readouterr()
+    assert (code, captured.err) == (0, "")
+    if fmt == "json":
+        json.loads(captured.out, parse_constant=_reject_constant)
+    else:
+        assert not re.search(r"(?i)\b(nan|inf|infinity)\b", captured.out)
+
+
 class TestUsageErrors:
     @pytest.mark.parametrize(
         "args",
@@ -276,6 +321,9 @@ class TestUsageErrors:
             ["residual", "--density", "bg", "--concentration", "0.001", "--instances", "5"],
             ["bounds", "--density", "bg", "--r-grid", "0.1:0.9:0"],
             ["counterexample", "remark2", "--k-max", "0"],
+            ["verify-sandwich", "--density", "remark5", "--seed", "-1"],
+            ["residual", "--density", "bg", "--seed", "-1"],
+            ["axioms", "--density", "remark5", "--seed", "-1"],
         ],
         ids=lambda a: " ".join(a),
     )
@@ -285,6 +333,25 @@ class TestUsageErrors:
         assert exc.value.code == 2
         err = capsys.readouterr().err.strip().splitlines()
         assert err[-1].startswith(f"extenso {args[0]}: error: ")
+        assert not any("Traceback" in line for line in err)
+
+    @pytest.mark.parametrize("env", ["-3", "abc", "1.5"])
+    def test_bad_seed_env(self, env, capsys, monkeypatch):
+        monkeypatch.setenv("EXTENSO_SEED", env)
+        with pytest.raises(SystemExit) as exc:
+            main(["residual", "--density", "bg", "--instances", "1"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert err[-1] == f"extenso residual: error: EXTENSO_SEED must be a non-negative integer, got {env!r}"
+
+    @pytest.mark.parametrize("where", ["missing-directory", "directory"])
+    def test_unwritable_output(self, where, capsys, tmp_path):
+        path = tmp_path / "no-such-dir" / "out.json" if where == "missing-directory" else tmp_path
+        with pytest.raises(SystemExit) as exc:
+            main(["theta-phi", "--density", "bg", "--output", str(path)])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert err[-1].startswith(f"extenso theta-phi: error: --output: cannot write {str(path)!r}: ")
         assert not any("Traceback" in line for line in err)
 
     def test_unknown_command(self, capsys):
@@ -358,8 +425,8 @@ class TestNonFiniteFlags:
         assert kept["divergent"] is False and kept["lower"] == pytest.approx(0.5 ** 0.1)
 
     def test_bounds_overflow_under_warnings_as_errors(self, capsys):
-        # the density's own overflow at r = 1e-300 is quiet, so a run that
-        # turns RuntimeWarning into an error prints the same payload
+        # the scan keeps the density's overflow at r = 1e-300 quiet, so a
+        # run that turns RuntimeWarning into an error prints the same payload
         args = ["bounds", "--density", "tsallis", "--q", "0.1", "--r", "1e-300"]
         src = str(Path(extenso.__file__).resolve().parents[1])
         env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))

@@ -206,6 +206,14 @@ class TestRecovery:
         assert rec.reconstruction.branch == "power"
         assert rec.reconstruction.max_abs_err <= 1e-12
 
+    @pytest.mark.parametrize("q", [120.0, 200.0, 1000.0])
+    def test_underflowed_curvature_is_inconclusive(self, q):
+        # at q = 200 two candidates used to underflow to 0 and still say power
+        rec = recover_f(tsallis_density(q))
+        assert rec.verdict == "inconclusive" and rec.reconstruction is None
+        assert math.isnan(rec.q_est)
+        assert rec.to_dict()["verdict"] == "inconclusive" and "reconstruction" not in rec.to_dict()
+
     def test_remark5_rejected(self):
         rec = recover_f(remark5_density())
         assert rec.verdict == "not_power"
