@@ -11,12 +11,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from .densities import Density, canonical_grid
-from .numerics import OptResult, scan_extrema
+from .numerics import scan_extrema
 
 __all__ = [
     "BoundsConfig",
@@ -38,28 +38,33 @@ class BoundsConfig:
     refine: bool = True
 
 
-@dataclass(frozen=True)
-class CoefficientBounds:
+class CoefficientBounds(NamedTuple):
     """Envelope (lower, upper) = r^2 (inf, sup) of the curvature ratio at r.
 
-    lower/upper carry the scan metadata; est_error lives there on the ratio
-    scale, so the f-scale slack is r^2 * meta.est_error.
+    arg_inf/arg_sup locate the ratio's inf/sup; err_inf/err_sup are the
+    scan's one-sided errors there on the ratio scale, so the f-scale slack is
+    r^2 (err_inf + err_sup).  Fields are per-column arrays from column_bounds
+    and Python scalars from coefficient_bounds, its one-column case.
     """
 
-    r: float
-    lower: float
-    upper: float
-    lower_meta: OptResult
-    upper_meta: OptResult
-    divergent: bool
+    r: np.ndarray
+    lower: np.ndarray
+    upper: np.ndarray
+    arg_inf: np.ndarray
+    arg_sup: np.ndarray
+    err_inf: np.ndarray
+    err_sup: np.ndarray
+    divergent: np.ndarray
 
 
-def column_bounds(d: Density, rs, cfg: BoundsConfig | None = None) -> list[CoefficientBounds]:
+@np.errstate(invalid="ignore")
+def column_bounds(d: Density, rs, cfg: BoundsConfig | None = None) -> CoefficientBounds:
     """coefficient_bounds for every r in rs, from one scan of the (r x t) grid.
 
     The grid denominator s''(t) and the probe ladders are evaluated once per
     call; each r keeps its own lanes, so its result does not depend on the
-    other values in rs.
+    other values in rs.  r^2 may underflow to 0 and meet an infinite ratio:
+    the bound is then NaN, without a warning.
     """
     cfg = cfg or BoundsConfig()
     if not d.concave:
@@ -68,8 +73,6 @@ def column_bounds(d: Density, rs, cfg: BoundsConfig | None = None) -> list[Coeff
     ok = (r > 0.0) & (r <= 1.0 + 1e-12)  # false for NaN too
     if not ok.all():
         raise ValueError(f"r must lie in (0, 1], got {float(r[np.argmin(ok)])!r}")
-    if not r.size:
-        return []
     r = np.minimum(r, 1.0)  # marginals carry float dust one ulp above 1
     s2 = d.eval_s2
     rt = r[:, None]
@@ -78,29 +81,20 @@ def column_bounds(d: Density, rs, cfg: BoundsConfig | None = None) -> list[Coeff
         # t is the 1-d grid or ladder (shared by all rows) or (rows, L)
         return np.asarray(s2(rt * t)) / np.asarray(s2(t))
 
-    scans = scan_extrema(
+    scan = scan_extrema(
         ratio,
         t_min=cfg.t_min,
         grid_n=cfg.grid_n,
         probe_points=d.probe_points,
         refine=cfg.refine,
     )
-    out = []
-    for rj, (inf_res, sup_res) in zip(r.tolist(), scans):
-        f_scale = rj * rj
-        # the magnitude threshold applies to the coefficient r^2 * ratio
-        breach = math.isfinite(sup_res.probe_max) and f_scale * abs(sup_res.probe_max) > DIVERGENCE_THRESHOLD
-        out.append(
-            CoefficientBounds(
-                r=rj,
-                lower=f_scale * inf_res.value,
-                upper=f_scale * sup_res.value,
-                lower_meta=inf_res,
-                upper_meta=sup_res,
-                divergent=inf_res.diverging or sup_res.diverging or breach,
-            )
-        )
-    return out
+    f_scale = r * r
+    lower, upper = (f_scale[:, None] * scan.value).T
+    # the magnitude threshold applies to the coefficient r^2 * ratio; a NaN
+    # probe_max (no finite probe) never breaches it
+    breach = f_scale * np.abs(scan.probe_max) > DIVERGENCE_THRESHOLD
+    divergent = scan.diverging.any(axis=1) | breach
+    return CoefficientBounds(r, lower, upper, *scan.arg.T, *scan.est_error.T, divergent)
 
 
 def coefficient_bounds(d: Density, r: float, cfg: BoundsConfig | None = None) -> CoefficientBounds:
@@ -111,7 +105,7 @@ def coefficient_bounds(d: Density, r: float, cfg: BoundsConfig | None = None) ->
     trends away without slowing, or when r^2 times the largest probe value
     breaches the magnitude threshold.
     """
-    return column_bounds(d, [r], cfg)[0]
+    return CoefficientBounds._make(v.item() for v in column_bounds(d, [r], cfg))
 
 
 # ---------------------------------------------------------------------------

@@ -11,6 +11,8 @@ status is 0 for clean runs (divergent instances are reported, not failures),
 from __future__ import annotations
 
 import argparse
+import csv
+import io
 import json
 import math
 import os
@@ -307,18 +309,11 @@ def _parse_r_values(args, parser) -> list[float]:
 
 def _cmd_bounds(args, parser) -> tuple[dict, int]:
     d = _resolve_density(args, parser)
+    cb = column_bounds(d, _parse_r_values(args, parser), _bounds_cfg(args))
     # a column without a finite ratio has no finite bound (null) and is divergent
-    rows = [
-        {
-            "r": cb.r,
-            "lower": cb.lower,
-            "upper": cb.upper,
-            "arg_inf": cb.lower_meta.arg,
-            "arg_sup": cb.upper_meta.arg,
-            "divergent": cb.divergent,
-        }
-        for cb in column_bounds(d, _parse_r_values(args, parser), _bounds_cfg(args))
-    ]
+    cols = {"r": cb.r, "lower": cb.lower, "upper": cb.upper,
+            "arg_inf": cb.arg_inf, "arg_sup": cb.arg_sup, "divergent": cb.divergent}
+    rows = [dict(zip(cols, row)) for row in zip(*(v.tolist() for v in cols.values()))]
     payload = {"density": d.label, "check": "bounds", "rows": rows}
     return payload, 0
 
@@ -426,20 +421,22 @@ def _csv_escape(v) -> str:
 
 def _to_csv(payload: dict) -> str:
     """CSV projection: tabular payloads dump their rows, scalar payloads
-    dump key,value pairs; nested details are flattened per instance."""
+    dump key,value pairs; nested details are flattened per instance, and a
+    field holding a comma is quoted."""
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
     rows = payload.get("rows") or payload.get("details")
     if rows:
         cols = list(rows[0].keys())
-        lines = [",".join(cols)]
-        for row in rows:
-            lines.append(",".join(_csv_escape(row[c]) for c in cols))
-        return "\n".join(lines) + "\n"
-    lines = ["key,value"]
-    for k, v in payload.items():
-        if isinstance(v, (dict, list)):
-            v = json.dumps(v, sort_keys=True)
-        lines.append(f"{k},{_csv_escape(v)}")
-    return "\n".join(lines) + "\n"
+        writer.writerow(cols)
+        writer.writerows([_csv_escape(row[c]) for c in cols] for row in rows)
+    else:
+        writer.writerow(["key", "value"])
+        for k, v in payload.items():
+            if isinstance(v, (dict, list)):
+                v = json.dumps(v, sort_keys=True)
+            writer.writerow([k, _csv_escape(v)])
+    return out.getvalue()
 
 
 def _finite(v):

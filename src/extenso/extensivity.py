@@ -125,24 +125,15 @@ def _sandwich_core(
     s1_at_1 = float(np.asarray(d.eval_s1(1.0)))
     p = marginal(P)
     s_joint, s_marg, *cond_entropies = _joint_entropies(F, P, p)
-    per_col: list[CoefficientBounds] = column_bounds(d, p.entries, cfg)
-    divergent = any(cb.divergent for cb in per_col)
-
-    lower_terms = []
-    upper_terms = []
-    gap_terms = []
-    tol_terms = [1e-9]
-    for cb, Sj in zip(per_col, cond_entropies):
-        lower_terms.append(cb.lower * Sj)
-        upper_terms.append(cb.upper * Sj)
-        gap_terms.append(cb.upper - cb.lower)
-        # one-sided grid errors, propagated linearly on the f scale
-        err = cb.r * cb.r * (cb.lower_meta.est_error + cb.upper_meta.est_error)
-        tol_terms.append(err * (abs(Sj) + abs(s1_at_1)))
-    gap = math.fsum(gap_terms)
-    lower = math.fsum(lower_terms) + s1_at_1 * gap
-    upper = math.fsum(upper_terms) - s1_at_1 * gap
-    return s_joint - s_marg, lower, upper, math.fsum(tol_terms), divergent
+    cb: CoefficientBounds = column_bounds(d, p.entries, cfg)
+    S = np.array(cond_entropies)
+    gap = math.fsum((cb.upper - cb.lower).tolist())
+    lower = math.fsum((cb.lower * S).tolist()) + s1_at_1 * gap
+    upper = math.fsum((cb.upper * S).tolist()) - s1_at_1 * gap
+    # one-sided grid errors, propagated linearly on the f scale
+    err = cb.r * cb.r * (cb.err_inf + cb.err_sup)
+    tol = math.fsum([1e-9, *(err * (np.abs(S) + abs(s1_at_1))).tolist()])
+    return s_joint - s_marg, lower, upper, tol, bool(cb.divergent.any())
 
 
 def sandwich_check(

@@ -14,34 +14,29 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
-__all__ = ["OptResult", "scan_extrema"]
+__all__ = ["scan_extrema"]
 
-@dataclass(frozen=True)
-class OptResult:
-    """Result of a 1-d extremum scan.
+class Scan(NamedTuple):
+    """Result of a row-batched extremum scan.  value, arg, est_error and
+    diverging are (rows, 2), column 0 the infimum lanes and 1 the supremum.
 
-    est_error is the neighbor-cell value gap at the winning grid cell: the
-    scan's resolution, to be applied as slack by consumers.  At the t_min
-    edge it also covers how far the probes below t_min pass the value.
-    diverging is set when a probe family trends away without slowing, or the
-    grid meets an infinity in the unbounded direction; attainment toward t=0
-    is never asserted.  Magnitude thresholds on probe_max are the caller's to
-    apply.
+    est_error is the neighbour-cell value gap at the winning grid cell, to be
+    applied as slack; at the t_min edge it also covers how far the probes
+    below t_min pass the value.  diverging: a probe family trends away, or
+    the grid meets an infinity in the unbounded direction.  probe_max, (rows,),
+    is a row's largest finite probe value (NaN without one), for the caller's
+    magnitude thresholds.
     """
 
-    value: float
-    arg: float
-    grid_points: int
-    refined: bool
-    est_error: float
-    diverging: bool = False
-    probe_trend: str = "none"
-    probe_max: float = math.nan
-    offending_t: float | None = None
+    value: np.ndarray
+    arg: np.ndarray
+    est_error: np.ndarray
+    diverging: np.ndarray
+    probe_max: np.ndarray
 
 
 # Bracket zoom: each round samples _ZOOM_POINTS interior points per lane and
@@ -114,29 +109,32 @@ def _zoom(h, lo: np.ndarray, hi: np.ndarray, value: np.ndarray, arg: np.ndarray)
     return _SIGN * best, arg
 
 
-def _trend_labels(values: np.ndarray) -> tuple[str, str]:
-    """Trend of h along a probe family ordered by decreasing t, judged for
-    the infimum and for the supremum.
+def _diverging(values: np.ndarray) -> np.ndarray:
+    """(rows, 2) flags, inf and sup: which rows of a probe family, ordered
+    by decreasing t, diverge.
 
-    'diverging' means the last _TREND_WINDOW values move monotonically in the
-    unbounded direction for the given mode and the move has not slowed below
-    5% of scale: the limit-style growth a fixed grid would miss.
+    A row diverges when its last _TREND_WINDOW finite values (it needs more
+    than that many) move strictly monotonically in the unbounded direction
+    and the move has not slowed below 5% of scale: the limit-style growth a
+    fixed grid would miss.  Rows holding NaN or +-inf are compacted stably,
+    finite values last.  Runs under scan_extrema's floating-point state.
     """
-    v = values[np.isfinite(values)]
-    if v.size < _TREND_WINDOW + 1:
-        return "short", "short"
-    w = v[-_TREND_WINDOW:].tolist()
-    d = [b - a for a, b in zip(w, w[1:])]
-    away = abs(w[-1] - w[0]) > max(1e-9, 0.05 * abs(w[0]))
-    if all(x > 0 for x in d):
-        return "increasing", "diverging" if away else "increasing"
-    if all(x < 0 for x in d):
-        # a positive decreasing sequence is bounded below; only a genuinely
-        # negative-heading tail counts as divergence for the infimum
-        return "diverging" if away and w[-1] < 0 else "decreasing", "decreasing"
-    if all(abs(x) <= 1e-12 * (1.0 + abs(a)) for x, a in zip(d, w)):
-        return "flat", "flat"
-    return "mixed", "mixed"
+    rows, n = values.shape
+    if n <= _TREND_WINDOW:
+        return np.zeros((rows, 2), dtype=bool)
+    finite = np.isfinite(values)
+    enough = True
+    if not finite.all():
+        values = np.take_along_axis(values, np.argsort(finite, axis=1, kind="stable"), axis=1)
+        enough = finite.sum(axis=1) > _TREND_WINDOW
+    w = values[:, -_TREND_WINDOW:]
+    step = np.diff(w, axis=1)
+    first, last = w[:, 0], w[:, -1]
+    away = enough & (np.abs(last - first) > np.maximum(1e-9, 0.05 * np.abs(first)))
+    # a positive decreasing sequence is bounded below; only a genuinely
+    # negative-heading tail counts as divergence for the infimum
+    down = away & (step < 0).all(axis=1) & (last < 0)
+    return np.stack([down, away & (step > 0).all(axis=1)], axis=1)
 
 
 @functools.lru_cache(maxsize=8)
@@ -163,8 +161,8 @@ def scan_extrema(
     grid_n: int,
     probe_points: tuple[float, ...] = (),
     refine: bool = True,
-) -> list[tuple[OptResult, OptResult]]:
-    """One grid scan of each row of h over [t_min, 1]: an (inf, sup) pair per row.
+) -> Scan:
+    """One grid scan of each row of h over [t_min, 1]: an (inf, sup) lane pair per row.
 
     h is row-batched: it maps a 1-d t of length L to a (rows, L) array, and
     a (rows, L) t to (rows, L) values with row i taken at t[i].
@@ -215,7 +213,7 @@ def scan_extrema(
     bracket = ts[near]
     arg = bracket[..., 1]
 
-    if refine:
+    if refine and rows:
         value, arg = _zoom(h, bracket[..., 0], bracket[..., 2], value, arg)
 
     # probe families: geometric ladder toward 0, then declared points
@@ -242,37 +240,7 @@ def scan_extrema(
         top = np.where(np.isfinite(allv), allv, -np.inf).max(axis=1)
         probe_max = np.where(top > -np.inf, top, math.nan)
 
-    # the t_min edge is an artificial truncation: the true extremum may sit
-    # below it, so refinement there is not trusted
-    refined = (idx > 0).tolist() if refine else [[False, False]] * rows
-    if finite is None:
-        blowup = [[False, False]] * rows
-        offending = [None] * rows
-    else:
-        blowup = np.stack([np.isneginf(vs).any(axis=1), np.isposinf(vs).any(axis=1)], axis=1).tolist()
-        first_bad = ts[np.argmin(finite, axis=1)].tolist()
-        offending = [t if bad else None for t, bad in zip(first_bad, (~finite.all(axis=1)).tolist())]
-    results = []
-    for row, (v2, a2, e2, r2, b2, top, off) in enumerate(zip(
-        value.tolist(), arg.tolist(), est_error.tolist(), refined, blowup, probe_max.tolist(), offending,
-    )):
-        labels = [_trend_labels(pv[row]) for pv in probe_vals]
-        pair = []
-        for m in range(2):
-            trends = [lab[m] for lab in labels]
-            diverging = "diverging" in trends or b2[m]
-            pair.append(
-                OptResult(
-                    value=v2[m],
-                    arg=a2[m],
-                    grid_points=grid_n,
-                    refined=r2[m],
-                    est_error=e2[m],
-                    diverging=diverging,
-                    probe_trend="diverging" if diverging else trends[0],
-                    probe_max=top,
-                    offending_t=off,
-                )
-            )
-        results.append(tuple(pair))
-    return results
+    diverging = np.logical_or.reduce([_diverging(pv) for pv in probe_vals])
+    if finite is not None:
+        diverging |= np.stack([np.isneginf(vs).any(axis=1), np.isposinf(vs).any(axis=1)], axis=1)
+    return Scan(value, arg, est_error, diverging, probe_max)

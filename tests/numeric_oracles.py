@@ -1,7 +1,7 @@
 """Reference numerics for the tests: quadrature, finite differences, a
-one-function view of the extremum scan, the plain extremum scan, remark2's
-panel ladder by the Gauss rule alone and its moments in closed form at 30
-digits, per-vector entropy loops, and the
+one-function view of the extremum scan, the plain extremum scan and its
+per-row trend labels, remark2's panel ladder by the Gauss rule alone and
+its moments in closed form at 30 digits, per-vector entropy loops, and the
 test-only constructions: a joint rebuilt from its factors, the shifted
 density and the 3x2 family behind the twice-differentiated curvature
 relation.
@@ -17,7 +17,7 @@ from __future__ import annotations
 import dataclasses
 import functools
 import math
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -26,11 +26,11 @@ from extenso.densities import Density, DensityDomainError
 from extenso.extensivity import _require_sandwich_flags
 from extenso.numerics import (
     _LADDER_K,
+    _TREND_WINDOW,
     _ZOOM_POINTS,
     _ZOOM_ROUNDS,
-    OptResult,
+    Scan,
     _log_grid,
-    _trend_labels,
     scan_extrema,
 )
 from extenso.simplex import (
@@ -276,6 +276,15 @@ def finite_difference(
     return (2.0 * g(r) - 5.0 * g(r + h) + 4.0 * g(r + 2 * h) - g(r + 3 * h)) / (h * h)
 
 
+class Extremum(NamedTuple):
+    """One lane of a scan: the inf or the sup of one row."""
+
+    value: float
+    arg: float
+    est_error: float
+    diverging: bool
+
+
 def global_extremum(
     h,
     mode: str,
@@ -283,7 +292,7 @@ def global_extremum(
     grid_n: int = 2048,
     probe_points: tuple[float, ...] = (),
     refine: bool = True,
-) -> OptResult:
+) -> Extremum:
     """Infimum or supremum of a 1-d h over (0, 1] truncated at t_min: the
     one-row case of scan_extrema."""
     if mode not in ("inf", "sup"):
@@ -292,8 +301,9 @@ def global_extremum(
     def one_row(t):
         return np.asarray(h(np.ravel(t)), dtype=np.float64).reshape(1, -1)
 
-    [(lo, hi)] = scan_extrema(one_row, t_min, grid_n, probe_points, refine)
-    return lo if mode == "inf" else hi
+    scan = scan_extrema(one_row, t_min, grid_n, probe_points, refine)
+    lane = 0 if mode == "inf" else 1
+    return Extremum(*(field[0, lane].item() for field in scan[:4]))
 
 
 # ---------------------------------------------------------------------------
@@ -330,15 +340,42 @@ def _reference_zoom(h, lo: np.ndarray, hi: np.ndarray, best: np.ndarray):
     return arg.reshape(shape), best.reshape(shape)
 
 
+def reference_trend_labels(values: np.ndarray) -> tuple[str, str]:
+    """Trend of h along a probe family ordered by decreasing t, judged for
+    the infimum and for the supremum.
+
+    'diverging' means the last _TREND_WINDOW values move monotonically in the
+    unbounded direction for the given mode and the move has not slowed below
+    5% of scale: the limit-style growth a fixed grid would miss.
+    """
+    v = values[np.isfinite(values)]
+    if v.size < _TREND_WINDOW + 1:
+        return "short", "short"
+    w = v[-_TREND_WINDOW:].tolist()
+    d = [b - a for a, b in zip(w, w[1:])]
+    away = abs(w[-1] - w[0]) > max(1e-9, 0.05 * abs(w[0]))
+    if all(x > 0 for x in d):
+        return "increasing", "diverging" if away else "increasing"
+    if all(x < 0 for x in d):
+        # a positive decreasing sequence is bounded below; only a genuinely
+        # negative-heading tail counts as divergence for the infimum
+        return "diverging" if away and w[-1] < 0 else "decreasing", "decreasing"
+    if all(abs(x) <= 1e-12 * (1.0 + abs(a)) for x, a in zip(d, w)):
+        return "flat", "flat"
+    return "mixed", "mixed"
+
+
 def reference_scan_extrema(
     h,
     t_min: float = 1e-6,
     grid_n: int = 2048,
     probe_points: tuple[float, ...] = (),
     refine: bool = True,
-) -> list[tuple[OptResult, OptResult]]:
+) -> Scan:
     """scan_extrema as it was before its zoom rounds and grid reduction were
     rewritten with fewer numpy calls; the rewrite must match it bit for bit.
+    Its divergence flags come from the per-row trend labels that the scan's
+    block judge replaced.
 
     One grid scan of each row of h over [t_min, 1]: an (inf, sup) pair per row.
 
@@ -357,9 +394,6 @@ def reference_scan_extrema(
     ts = _log_grid(float(t_min), int(grid_n))
     vs = np.asarray(h(ts), dtype=np.float64)
     finite = np.isfinite(vs)
-    bad = ~finite
-    has_bad = bad.any(axis=1)
-    first_bad = np.argmax(bad, axis=1)
     # lanes (row, mode), mode 0 the infimum and 1 the supremum
     blowup = np.stack([np.isneginf(vs).any(axis=1), np.isposinf(vs).any(axis=1)], axis=1)
     sign = np.array([1.0, -1.0])
@@ -402,33 +436,11 @@ def reference_scan_extrema(
     top = np.where(np.isfinite(allv), allv, -np.inf).max(axis=1)
     probe_max = np.where(top > -np.inf, top, math.nan)
 
-    results = []
-    for row in range(vs.shape[0]):
-        offending = float(ts[first_bad[row]]) if has_bad[row] else None
-        pair = []
-        labels = [_trend_labels(pv[row]) for pv in probe_vals]
-        for m in range(2):
-            trends = [lab[m] for lab in labels]
-            diverging = "diverging" in trends or bool(blowup[row, m])
-            trend = "diverging" if diverging else trends[0]
-            pair.append(
-                OptResult(
-                    value=float(value[row, m]),
-                    arg=float(arg[row, m]),
-                    grid_points=grid_n,
-                    # the t_min edge is an artificial truncation: the true
-                    # extremum may sit below it, so refinement there is not
-                    # trusted
-                    refined=bool(refine and idx[row, m] > 0),
-                    est_error=float(est_error[row, m]),
-                    diverging=diverging,
-                    probe_trend=trend,
-                    probe_max=float(probe_max[row]),
-                    offending_t=offending,
-                )
-            )
-        results.append(tuple(pair))
-    return results
+    diverging = blowup
+    for pv in probe_vals:
+        for row, values in enumerate(pv):
+            diverging[row] |= [label == "diverging" for label in reference_trend_labels(values)]
+    return Scan(value, arg, est_error, diverging, probe_max)
 
 
 # ---------------------------------------------------------------------------
@@ -575,14 +587,15 @@ def reference_sandwich(F, P, cfg=None) -> dict:
     s1_at_1 = float(np.asarray(d.eval_s1(1.0)))
     p = marginal(P)
     cond = [entropy_one(F, conditional(P, j)) for j in range(1, P.n + 1)]
-    per_col = column_bounds(d, p.entries, cfg)
-    divergent = any(cb.divergent for cb in per_col)
+    cb = column_bounds(d, p.entries, cfg)
+    per_col = zip(cb.r.tolist(), cb.lower.tolist(), cb.upper.tolist(), (cb.err_inf + cb.err_sup).tolist())
+    divergent = bool(cb.divergent.any())
     lower_terms, upper_terms, gap_terms, tol_terms = [], [], [], [1e-9]
-    for cb, Sj in zip(per_col, cond):
-        lower_terms.append(cb.lower * Sj)
-        upper_terms.append(cb.upper * Sj)
-        gap_terms.append(cb.upper - cb.lower)
-        err = cb.r * cb.r * (cb.lower_meta.est_error + cb.upper_meta.est_error)
+    for (r, lo, up, ratio_err), Sj in zip(per_col, cond):
+        lower_terms.append(lo * Sj)
+        upper_terms.append(up * Sj)
+        gap_terms.append(up - lo)
+        err = r * r * ratio_err
         tol_terms.append(err * (abs(Sj) + abs(s1_at_1)))
     gap = math.fsum(gap_terms)
     lower = math.fsum(lower_terms) + s1_at_1 * gap

@@ -126,8 +126,9 @@ def test_criterion_04_oscillating_divergence():
 def test_criterion_05_logsin_extremes():
     d = remark5_density()
     cb = coefficient_bounds(d, 0.5)
-    inf_err = abs(cb.lower_meta.value - 2.0)
-    sup_err = abs(cb.upper_meta.value - (1.0 + SQRT2))
+    # dividing by r^2 = 1/4, a power of two, recovers the ratio-scale extremes exactly
+    inf_err = abs(cb.lower / 0.25 - 2.0)
+    sup_err = abs(cb.upper / 0.25 - (1.0 + SQRT2))
     theta = theta_phi(phi_from_density(d))
     theta_err = abs(theta - math.pi / 2.0)
     F = EntropyFunctional(d)

@@ -28,6 +28,20 @@ from extenso.simplex import marginal, random_joint
 SQRT2 = math.sqrt(2.0)
 
 
+def columns(cb):
+    """A column_bounds result split into one-column results of Python scalars."""
+    return [type(cb)(*col) for col in zip(*(field.tolist() for field in cb))]
+
+
+def curvature_ratio(d, r, t):
+    return np.asarray(d.eval_s2(r * t)) / np.asarray(d.eval_s2(t))
+
+
+def ladder_ratio_max(d, r):
+    """The largest curvature ratio on the scan's probe ladder t = 2^-k."""
+    return float(curvature_ratio(d, r, 2.0 ** -np.arange(1, 41)).max())
+
+
 def catalog():
     return [bg_density(), tsallis_density(0.5), tsallis_density(2.0),
             tsallis_density(3.0), remark2_density(), remark5_density()]
@@ -64,22 +78,26 @@ class TestCoefficientBounds:
         # the ratio falls toward its infimum 1/r as t -> 0, so the grid
         # minimum sits at the t_min edge; est_error must reach the true r
         cb = coefficient_bounds(remark5_density(), r)
-        assert cb.lower - r * r * cb.lower_meta.est_error <= r + 4 * np.spacing(r)
+        assert cb.lower - r * r * cb.err_inf <= r + 4 * np.spacing(r)
 
     def test_tiny_marginal_not_divergent(self):
         # the ratio r^(q-2) is 2e13 here, but the coefficient r^2 * ratio is
         # the exact, flat r^q: the magnitude threshold must not fire
         r = 1e-7
-        cb = coefficient_bounds(tsallis_density(0.1), r)
-        assert cb.upper_meta.probe_max > DIVERGENCE_THRESHOLD
+        d = tsallis_density(0.1)
+        cb = coefficient_bounds(d, r)
+        assert ladder_ratio_max(d, r) > DIVERGENCE_THRESHOLD
         assert cb.lower == pytest.approx(r**0.1, rel=1e-12)
         assert cb.upper == pytest.approx(r**0.1, rel=1e-12)
         assert not cb.divergent
 
     def test_remark2_half_divergent(self):
-        cb = coefficient_bounds(remark2_density(), 0.5)
+        d = remark2_density()
+        cb = coefficient_bounds(d, 0.5)
         assert cb.divergent
-        assert cb.upper_meta.probe_trend == "diverging"
+        # the coefficient stays below the magnitude threshold on the ladder:
+        # the flag is the trend judge's
+        assert 0.25 * ladder_ratio_max(d, 0.5) < DIVERGENCE_THRESHOLD
 
     def test_ratio_is_one_at_r_equal_one(self):
         for d in catalog():
@@ -91,7 +109,7 @@ class TestCoefficientBounds:
     def test_order_invariant(self, d):
         for r in (0.15, 0.5, 0.85):
             cb = coefficient_bounds(d, r)
-            slack = r * r * (cb.lower_meta.est_error + cb.upper_meta.est_error)
+            slack = r * r * (cb.err_inf + cb.err_sup)
             assert cb.lower <= cb.upper + slack
             assert cb.lower >= 0.0
 
@@ -123,11 +141,12 @@ class TestCoefficientBounds:
 
     @pytest.mark.parametrize("refine", [True, False])
     def test_no_columns(self, refine):
-        assert column_bounds(remark5_density(), [], BoundsConfig(refine=refine)) == []
+        cb = column_bounds(remark5_density(), [], BoundsConfig(refine=refine))
+        assert [field.shape for field in cb] == [(0,)] * len(cb)
 
     def test_accepts_float_dust_above_one(self):
         dust = 1.0 + 2.0**-52
-        [cb] = column_bounds(bg_density(), [dust])
+        [cb] = columns(column_bounds(bg_density(), [dust]))
         assert cb.r == 1.0 and cb.lower == cb.upper == 1.0
 
     def test_no_finite_ratio_is_divergent_and_quiet(self):
@@ -135,12 +154,11 @@ class TestCoefficientBounds:
         # ratios under its own floating-point state, so nothing warns
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            lost, kept = column_bounds(tsallis_density(0.1), [1e-300, 0.5])
+            lost, kept = columns(column_bounds(tsallis_density(0.1), [1e-300, 0.5]))
         assert caught == []
         assert lost.divergent and not kept.divergent
         assert math.isnan(lost.lower) and math.isnan(lost.upper)
-        assert lost.lower_meta.est_error == lost.upper_meta.est_error == math.inf
-        assert lost.upper_meta.offending_t == 1e-6
+        assert lost.err_inf == lost.err_sup == math.inf
         assert kept.lower == pytest.approx(0.5 ** 0.1, rel=1e-12)
 
     @pytest.mark.parametrize("q", [300.0, 1000.0])
@@ -149,13 +167,18 @@ class TestCoefficientBounds:
         # the scan makes no warning of them
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            (cb,) = column_bounds(tsallis_density(q), [0.5])
+            (cb,) = columns(column_bounds(tsallis_density(q), [0.5]))
         assert caught == []
         assert math.isfinite(cb.lower) and math.isfinite(cb.upper)
 
     def test_config_respected(self):
-        cb = coefficient_bounds(remark5_density(), 0.5, BoundsConfig(grid_n=256, t_min=1e-4))
-        assert cb.lower_meta.grid_points == 256
+        # the ratio falls toward t = 0, so its inf sits at the t_min edge, on
+        # the configured grid's first point
+        cfg = BoundsConfig(grid_n=256, t_min=1e-4)
+        cb = coefficient_bounds(remark5_density(), 0.5, cfg)
+        ratio = curvature_ratio(remark5_density(), 0.5, np.geomspace(1e-4, 1.0, 256))
+        assert cb.arg_inf == 1e-4
+        assert cb.lower == 0.25 * ratio[0] == 0.25 * ratio.min()
 
     def test_half_ratio_closed_form_envelope(self):
         # (cos(pi u/4) + 1)/cos(pi u/4) stays inside [2, 1 + sqrt(2)]
@@ -196,15 +219,26 @@ class TestColumnBounds:
         batch = column_bounds(d, rs, cfg)
         ts = np.geomspace(cfg.t_min, 1.0, cfg.grid_n)
         ts[0], ts[-1] = cfg.t_min, 1.0
-        for r, cb in zip(rs.tolist(), batch):
+        for r, cb in zip(rs.tolist(), columns(batch)):
             # repr compares every float bit for bit, nan included
             assert repr(cb) == repr(coefficient_bounds(d, r, cfg))
-            vs = np.asarray(d.eval_s2(min(r, 1.0) * ts)) / np.asarray(d.eval_s2(ts))
+            vs = curvature_ratio(d, min(r, 1.0), ts)
             work = np.where(np.isfinite(vs), vs, np.nan)
-            for meta, i in ((cb.lower_meta, np.nanargmin(work)), (cb.upper_meta, np.nanargmax(work))):
-                assert ts[max(i - 1, 0)] <= meta.arg <= ts[min(i + 1, cfg.grid_n - 1)]
-            assert cb.lower_meta.value <= np.nanmin(work)
-            assert cb.upper_meta.value >= np.nanmax(work)
+            for arg, i in ((cb.arg_inf, np.nanargmin(work)), (cb.arg_sup, np.nanargmax(work))):
+                assert ts[max(i - 1, 0)] <= arg <= ts[min(i + 1, cfg.grid_n - 1)]
+            f_scale = min(r, 1.0) * min(r, 1.0)
+            assert cb.lower <= f_scale * np.nanmin(work)
+            assert cb.upper >= f_scale * np.nanmax(work)
+
+    @pytest.mark.parametrize("d", [remark5_density(), tsallis_density(0.1)], ids=lambda d: d.label)
+    def test_stacked_joints_match_columns(self, d):
+        # the columns of 200 joints in one call, as a batch of checks would
+        rs = np.concatenate([
+            marginal(random_joint(4, 4, seed=seed, concentration=0.05)).entries for seed in range(200)
+        ])
+        singles = [coefficient_bounds(d, r) for r in rs.tolist()]
+        assert all(type(v) in (float, bool) for cb in singles for v in cb)
+        assert [repr(cb) for cb in columns(column_bounds(d, rs))] == [repr(cb) for cb in singles]
 
 
 class TestPhi:

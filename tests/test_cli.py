@@ -1,5 +1,7 @@
+import csv
 import dataclasses
 import importlib
+import io
 import json
 import math
 import os
@@ -228,6 +230,22 @@ class TestThetaPhi:
         code, payload = run_json(["theta-phi", "--density", "remark5"], capsys)
         assert code == 0
         assert abs(payload["theta"] - math.pi / 2.0) <= 1e-3
+
+
+class TestCsvProjection:
+    @pytest.mark.parametrize("args", [
+        ["axioms", "--density", "bg", "--instances", "3", "--max-size", "3"],
+        ["recover-f", "--density", "tsallis", "--q", "2"],
+    ])
+    def test_a_csv_reader_keeps_every_row_whole(self, args, capsys):
+        # axioms' modulus and recover-f's reconstruction are nested JSON,
+        # commas included
+        code, out = run_cli(args + ["--format", "csv"], capsys)
+        assert code == 0
+        rows = list(csv.reader(io.StringIO(out)))
+        assert {len(row) for row in rows} == {len(rows[0])}
+        nested = [json.loads(value) for _, value in rows[1:] if value.startswith("{")]
+        assert len(nested) == 1 and isinstance(nested[0], dict)
 
 
 def _reject_constant(token):

@@ -3,7 +3,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from extenso.densities import (
@@ -12,7 +12,7 @@ from extenso.densities import (
     remark5_density,
     tsallis_density,
 )
-from extenso.numerics import _ZOOM_ROUNDS, scan_extrema
+from extenso.numerics import _TREND_WINDOW, _ZOOM_ROUNDS, _diverging, scan_extrema
 from numeric_oracles import (
     NoConvergenceError,
     adaptive_quadrature,
@@ -20,6 +20,7 @@ from numeric_oracles import (
     global_extremum,
     midpoint_richardson,
     reference_scan_extrema,
+    reference_trend_labels,
     shifted_density,
 )
 
@@ -126,8 +127,7 @@ class TestGlobalExtremum:
     def test_identity_inf_at_truncation_edge(self):
         res = global_extremum(lambda t: t, "inf", t_min=1e-6)
         assert abs(res.value - 1e-6) <= 1e-9
-        assert res.arg == pytest.approx(1e-6)
-        assert not res.refined  # extremum at the artificial boundary
+        assert res.arg == pytest.approx(1e-6)  # extremum at the artificial boundary
 
     def test_constant_exact(self):
         h = lambda t: np.full_like(np.asarray(t, dtype=float), 3.25)
@@ -157,8 +157,7 @@ class TestGlobalExtremum:
     def test_interior_maximum_refined(self):
         h = lambda t: -((np.asarray(t) - 0.37) ** 2)
         res = global_extremum(h, "sup")
-        assert res.refined
-        assert abs(res.arg - 0.37) <= 1e-6
+        assert abs(res.arg - 0.37) <= 1e-6  # far inside a grid cell (2.5e-3 wide)
         assert abs(res.value) <= 1e-12
 
     def test_inf_never_exceeds_grid_minimum(self):
@@ -202,6 +201,12 @@ def reference(h, *args):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
         return reference_scan_extrema(h, *args)
+
+
+def exact(scan):
+    """Every field of a Scan as Python scalars: repr then compares every
+    float bit for bit, nan and the sign of zero included."""
+    return repr({name: field.tolist() for name, field in scan._asdict().items()})
 
 
 def patchy(t):
@@ -254,7 +259,7 @@ class TestScanMatchesReference:
         d, rs, t_min, grid_n, refine = case
         h = curvature_ratio(d, rs)
         args = (t_min, grid_n, d.probe_points, refine)
-        assert repr(scan_extrema(h, *args)) == repr(reference(h, *args))
+        assert exact(scan_extrema(h, *args)) == exact(reference(h, *args))
 
     @pytest.mark.parametrize("refine", [True, False])
     @pytest.mark.parametrize("probes", [(), (0.5, 1e-7, 0.01), (2e-8,)])
@@ -264,11 +269,8 @@ class TestScanMatchesReference:
         # without a finite value
         args = (t_min, grid_n, probes, refine)
         got = scan_extrema(patchy, *args)
-        assert repr(got) == repr(reference(patchy, *args))
-        no_finite = got[6:10]
-        assert all(lo.est_error == hi.est_error == math.inf for lo, hi in no_finite)
-        assert all(lo.offending_t == t_min for lo, _ in no_finite)
-        assert got[0][0].offending_t is None
+        assert exact(got) == exact(reference(patchy, *args))
+        assert (got.est_error[6:10] == math.inf).all()  # rows without a finite value
 
     @pytest.mark.parametrize("probes", [(), (0.25, 1e-9)])
     @pytest.mark.parametrize("refine", [True, False])
@@ -301,6 +303,80 @@ class TestScanMatchesReference:
             return np.where(np.asarray(t) < b, -np.asarray(t) / b, 10.0).reshape(1, -1)
 
         got = scan_extrema(h, t_min, grid_n)
-        assert repr(got) == repr(reference(h, t_min, grid_n))
-        lo = got[0][0]
-        assert lo.refined and ts[i] < lo.arg < b
+        assert exact(got) == exact(reference(h, t_min, grid_n))
+        assert ts[i] < got.arg[0, 0] < b
+
+
+# ---------------------------------------------------------------------------
+# the block divergence judge against the per-row trend labels
+# ---------------------------------------------------------------------------
+
+
+@st.composite
+def probe_row(draw, n):
+    """One probe family's values: any floats, or a flat, monotone (strictly
+    or in stairs), sign-changing or near-threshold tail; then NaN and +-inf
+    injected, at times leaving no more finite values than the trend window."""
+    kind = draw(st.sampled_from(["any", "flat", "monotone", "stairs", "crossing", "threshold"]))
+    k = np.arange(n, dtype=np.float64)
+    if kind == "any":
+        row = np.array(draw(st.lists(st.floats(-1e300, 1e300), min_size=n, max_size=n)))
+    elif kind == "flat":
+        c = draw(st.floats(-1e3, 1e3))
+        wobble = draw(st.sampled_from([0.0, 1e-13, 1e-11]))
+        row = c + wobble * (1.0 + abs(c)) * np.cos(k)
+    elif kind in ("monotone", "stairs"):
+        step = draw(st.sampled_from([1e-13, 1e-9, 1e-3, 1.0, 1e3]))
+        start = draw(st.floats(-100.0, 100.0)) * step
+        if kind == "stairs":  # every other step is 0
+            rise = np.floor(k / 2)
+        else:  # steady, slowing or speeding up
+            rise = draw(st.sampled_from([k, np.cumsum(0.5 ** k), np.cumsum(2.0 ** k)]))
+        row = start + draw(st.sampled_from([1.0, -1.0])) * step * rise
+    elif kind == "crossing":  # a decreasing tail that crosses zero, ends on it, or not at all
+        m = draw(st.one_of(st.just(n - 1), st.integers(1, 2 * n)))
+        row = draw(st.floats(0.1, 10.0)) * (m - k) / max(m, 1)
+    else:  # a window that moves by about the "away" threshold
+        first = draw(st.sampled_from([1.0, -1.0])) * draw(st.sampled_from([1e-10, 1e-3, 1.0, 1e3]))
+        move = draw(st.sampled_from([1.0, -1.0])) * draw(st.floats(0.5, 2.0)) * max(1e-9, 0.05 * abs(first))
+        row = first + move * (k - (n - _TREND_WINDOW)) / (_TREND_WINDOW - 1)
+    holes = draw(st.sampled_from(["none", "some", "short"]))
+    if holes != "none":
+        bad = np.array(draw(st.lists(st.sampled_from([np.nan, np.inf, -np.inf]), min_size=n, max_size=n)))
+        if holes == "some":
+            hit = np.array(draw(st.lists(st.booleans(), min_size=n, max_size=n)))
+        else:
+            hit = np.ones(n, dtype=bool)
+            hit[draw(st.lists(st.integers(0, n - 1), max_size=_TREND_WINDOW))] = False
+        row = np.where(hit, bad, row)
+    return row
+
+
+@st.composite
+def probe_blocks(draw):
+    n = draw(st.one_of(st.integers(1, 70), st.sampled_from([_TREND_WINDOW, _TREND_WINDOW + 1])))
+    return np.array(draw(st.lists(probe_row(n), min_size=1, max_size=6)))
+
+
+class TestDivergenceJudge:
+    """The scan's block judge against the per-row trend labels it replaced."""
+
+    STAIRS = np.floor(np.arange(12.0) / 2)
+
+    @settings(max_examples=150, deadline=None)
+    @given(probe_blocks())
+    @example(np.stack([STAIRS, -STAIRS, np.arange(11.0, -1.0, -1.0)]))  # zero steps; ends on 0
+    @example(np.stack([np.arange(8.0) ** 2, -np.arange(8.0) ** 2]))  # too short to judge
+    def test_matches_reference_labels(self, block):
+        with np.errstate(over="ignore", invalid="ignore"):  # scan_extrema's state
+            got = _diverging(block)
+        want = [[label == "diverging" for label in reference_trend_labels(row)] for row in block]
+        assert got.tolist() == want
+
+    def test_compacts_rows_in_their_own_order(self):
+        # nine finite values rising to the end, with non-finite ones between
+        # them: only their order decides the verdict
+        rising = np.arange(1.0, 10.0) ** 2
+        row = np.insert(rising, [2, 5, 5, 9], [np.nan, np.inf, -np.inf, np.nan])
+        flags = _diverging(np.stack([row, row[::-1]]))
+        assert flags.tolist() == [[False, True], [False, False]]
