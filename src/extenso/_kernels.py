@@ -160,6 +160,10 @@ def logsinc_integral(r: np.ndarray) -> np.ndarray:
     return acc * r2 * r
 
 
+# Up to this many entries, math.fsum row by row beats the tree's fixed cost
+_FSUM_TREE_MIN = 512
+
+
 def fsum_rows(block: np.ndarray) -> np.ndarray:
     """math.fsum of every row of a 2-d array, bit for bit.
 
@@ -167,13 +171,16 @@ def fsum_rows(block: np.ndarray) -> np.ndarray:
     adding up to the rest, all multiples of the ulp of the row's smallest
     nonzero entry.  While their absolute sum stays below that entry, their
     float sum E is exact and fl(s + E) the correctly rounded sum.  Other
-    rows, zero sums and blocks with an entry beyond 2^1020 / (2 width) or
-    not finite go to math.fsum, which also raises as it does.
+    rows, zero sums, blocks of at most _FSUM_TREE_MIN entries and blocks
+    with an entry beyond 2^1020 / (2 width) or not finite go to math.fsum,
+    which also raises as it does.
     """
     rows, width = block.shape
+    if block.size <= _FSUM_TREE_MIN:
+        return np.array([math.fsum(row) for row in block.tolist()], dtype=np.float64)
     x = block.T.copy()  # rows along the last axis: each level adds two blocks
     mag = np.abs(x)
-    if not rows or not width or not mag.max() < 2.0**1020 / (2 * width):
+    if not mag.max() < 2.0**1020 / (2 * width):
         return np.array([math.fsum(row) for row in block.tolist()], dtype=np.float64)
     smallest = np.minimum.reduce(mag, axis=0, initial=np.inf, where=mag > 0.0)
     errors = np.empty((width - 1, rows))

@@ -35,9 +35,9 @@ from .extensivity import (
     iff_lhs,
     power_coefficient,
     recover_f,
-    sandwich_check,
+    sandwich_block,
 )
-from .simplex import RandomGenerationError, random_joint
+from .simplex import JointMatrix, RandomGenerationError, factor_grids, random_grids
 
 _IFF_LIMIT_FACTOR = (math.sqrt(2.0) - 1.0) / 2.0
 
@@ -167,10 +167,6 @@ def _bounds_cfg(args) -> BoundsConfig:
     return BoundsConfig(t_min=args.t_min, grid_n=args.grid_n)
 
 
-def _instance_seeds(seed: int, count: int) -> list[int]:
-    return [int(s) for s in np.random.SeedSequence(seed).generate_state(count)]
-
-
 def _validate(args, parser: argparse.ArgumentParser) -> None:
     """Reject out-of-range numeric arguments as usage errors (exit 2)."""
     # NaN or inf makes no sense as any of these, so it is bad input
@@ -221,9 +217,11 @@ def batch_report(density_label: str, check: str, seed: int, outcomes: list[str],
 # ---------------------------------------------------------------------------
 
 
-def _random_joint(args, parser, seed: int):
+def _random_grids(args, parser, seed: int) -> np.ndarray:
+    """Every instance's joint grid, drawn before any is checked or used."""
+    seeds = [int(s) for s in np.random.SeedSequence(seed).generate_state(args.instances)]
     try:
-        return random_joint(args.m, args.n, seed=seed, concentration=args.concentration)
+        return random_grids(args.m, args.n, seeds, concentration=args.concentration)
     except RandomGenerationError as e:
         parser.error(f"--concentration {args.concentration!r} is too low: {e}")
 
@@ -232,22 +230,15 @@ def _cmd_verify_sandwich(args, parser) -> tuple[dict, int]:
     d = _resolve_density(args, parser)
     if not (d.s0_zero and d.s1_zero and d.concave):
         parser.error(f"density {d.label} lacks s(0) = 0, s(1) = 0 or concavity, which the envelope needs")
-    F = EntropyFunctional(d)
     seed = _resolve_seed(args, parser)
-    cfg = _bounds_cfg(args)
-    seeds = _instance_seeds(seed, args.instances)
-
-    def worker(i: int) -> dict:
-        P = _random_joint(args, parser, seeds[i])
-        rep = sandwich_check(F, P, cfg, tolerance=args.tolerance)
-        return {"instance": i, **rep.to_dict()}
-
-    details = [worker(i) for i in range(args.instances)]
-    outcomes = [row["verdict"] for row in details]
-    slacks = [min(row["slack_lower"], row["slack_upper"]) for row in details]
-    payload = batch_report(d.label, "verify-sandwich", seed, outcomes, slacks)
-    worst_gap = max((row["upper"] - row["lower"] for row in details), default=math.nan)
-    collapse_tol = max((row["tolerance"] for row in details), default=math.nan)
+    grids = _random_grids(args, parser, seed)
+    block = sandwich_block(EntropyFunctional(d), grids, *factor_grids(grids), _bounds_cfg(args), args.tolerance)
+    cols = {"instance": range(args.instances), **{k: v.tolist() for k, v in block.items()}}
+    details = [dict(zip(cols, row)) for row in zip(*cols.values())]
+    slacks = list(map(min, cols["slack_lower"], cols["slack_upper"]))
+    payload = batch_report(d.label, "verify-sandwich", seed, cols["verdict"], slacks)
+    worst_gap = max((block["upper"] - block["lower"]).tolist(), default=math.nan)
+    collapse_tol = max(cols["tolerance"], default=math.nan)
     payload["worst_bound_gap"] = worst_gap
     payload["equality_collapse"] = bool(worst_gap <= collapse_tol)
     payload["details"] = details
@@ -267,15 +258,10 @@ def _cmd_residual(args, parser) -> tuple[dict, int]:
     else:
         parser.error(f"density {d.label} has no natural coefficient power; pass --power")
     f = power_coefficient(q)
-    seeds = _instance_seeds(seed, args.instances)
-
-    def worker(i: int) -> dict:
-        P = _random_joint(args, parser, seeds[i])
-        res = extensivity_residual(F, P, f)
-        ok = abs(res) <= args.tolerance
-        return {"instance": i, "residual": res, "verdict": "pass" if ok else "fail"}
-
-    details = [worker(i) for i in range(args.instances)]
+    details = []
+    for i, grid in enumerate(_random_grids(args, parser, seed)):
+        res = extensivity_residual(F, JointMatrix(grid), f)
+        details.append({"instance": i, "residual": res, "verdict": "pass" if abs(res) <= args.tolerance else "fail"})
     outcomes = [row["verdict"] for row in details]
     slacks = [args.tolerance - abs(row["residual"]) for row in details]
     payload = batch_report(d.label, "residual", seed, outcomes, slacks)

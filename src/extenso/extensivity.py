@@ -27,7 +27,6 @@ from .densities import Density, EntropyFunctional, entropy, slice_entropies  # n
 from .simplex import (  # noqa: F401
     InvalidDistributionError,
     JointMatrix,
-    SimplexVector,
     check_rows,
     conditional,
     marginal,
@@ -36,6 +35,7 @@ from .simplex import (  # noqa: F401
 __all__ = [
     "extensivity_residual",
     "sandwich_check",
+    "sandwich_block",
     "iff_lhs",
     "recover_f",
     "iff_counterexample_matrix",
@@ -55,24 +55,17 @@ def power_coefficient(q: float) -> Callable[[float], float]:
     return f
 
 
-def _joint_entropies(F: EntropyFunctional, P: JointMatrix, p: SimplexVector) -> list[float]:
-    """[S(P), S(p), S(conditional_1), ..., S(conditional_n)] from one eval_s call.
-
-    p = marginal(P).  JointMatrix has already validated the flattened grid
-    as a point of the mn-simplex, and validates its conditional block once.
-    """
-    flat = np.concatenate([P.entries.ravel(), p.entries, P.conditionals.ravel()])
-    return slice_entropies(F, flat, [P.entries.size, P.n] + [P.m] * P.n)
-
-
 def extensivity_residual(F: EntropyFunctional, P: JointMatrix, f: Callable[[float], float]) -> float:
     """S(P) - S(marginal) - sum_j f(p_j) S(conditional_j).
 
     Zero within float noise iff f is the density's matching coefficient
     function; the value itself is the defect otherwise.
     """
+    # one eval_s call; JointMatrix has checked the grid, and checks its
+    # marginal and conditional block once
     p = marginal(P)
-    s_joint, s_marg, *cond = _joint_entropies(F, P, p)
+    flat = np.concatenate([P.entries.ravel(), p.entries, P.conditionals.ravel()])
+    s_joint, s_marg, *cond = slice_entropies(F, flat, [P.entries.size, P.n] + [P.m] * P.n)
     pieces = [s_joint, -s_marg]
     for pj, Sj in zip(p.entries.tolist(), cond):
         pieces.append(-f(pj) * Sj)
@@ -106,34 +99,66 @@ class SandwichReport:
         return asdict(self)
 
 
+# verdict codes: 0 fail, 1 pass, 2 divergent (check skipped)
+_VERDICTS = np.array(["fail", "pass", "divergent"], dtype=object)
+# the last entry of the gap, lower, upper and tolerance sums: the tolerance's floor
+_SUM_PAD = np.array([-0.0, -0.0, -0.0, 1e-9])
+
+
 def _require_sandwich_flags(d: Density) -> None:
-    missing = [
-        name
-        for name, ok in (("s0_zero", d.s0_zero), ("s1_zero", d.s1_zero), ("concave", d.concave))
-        if not ok
-    ]
+    missing = [name for name in ("s0_zero", "s1_zero", "concave") if not getattr(d, name)]
     if missing:
         raise ValueError(f"density {d.label!r} lacks flags required here: {missing}")
 
 
-def _sandwich_core(
-    F: EntropyFunctional, P: JointMatrix, cfg: BoundsConfig | None
-) -> tuple[float, float, float, float, bool]:
-    """(diff, lower, upper, tolerance, divergent): diff = S(P) - S(marginal)."""
+def sandwich_block(
+    F: EntropyFunctional, grids: np.ndarray, marginals: np.ndarray, conditionals: np.ndarray,
+    cfg: BoundsConfig | None = None, tolerance: float | None = None,
+) -> dict[str, np.ndarray]:
+    """sandwich_check of N joints in one pass: the SandwichReport fields,
+    each an (N,) array, row k bit-equal to sandwich_check(F, JointMatrix(grids[k])).
+
+    grids (N, m, n), marginals (N, n) and conditionals (N, n, m) are as
+    factor_grids returns them, checked.  One eval_s call covers every joint,
+    and each entropy is a row sum of one zero-padded (N, 2 + n, m n) block
+    of s values: the joint, its marginal and its n conditionals.  The
+    envelope sums gap, lower, upper and tolerance are row sums of another.
+    """
     d = F.density
     _require_sandwich_flags(d)
     s1_at_1 = float(np.asarray(d.eval_s1(1.0)))
-    p = marginal(P)
-    s_joint, s_marg, *cond_entropies = _joint_entropies(F, P, p)
-    cb: CoefficientBounds = column_bounds(d, p.entries, cfg)
-    S = np.array(cond_entropies)
-    gap = math.fsum((cb.upper - cb.lower).tolist())
-    lower = math.fsum((cb.lower * S).tolist()) + s1_at_1 * gap
-    upper = math.fsum((cb.upper * S).tolist()) - s1_at_1 * gap
+    N, m, n = grids.shape
+    width = m * n
+    # -0.0 pads every row: it adds to any sum, a signed zero included, as the identity
+    s = np.full((N, 2 + n, width), -0.0)
+    flat = np.concatenate([grids.reshape(N, width), marginals, conditionals.reshape(N, width)], axis=1)
+    v = np.asarray(d.eval_s(flat.ravel()), dtype=np.float64).reshape(flat.shape)
+    s[:, 0] = v[:, :width]
+    s[:, 1, :n] = v[:, width : width + n]
+    s[:, 2:, :m] = v[:, width + n :].reshape(N, n, m)
+    S = fsum_rows(s.reshape(-1, width)).reshape(N, 2 + n)
+    cond = S[:, 2:]
+    cb: CoefficientBounds = column_bounds(d, marginals, cfg)
+    lo, up = cb.lower.reshape(N, n), cb.upper.reshape(N, n)
     # one-sided grid errors, propagated linearly on the f scale
-    err = cb.r * cb.r * (cb.err_inf + cb.err_sup)
-    tol = math.fsum([1e-9, *(err * (np.abs(S) + abs(s1_at_1))).tolist()])
-    return s_joint - s_marg, lower, upper, tol, bool(cb.divergent.any())
+    err = (cb.r * cb.r * (cb.err_inf + cb.err_sup)).reshape(N, n)
+    terms = np.empty((N, 4, n + 1))
+    np.subtract(up, lo, out=terms[:, 0, :n])
+    np.multiply(lo, cond, out=terms[:, 1, :n])
+    np.multiply(up, cond, out=terms[:, 2, :n])
+    np.multiply(err, np.abs(cond) + abs(s1_at_1), out=terms[:, 3, :n])
+    terms[:, :, n] = _SUM_PAD
+    gap, lower, upper, tol = fsum_rows(terms.reshape(-1, n + 1)).reshape(N, 4).T
+    lower = lower + s1_at_1 * gap
+    upper = upper - s1_at_1 * gap
+    diff = S[:, 0] - S[:, 1]
+    if tolerance is not None:
+        tol = np.full(N, float(tolerance))
+    slack_lower, slack_upper = diff - lower, upper - diff
+    divergent = cb.divergent.reshape(N, n).any(axis=1)
+    verdict = _VERDICTS[np.where(divergent, 2, (slack_lower >= -tol) & (slack_upper >= -tol))]
+    fields = (diff, lower, upper, slack_lower, slack_upper, tol, verdict, divergent)
+    return dict(zip(SandwichReport.__slots__, fields))
 
 
 def sandwich_check(
@@ -145,28 +170,12 @@ def sandwich_check(
     """Verify lower <= S(P) - S(marginal) <= upper within propagated slack.
 
     Requires s(0) = 0, s(1) = 0 and negative curvature (the envelope's
-    hypotheses).  An explicit tolerance overrides the propagated one.
+    hypotheses).  An explicit tolerance overrides the propagated one.  The
+    one-joint case of sandwich_block, on P's own checked marginal and
+    conditionals.
     """
-    diff, lower, upper, auto_tol, divergent = _sandwich_core(F, P, cfg)
-    tol = auto_tol if tolerance is None else float(tolerance)
-    slack_lower = diff - lower
-    slack_upper = upper - diff
-    if divergent:
-        verdict = "divergent"
-    elif slack_lower >= -tol and slack_upper >= -tol:
-        verdict = "pass"
-    else:
-        verdict = "fail"
-    return SandwichReport(
-        diff=diff,
-        lower=lower,
-        upper=upper,
-        slack_lower=slack_lower,
-        slack_upper=slack_upper,
-        tolerance=tol,
-        verdict=verdict,
-        divergent=divergent,
-    )
+    block = sandwich_block(F, P.entries[None], marginal(P).entries[None], P.conditionals[None], cfg, tolerance)
+    return SandwichReport(*(v.item() for v in block.values()))
 
 
 def iff_lhs(F: EntropyFunctional, P: JointMatrix, cfg: BoundsConfig | None = None) -> float:
@@ -175,7 +184,7 @@ def iff_lhs(F: EntropyFunctional, P: JointMatrix, cfg: BoundsConfig | None = Non
     The two-sided estimate only sharpens the trivial monotonicity bound when
     this is nonnegative; it can go negative (see iff_counterexample_matrix).
     """
-    return _sandwich_core(F, P, cfg)[1]
+    return sandwich_check(F, P, cfg).lower
 
 
 def iff_counterexample_matrix(x: float) -> JointMatrix:

@@ -128,13 +128,13 @@ def _diverging(values: np.ndarray) -> np.ndarray:
         values = np.take_along_axis(values, np.argsort(finite, axis=1, kind="stable"), axis=1)
         enough = finite.sum(axis=1) > _TREND_WINDOW
     w = values[:, -_TREND_WINDOW:]
-    step = np.diff(w, axis=1)
+    step = w[:, 1:] - w[:, :-1]
     first, last = w[:, 0], w[:, -1]
     away = enough & (np.abs(last - first) > np.maximum(1e-9, 0.05 * np.abs(first)))
     # a positive decreasing sequence is bounded below; only a genuinely
     # negative-heading tail counts as divergence for the infimum
     down = away & (step < 0).all(axis=1) & (last < 0)
-    return np.stack([down, away & (step > 0).all(axis=1)], axis=1)
+    return np.array([down, away & (step > 0).all(axis=1)]).T
 
 
 @functools.lru_cache(maxsize=8)

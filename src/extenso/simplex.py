@@ -9,6 +9,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, field
+from typing import Sequence
 
 import numpy as np
 
@@ -18,8 +19,10 @@ __all__ = [
     "SimplexVector",
     "JointMatrix",
     "check_rows",
+    "factor_grids",
     "marginal",
     "conditional",
+    "random_grids",
     "random_joint",
 ]
 
@@ -108,13 +111,7 @@ class JointMatrix:
         if self.entries.ndim != 2 or min(self.entries.shape) < 1:
             raise InvalidDistributionError("entries must be a nonempty 2-d grid")
         check_rows(self.entries.reshape(1, -1))  # the grid is a point of the mn-simplex
-        cols = self.entries.sum(axis=0)
-        if np.any(cols < MIN_MARGINAL):
-            j = int(np.argmin(cols))
-            raise ZeroMarginalError(
-                f"column {j + 1} has marginal {cols[j]!r} < {MIN_MARGINAL}"
-            )
-        object.__setattr__(self, "column_marginals", _as_readonly(cols))
+        object.__setattr__(self, "column_marginals", _as_readonly(_column_sums(self.entries[None])[0]))
 
     @property
     def m(self) -> int:
@@ -134,10 +131,37 @@ class JointMatrix:
     def conditionals(self) -> np.ndarray:
         """Read-only (n, m) block whose row j equals conditional(P, j + 1)
         bit for bit; check_rows has validated every row."""
-        block = (self.entries / self.column_marginals).T
-        check_rows(block)
+        block = _conditional_blocks(self.entries[None], self.column_marginals[None])[0]
         block.flags.writeable = False
         return block
+
+
+def _column_sums(grids: np.ndarray) -> np.ndarray:
+    """(N, n) column sums of N stacked m x n grids; ZeroMarginalError below MIN_MARGINAL."""
+    cols = grids.sum(axis=1)
+    if np.any(cols < MIN_MARGINAL):
+        k, j = np.unravel_index(np.argmin(cols), cols.shape)
+        raise ZeroMarginalError(f"column {j + 1} has marginal {cols[k, j]!r} < {MIN_MARGINAL}")
+    return cols
+
+
+def _conditional_blocks(grids: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """(N, n, m) blocks of each grid's columns over their marginals, checked as one block."""
+    N, m, n = grids.shape
+    blocks = (grids / cols[:, None, :]).transpose(0, 2, 1)
+    check_rows(blocks.reshape(N * n, m))
+    return blocks
+
+
+def factor_grids(grids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Marginals (N, n) and conditional blocks (N, n, m) of N stacked m x n
+    grids, bit-equal to each grid's JointMatrix column_marginals and
+    conditionals, after the same checks as three check_rows blocks."""
+    N, m, n = grids.shape
+    check_rows(grids.reshape(N, m * n))
+    cols = _column_sums(grids)
+    check_rows(cols)
+    return cols, _conditional_blocks(grids, cols)
 
 
 def marginal(P: JointMatrix) -> SimplexVector:
@@ -153,29 +177,40 @@ def conditional(P: JointMatrix, j: int) -> SimplexVector:
     return SimplexVector(col / P.column_marginals[j - 1])
 
 
-def random_joint(m: int, n: int, seed: int, concentration: float = 1.0) -> JointMatrix:
-    """Seeded Dirichlet-style joint matrix; resamples thin columns.
+def random_grids(m: int, n: int, seeds: Sequence[int], concentration: float = 1.0) -> np.ndarray:
+    """Seeded Dirichlet-style joint grids, (len(seeds), m, n), left for
+    factor_grids or JointMatrix to check; resamples thin columns.
 
     Gamma draws with the given shape parameter are normalized over all m*n
     cells.  Small concentrations stress near-degenerate matrices, large ones
     near-uniform; draws whose thinnest column falls below MIN_MARGINAL are
-    rejected and redrawn from the same stream, keeping the output a pure
+    rejected and redrawn from the same stream, keeping each grid a pure
     function of (m, n, seed, concentration).
     """
     if m < 1 or n < 1:
         raise InvalidDistributionError("m and n must be >= 1")
     if not concentration > 0.0:
         raise InvalidDistributionError("concentration must be > 0")
-    rng = np.random.default_rng(seed)
-    for _ in range(_MAX_DRAWS):
-        g = rng.gamma(shape=concentration, scale=1.0, size=(m, n))
-        total = math.fsum(g.ravel().tolist())
-        if total <= 0.0:
-            continue
-        g /= total
-        if g.sum(axis=0).min() >= MIN_MARGINAL:
-            return JointMatrix(g)
-    raise RandomGenerationError(
-        f"no valid joint matrix after {_MAX_DRAWS} draws "
-        f"(m={m}, n={n}, concentration={concentration})"
-    )
+    grids = np.empty((len(seeds), m, n))
+    for k, seed in enumerate(seeds):
+        rng = np.random.default_rng(seed)
+        for _ in range(_MAX_DRAWS):
+            g = rng.gamma(shape=concentration, scale=1.0, size=(m, n))
+            total = math.fsum(g.ravel().tolist())
+            if total <= 0.0:
+                continue
+            g /= total
+            if g.sum(axis=0).min() >= MIN_MARGINAL:
+                grids[k] = g
+                break
+        else:
+            raise RandomGenerationError(
+                f"no valid joint matrix after {_MAX_DRAWS} draws "
+                f"(m={m}, n={n}, concentration={concentration})"
+            )
+    return grids
+
+
+def random_joint(m: int, n: int, seed: int, concentration: float = 1.0) -> JointMatrix:
+    """The one-seed case of random_grids, checked as a JointMatrix."""
+    return JointMatrix(random_grids(m, n, [seed], concentration)[0])

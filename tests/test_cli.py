@@ -15,9 +15,12 @@ import numpy as np
 import pytest
 
 import extenso
-from extenso import cli
+from extenso import bounds, cli
 from extenso.cli import main
-from extenso.densities import remark5_density
+from extenso.densities import EntropyFunctional, remark5_density
+from extenso.extensivity import sandwich_check
+from extenso.simplex import random_joint
+from numeric_oracles import count_eval_s, reference_sandwich
 
 
 def run_cli(args, capsys):
@@ -69,6 +72,95 @@ class TestVerifySandwich:
         )
         assert code == 0
         assert (payload["pass_count"], payload["divergent_count"]) == (200, 0)
+
+
+def reference_sandwich_payload(argv: list[str]) -> dict:
+    """verify-sandwich's payload built one joint at a time: sandwich_check on
+    random_joint(m, n, seeds[i]), one report dict per row."""
+    args = cli.build_parser().parse_args(argv)
+    d = cli._resolve_density(args, args._parser)
+    F = EntropyFunctional(d)
+    cfg = cli._bounds_cfg(args)
+    seeds = [int(s) for s in np.random.SeedSequence(args.seed).generate_state(args.instances)]
+    details = []
+    for i, seed in enumerate(seeds):
+        P = random_joint(args.m, args.n, seed=seed, concentration=args.concentration)
+        rep = sandwich_check(F, P, cfg, tolerance=args.tolerance)
+        if args.tolerance is None:  # an independent per-vector build of the same report
+            assert rep.to_dict() == reference_sandwich(F, P, cfg)
+        details.append({"instance": i, **rep.to_dict()})
+    outcomes = [row["verdict"] for row in details]
+    slacks = [min(row["slack_lower"], row["slack_upper"]) for row in details]
+    payload = cli.batch_report(d.label, "verify-sandwich", args.seed, outcomes, slacks)
+    worst_gap = max((row["upper"] - row["lower"] for row in details), default=math.nan)
+    collapse_tol = max((row["tolerance"] for row in details), default=math.nan)
+    payload["worst_bound_gap"] = worst_gap
+    payload["equality_collapse"] = bool(worst_gap <= collapse_tol)
+    payload["details"] = details
+    return payload
+
+
+DIRICHLET_4X4 = ["--m", "4", "--n", "4", "--concentration", "0.05", "--seed", "3"]
+
+
+class TestStackedSandwich:
+    """verify-sandwich checks every joint in one pass; its payload is the one
+    a per-joint loop builds, byte for byte."""
+
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    @pytest.mark.parametrize("argv", [
+        ["--density", "remark5", *DIRICHLET_4X4, "--instances", "40"],
+        ["--density", "tsallis", "--q", "0.1", *DIRICHLET_4X4, "--instances", "40"],
+        ["--density", "bg", *DIRICHLET_4X4, "--instances", "40"],
+        ["--density", "remark5", *DIRICHLET_4X4, "--instances", "0"],
+        ["--density", "tsallis", "--q", "0.1", *DIRICHLET_4X4, "--instances", "12", "--tolerance", "0"],
+        ["--density", "remark5", "--m", "3", "--n", "7", "--concentration", "0.2",
+         "--instances", "20", "--seed", "11"],
+        # 280 columns: three scans
+        ["--density", "remark5", *DIRICHLET_4X4, "--instances", "70"],
+    ], ids=lambda a: " ".join(a))
+    def test_payload_matches_per_joint_loop(self, argv, fmt, capsys):
+        argv = ["verify-sandwich", *argv, "--format", fmt]
+        code = main(argv)
+        out = capsys.readouterr().out
+        args = cli.build_parser().parse_args(argv)
+        cli._emit(reference_sandwich_payload(argv), args)
+        assert out == capsys.readouterr().out
+        assert code == 0
+        if args.instances == 70:
+            assert args.instances * args.n > 2 * bounds.SCAN_ROWS
+
+    @pytest.mark.parametrize("instances", [1, 32, 33, 100])
+    def test_one_eval_s_call_and_chunked_scans(self, instances, capsys, monkeypatch):
+        d, calls = count_eval_s(remark5_density())
+        monkeypatch.setattr(cli, "density_from_spec", lambda spec: d)
+        rows = []
+        scan_extrema = bounds.scan_extrema
+
+        def counted_scan(*args, **kwargs):
+            scan = scan_extrema(*args, **kwargs)
+            rows.append(scan.value.shape[0])
+            return scan
+
+        monkeypatch.setattr(bounds, "scan_extrema", counted_scan)
+        assert main(["verify-sandwich", "--density", "remark5", *DIRICHLET_4X4,
+                     "--instances", str(instances)]) == 0
+        capsys.readouterr()
+        columns = instances * 4
+        assert calls == [instances * (16 + 4 + 16)]  # joints, marginals, conditionals
+        assert len(rows) == math.ceil(columns / bounds.SCAN_ROWS)
+        assert sum(rows) == columns and max(rows) <= bounds.SCAN_ROWS
+
+    @pytest.mark.parametrize("command", ["verify-sandwich", "residual"])
+    def test_a_later_failed_draw_leaves_no_payload(self, command, capsys):
+        # at concentration 0.004 and seed 0, instances 0-6 draw and 7 does not
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--density", "bg", "--concentration", "0.004", "--instances", "10", "--seed", "0"])
+        captured = capsys.readouterr()
+        assert exc.value.code == 2 and captured.out == ""
+        err = captured.err.strip().splitlines()
+        assert err[-1].startswith(f"extenso {command}: error: --concentration 0.004 is too low")
+        assert not any("Traceback" in line for line in err)
 
 
 class TestDeterminism:

@@ -17,6 +17,7 @@ from extenso.densities import (
 from extenso import extensivity, simplex
 from extenso.cli import batch_report
 from extenso.extensivity import (
+    SandwichReport,
     axiom_suite,
     extensivity_residual,
     iff_counterexample_matrix,
@@ -24,6 +25,7 @@ from extenso.extensivity import (
     monotonicity_check,
     power_coefficient,
     recover_f,
+    sandwich_block,
     sandwich_check,
 )
 from extenso.simplex import (
@@ -32,7 +34,9 @@ from extenso.simplex import (
     RandomGenerationError,
     SimplexVector,
     conditional,
+    factor_grids,
     marginal,
+    random_grids,
     random_joint,
 )
 from numeric_oracles import (
@@ -473,6 +477,28 @@ class TestBatchedEvaluation:
         assert rep.to_dict() == reference_axiom_suite(F, sizes, 3, trials)
         assert rep.all_pass
         assert rep.worst_maximality_gap == 0.0
+
+
+class TestSandwichBlock:
+    @pytest.mark.parametrize(
+        "d", [remark5_density(), tsallis_density(0.1), bg_density()], ids=lambda d: d.label
+    )
+    def test_each_row_is_a_sandwich_check(self, d):
+        # 160 columns: two scans
+        grids = random_grids(4, 4, list(range(40)), concentration=0.05)
+        F = functional(d)
+        block = sandwich_block(F, grids, *factor_grids(grids))
+        rows = [SandwichReport(*row) for row in zip(*(v.tolist() for v in block.values()))]
+        assert [repr(rep) for rep in rows] == [repr(sandwich_check(F, JointMatrix(g))) for g in grids]
+
+    def test_tolerance_overrides_every_row(self):
+        grids = random_grids(3, 3, list(range(6)))
+        F = functional(remark5_density())
+        block = sandwich_block(F, grids, *factor_grids(grids), tolerance=0.0)
+        assert block["tolerance"].tolist() == [0.0] * 6
+        assert block["verdict"].tolist() == [
+            sandwich_check(F, JointMatrix(g), tolerance=0.0).verdict for g in grids
+        ]
 
 
 class TestEvalCount:

@@ -1,4 +1,5 @@
 """_kernels.fsum_rows against math.fsum, row by row and bit for bit."""
+import contextlib
 import math
 
 import numpy as np
@@ -14,9 +15,22 @@ def fsum_reprs(rows):
     return [repr(math.fsum(row)) for row in rows]
 
 
+@contextlib.contextmanager
+def tree_for_every_block():
+    """Send every nonempty block to the TwoSum tree, which blocks of at most
+    _FSUM_TREE_MIN entries otherwise skip."""
+    saved, _kernels._FSUM_TREE_MIN = _kernels._FSUM_TREE_MIN, 0
+    try:
+        yield
+    finally:
+        _kernels._FSUM_TREE_MIN = saved
+
+
 def assert_matches_fsum(rows):
-    got = fsum_rows(np.array(rows, dtype=np.float64).reshape(len(rows), -1))
-    assert [repr(v) for v in got.tolist()] == fsum_reprs(rows)
+    block = np.array(rows, dtype=np.float64).reshape(len(rows), -1)
+    assert [repr(v) for v in fsum_rows(block).tolist()] == fsum_reprs(rows)
+    with tree_for_every_block():
+        assert [repr(v) for v in fsum_rows(block).tolist()] == fsum_reprs(rows)
 
 
 def blocks(elements, max_width=40):
@@ -107,17 +121,33 @@ class TestFsumRows:
         ],
     )
     def test_non_finite_rows_do_what_fsum_does(self, row):
-        try:
-            want = repr(math.fsum(row))
-        except (OverflowError, ValueError) as e:
-            with pytest.raises(type(e)):
-                fsum_rows(np.array([row]))
-            return
-        assert [repr(v) for v in fsum_rows(np.array([row])).tolist()] == [want]
-        # one such row sends its whole block to math.fsum, the others unchanged
-        rows = [row, [0.25] * len(row)]
-        assert [repr(v) for v in fsum_rows(np.array(rows)).tolist()] == fsum_reprs(rows)
+        for mode in (contextlib.nullcontext(), tree_for_every_block()):
+            with mode:
+                try:
+                    want = repr(math.fsum(row))
+                except (OverflowError, ValueError) as e:
+                    with pytest.raises(type(e)):
+                        fsum_rows(np.array([row]))
+                    continue
+                assert [repr(v) for v in fsum_rows(np.array([row])).tolist()] == [want]
+                # one such row sends its whole block to math.fsum, the others unchanged
+                rows = [row, [0.25] * len(row)]
+                assert [repr(v) for v in fsum_rows(np.array(rows)).tolist()] == fsum_reprs(rows)
 
     def test_empty_blocks(self):
         assert fsum_rows(np.empty((0, 4))).tolist() == []
         assert fsum_rows(np.empty((3, 0))).tolist() == [0.0, 0.0, 0.0]
+
+    def test_small_blocks_sum_row_by_row(self, monkeypatch):
+        # a sandwich check's entropy block takes math.fsum row by row; one
+        # entry more than _FSUM_TREE_MIN takes the tree
+        rng = np.random.default_rng(1)
+        calls, fsum = [], math.fsum
+        monkeypatch.setattr(_kernels.math, "fsum", lambda row: calls.append(row) or fsum(row))
+        small = rng.random((6, 16))
+        assert fsum_rows(small).tolist() == [fsum(row) for row in small.tolist()]
+        assert len(calls) == 6
+        calls.clear()
+        large = rng.random((1, _kernels._FSUM_TREE_MIN + 1))
+        assert fsum_rows(large).tolist() == [fsum(large[0].tolist())]
+        assert calls == []

@@ -15,7 +15,9 @@ from extenso.simplex import (
     ZeroMarginalError,
     check_rows,
     conditional,
+    factor_grids,
     marginal,
+    random_grids,
     random_joint,
 )
 from numeric_oracles import rebuild, reference_check_rows, uniform_vector
@@ -144,6 +146,38 @@ class TestRandomJoint:
         # microscopic concentration makes thin columns near-certain
         with pytest.raises(RandomGenerationError):
             random_joint(8, 8, seed=0, concentration=1e-4)
+
+
+class TestFactorGrids:
+    def test_each_grid_factors_as_its_joint_matrix(self):
+        seeds = list(range(30))
+        grids = random_grids(3, 5, seeds, concentration=0.1)
+        cols, conds = factor_grids(grids)
+        for seed, grid, c, block in zip(seeds, grids, cols, conds):
+            P = random_joint(3, 5, seed=seed, concentration=0.1)
+            assert P.entries.tobytes() == grid.tobytes()
+            assert P.column_marginals.tobytes() == c.tobytes()
+            assert P.conditionals.tobytes() == block.tobytes()
+
+    @pytest.mark.parametrize(
+        "bad, error",
+        [
+            ([[0.5, 0.0], [0.5, 0.0]], ZeroMarginalError),
+            ([[0.6, 0.2], [0.4, -0.2]], InvalidDistributionError),
+            ([[0.5, 0.25], [0.25, 0.25]], InvalidDistributionError),
+        ],
+    )
+    def test_a_bad_grid_anywhere_raises(self, bad, error):
+        grids = np.full((3, 2, 2), 0.25)
+        grids[1] = bad
+        with pytest.raises(error):
+            factor_grids(grids)
+        with pytest.raises(error):
+            JointMatrix(bad)
+
+    def test_empty_stack(self):
+        cols, conds = factor_grids(np.empty((0, 3, 4)))
+        assert cols.shape == (0, 4) and conds.shape == (0, 4, 3)
 
 
 class TestRebuild:
