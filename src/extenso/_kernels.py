@@ -160,8 +160,11 @@ def logsinc_integral(r: np.ndarray) -> np.ndarray:
     return acc * r2 * r
 
 
-# Up to this many entries, math.fsum row by row beats the tree's fixed cost
+# math.fsum row by row beats the tree's fixed cost up to _FSUM_TREE_MIN
+# entries, and up to four times as many in blocks of fewer than
+# _FSUM_FEW_ROWS rows, where each tree level does little work
 _FSUM_TREE_MIN = 512
+_FSUM_FEW_ROWS = 32
 
 
 def fsum_rows(block: np.ndarray) -> np.ndarray:
@@ -171,12 +174,12 @@ def fsum_rows(block: np.ndarray) -> np.ndarray:
     adding up to the rest, all multiples of the ulp of the row's smallest
     nonzero entry.  While their absolute sum stays below that entry, their
     float sum E is exact and fl(s + E) the correctly rounded sum.  Other
-    rows, zero sums, blocks of at most _FSUM_TREE_MIN entries and blocks
-    with an entry beyond 2^1020 / (2 width) or not finite go to math.fsum,
-    which also raises as it does.
+    rows, zero sums, small blocks (see _FSUM_TREE_MIN) and blocks with an
+    entry beyond 2^1020 / (2 width) or not finite go to math.fsum, which
+    also raises as it does.
     """
     rows, width = block.shape
-    if block.size <= _FSUM_TREE_MIN:
+    if block.size <= _FSUM_TREE_MIN * (4 if rows < _FSUM_FEW_ROWS else 1):
         return np.array([math.fsum(row) for row in block.tolist()], dtype=np.float64)
     x = block.T.copy()  # rows along the last axis: each level adds two blocks
     mag = np.abs(x)

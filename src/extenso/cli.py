@@ -30,14 +30,14 @@ from .densities import (
 )
 from .extensivity import (
     axiom_suite,
-    extensivity_residual,
     iff_counterexample_matrix,
     iff_lhs,
     power_coefficient,
     recover_f,
+    residual_block,
     sandwich_block,
 )
-from .simplex import JointMatrix, RandomGenerationError, factor_grids, random_grids
+from .simplex import RandomGenerationError, factor_grids, random_grids
 
 _IFF_LIMIT_FACTOR = (math.sqrt(2.0) - 1.0) / 2.0
 
@@ -247,7 +247,6 @@ def _cmd_verify_sandwich(args, parser) -> tuple[dict, int]:
 
 def _cmd_residual(args, parser) -> tuple[dict, int]:
     d = _resolve_density(args, parser)
-    F = EntropyFunctional(d)
     seed = _resolve_seed(args, parser)
     if args.power is not None:
         q = args.power
@@ -257,18 +256,15 @@ def _cmd_residual(args, parser) -> tuple[dict, int]:
         q = float(d.params["q"])
     else:
         parser.error(f"density {d.label} has no natural coefficient power; pass --power")
-    f = power_coefficient(q)
-    details = []
-    for i, grid in enumerate(_random_grids(args, parser, seed)):
-        res = extensivity_residual(F, JointMatrix(grid), f)
-        details.append({"instance": i, "residual": res, "verdict": "pass" if abs(res) <= args.tolerance else "fail"})
-    outcomes = [row["verdict"] for row in details]
-    slacks = [args.tolerance - abs(row["residual"]) for row in details]
-    payload = batch_report(d.label, "residual", seed, outcomes, slacks)
+    grids = _random_grids(args, parser, seed)
+    residuals = residual_block(EntropyFunctional(d), grids, *factor_grids(grids), power_coefficient(q)).tolist()
+    cols = {"instance": range(args.instances), "residual": residuals,
+            "verdict": ["pass" if abs(r) <= args.tolerance else "fail" for r in residuals]}
+    payload = batch_report(d.label, "residual", seed, cols["verdict"], [args.tolerance - abs(r) for r in residuals])
     payload["power"] = q
     payload["tolerance"] = args.tolerance
-    payload["max_abs_residual"] = max((abs(r["residual"]) for r in details), default=math.nan)
-    payload["details"] = details
+    payload["max_abs_residual"] = max(map(abs, residuals), default=math.nan)
+    payload["details"] = [dict(zip(cols, row)) for row in zip(*cols.values())]
     return payload, 0 if payload["fail_count"] == 0 else 1
 
 

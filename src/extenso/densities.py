@@ -22,7 +22,7 @@ import functools
 import json
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Mapping, NamedTuple, Sequence
+from typing import Callable, Mapping, NamedTuple
 
 import numpy as np
 
@@ -37,7 +37,7 @@ __all__ = [
     "remark2_density",
     "remark5_density",
     "entropy",
-    "slice_entropies",
+    "joint_entropies",
     "density_from_spec",
     "canonical_grid",
 ]
@@ -80,32 +80,42 @@ def canonical_grid() -> np.ndarray:
     return np.arange(1, 2049, dtype=np.float64) / 2048
 
 
-def slice_entropies(F: EntropyFunctional, flat: np.ndarray, lengths: Sequence[int]) -> list[float]:
-    """S over consecutive slices of flat, one per length, S(p) = sum_j s(p_j).
+# joint_entropies hands eval_s whole joints, up to this many points a call
+ENTROPY_BLOCK = 2**15
 
-    One eval_s call covers flat; each sum is a math.fsum over its own slice,
-    so every value equals a call on that slice alone.  The caller vouches
-    that each slice is a simplex point.  Zero entries require the s0_zero
-    flag (the s(0) = 0 convention).
-    """
-    if not len(lengths):
-        return []
-    d = F.density
-    if not d.s0_zero and np.any(flat == 0.0):
+
+def _require_s0_convention(d: Density, values: np.ndarray) -> None:
+    if not d.s0_zero and np.any(values == 0.0):
         raise DensityDomainError(f"density {d.label!r} has no s(0) convention")
-    vals = np.asarray(d.eval_s(flat), dtype=np.float64).tolist()
-    out = []
-    start = 0
-    for size in lengths:
-        stop = start + size
-        out.append(math.fsum(vals[start:stop]))
-        start = stop
-    return out
 
 
 def entropy(F: EntropyFunctional, p: SimplexVector) -> float:
-    """S(p) = sum_j s(p_j): the one-slice case of ``slice_entropies``."""
-    return slice_entropies(F, p.entries, [p.n])[0]
+    """S(p) = sum_j s(p_j) by math.fsum; a zero entry needs the s0_zero flag."""
+    _require_s0_convention(F.density, p.entries)
+    return math.fsum(np.asarray(F.density.eval_s(p.entries), dtype=np.float64).tolist())
+
+
+def joint_entropies(
+    F: EntropyFunctional, grids: np.ndarray, marginals: np.ndarray, conditionals: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """S of N joints (N,), of their marginals (N,) and of their conditionals
+    (N, n), from the checked blocks ``simplex.factor_grids`` returns: one
+    eval_s call per block of joints (one joint may exceed ENTROPY_BLOCK) and
+    one ``fsum_rows`` call per part, so each value is its vector's entropy."""
+    d = F.density
+    N, m, n = grids.shape
+    w = m * n
+    step = max(1, ENTROPY_BLOCK // (2 * w + n))
+    S_joint, S_marg, S_cond = np.empty(N), np.empty(N), np.empty((N, n))
+    for a in range(0, N, step):
+        b = slice(a, a + step)
+        flat = np.concatenate([grids[b].reshape(-1, w), marginals[b], conditionals[b].reshape(-1, w)], axis=1)
+        _require_s0_convention(d, flat)
+        v = np.asarray(d.eval_s(flat.ravel()), dtype=np.float64).reshape(flat.shape)
+        S_joint[b] = _kernels.fsum_rows(v[:, :w])
+        S_marg[b] = _kernels.fsum_rows(v[:, w : w + n])
+        S_cond[b] = _kernels.fsum_rows(v[:, w + n :].reshape(-1, m)).reshape(-1, n)
+    return S_joint, S_marg, S_cond
 
 
 # ---------------------------------------------------------------------------
@@ -263,6 +273,8 @@ _MEAN_ABS_COS = 2.0 / math.pi
 _LADDER_X = np.array([0.0, 1.0, 3.0, 4.0, 10.0, 2.0**40])
 _LADDER_Y = np.array([-326.0, -70.0, -6.0, -2.0, 10.0, 2.0**40])
 _WIDE_PANELS = 10
+# points per partial-panel pass of _remark2_moments
+_REMARK2_CHUNK = 2**14
 
 
 class _Remark2Tables(NamedTuple):
@@ -348,15 +360,19 @@ def _remark2_panel(r: np.ndarray) -> np.ndarray:
 
 def _remark2_moments(r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """G(r), H(r) for array r in [0, 1]: ladder prefix plus a partial panel,
-    and the mean tail below b0."""
+    and the mean tail below b0.  The partial panels run _REMARK2_CHUNK points
+    at a time, which bounds the gathered coefficients (26 floats a point)."""
     t = _remark2_tables()
     r = np.asarray(r, dtype=np.float64)
     flat = np.atleast_1d(r).ravel()
     ra = np.maximum(flat, t.breaks[0])
     idx = _remark2_panel(ra)
-    part = _kernels.horner_rows(np.take(t.coef, idx, axis=2), ra - t.center[idx])
-    G = t.prefix_g[idx] + part[0]
-    H = t.prefix_h[idx] + part[1]
+    G, H = t.prefix_g[idx], t.prefix_h[idx]
+    for a in range(0, ra.size, _REMARK2_CHUNK):
+        c = slice(a, a + _REMARK2_CHUNK)
+        part = _kernels.horner_rows(np.take(t.coef, idx[c], axis=2), ra[c] - t.center[idx[c]])
+        G[c] += part[0]
+        H[c] += part[1]
     below = flat < t.breaks[0]
     if below.any():
         rb = flat[below]

@@ -23,7 +23,7 @@ from ._kernels import fsum_rows
 # coefficient_bounds stays importable from here: perfbench/tracer.py patches it
 from .bounds import BoundsConfig, CoefficientBounds, coefficient_bounds, column_bounds  # noqa: F401
 # entropy and conditional stay importable from here: perfbench/tracer.py patches them
-from .densities import Density, EntropyFunctional, entropy, slice_entropies  # noqa: F401
+from .densities import Density, EntropyFunctional, entropy, joint_entropies  # noqa: F401
 from .simplex import (  # noqa: F401
     InvalidDistributionError,
     JointMatrix,
@@ -34,6 +34,7 @@ from .simplex import (  # noqa: F401
 
 __all__ = [
     "extensivity_residual",
+    "residual_block",
     "sandwich_check",
     "sandwich_block",
     "iff_lhs",
@@ -55,21 +56,26 @@ def power_coefficient(q: float) -> Callable[[float], float]:
     return f
 
 
+def residual_block(
+    F: EntropyFunctional, grids: np.ndarray, marginals: np.ndarray, conditionals: np.ndarray,
+    f: Callable[[float], float],
+) -> np.ndarray:
+    """extensivity_residual of N joints, from the checked blocks factor_grids
+    returns: each the math.fsum (by fsum_rows) of S(joint), -S(marginal) and
+    every -f(p_j) S(conditional_j)."""
+    S_joint, S_marg, S_cond = joint_entropies(F, grids, marginals, conditionals)
+    neg_f = np.array([-f(p) for p in marginals.ravel().tolist()], dtype=np.float64).reshape(S_cond.shape)
+    return fsum_rows(np.concatenate([S_joint[:, None], -S_marg[:, None], neg_f * S_cond], axis=1))
+
+
 def extensivity_residual(F: EntropyFunctional, P: JointMatrix, f: Callable[[float], float]) -> float:
     """S(P) - S(marginal) - sum_j f(p_j) S(conditional_j).
 
     Zero within float noise iff f is the density's matching coefficient
-    function; the value itself is the defect otherwise.
+    function; the value itself is the defect otherwise.  The one-joint case
+    of residual_block, on P's own checked marginal and conditionals.
     """
-    # one eval_s call; JointMatrix has checked the grid, and checks its
-    # marginal and conditional block once
-    p = marginal(P)
-    flat = np.concatenate([P.entries.ravel(), p.entries, P.conditionals.ravel()])
-    s_joint, s_marg, *cond = slice_entropies(F, flat, [P.entries.size, P.n] + [P.m] * P.n)
-    pieces = [s_joint, -s_marg]
-    for pj, Sj in zip(p.entries.tolist(), cond):
-        pieces.append(-f(pj) * Sj)
-    return math.fsum(pieces)
+    return residual_block(F, P.entries[None], marginal(P).entries[None], P.conditionals[None], f).item()
 
 
 # ---------------------------------------------------------------------------
@@ -119,25 +125,15 @@ def sandwich_block(
     each an (N,) array, row k bit-equal to sandwich_check(F, JointMatrix(grids[k])).
 
     grids (N, m, n), marginals (N, n) and conditionals (N, n, m) are as
-    factor_grids returns them, checked.  One eval_s call covers every joint,
-    and each entropy is a row sum of one zero-padded (N, 2 + n, m n) block
-    of s values: the joint, its marginal and its n conditionals.  The
-    envelope sums gap, lower, upper and tolerance are row sums of another.
+    factor_grids returns them, checked.  joint_entropies gives every joint,
+    marginal and conditional entropy.  The envelope sums gap, lower, upper
+    and tolerance are row sums of one (N, 4, n + 1) block.
     """
     d = F.density
     _require_sandwich_flags(d)
     s1_at_1 = float(np.asarray(d.eval_s1(1.0)))
-    N, m, n = grids.shape
-    width = m * n
-    # -0.0 pads every row: it adds to any sum, a signed zero included, as the identity
-    s = np.full((N, 2 + n, width), -0.0)
-    flat = np.concatenate([grids.reshape(N, width), marginals, conditionals.reshape(N, width)], axis=1)
-    v = np.asarray(d.eval_s(flat.ravel()), dtype=np.float64).reshape(flat.shape)
-    s[:, 0] = v[:, :width]
-    s[:, 1, :n] = v[:, width : width + n]
-    s[:, 2:, :m] = v[:, width + n :].reshape(N, n, m)
-    S = fsum_rows(s.reshape(-1, width)).reshape(N, 2 + n)
-    cond = S[:, 2:]
+    N, n = marginals.shape
+    S_joint, S_marg, cond = joint_entropies(F, grids, marginals, conditionals)
     cb: CoefficientBounds = column_bounds(d, marginals, cfg)
     lo, up = cb.lower.reshape(N, n), cb.upper.reshape(N, n)
     # one-sided grid errors, propagated linearly on the f scale
@@ -151,7 +147,7 @@ def sandwich_block(
     gap, lower, upper, tol = fsum_rows(terms.reshape(-1, n + 1)).reshape(N, 4).T
     lower = lower + s1_at_1 * gap
     upper = upper - s1_at_1 * gap
-    diff = S[:, 0] - S[:, 1]
+    diff = S_joint - S_marg
     if tolerance is not None:
         tol = np.full(N, float(tolerance))
     slack_lower, slack_upper = diff - lower, upper - diff
@@ -451,7 +447,5 @@ def monotonicity_check(F: EntropyFunctional, P: JointMatrix) -> bool:
     d = F.density
     if not (d.s0_zero and d.concave):
         raise ValueError("monotonicity check needs s(0) = 0 and concavity")
-    p = marginal(P)
-    flat = np.concatenate([P.entries.ravel(), p.entries])
-    s_joint, s_marg = slice_entropies(F, flat, [P.entries.size, p.n])
-    return s_joint - s_marg >= -1e-10
+    S_joint, S_marg, _ = joint_entropies(F, P.entries[None], marginal(P).entries[None], P.conditionals[None])
+    return bool(S_joint[0] - S_marg[0] >= -1e-10)

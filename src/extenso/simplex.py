@@ -148,7 +148,8 @@ def _column_sums(grids: np.ndarray) -> np.ndarray:
 def _conditional_blocks(grids: np.ndarray, cols: np.ndarray) -> np.ndarray:
     """(N, n, m) blocks of each grid's columns over their marginals, checked as one block."""
     N, m, n = grids.shape
-    blocks = (grids / cols[:, None, :]).transpose(0, 2, 1)
+    # written in (N, n, m) order, so the row check reads it without a copy
+    blocks = np.divide(grids.transpose(0, 2, 1), cols[:, :, None], out=np.empty((N, n, m)))
     check_rows(blocks.reshape(N * n, m))
     return blocks
 

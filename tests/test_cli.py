@@ -15,12 +15,12 @@ import numpy as np
 import pytest
 
 import extenso
-from extenso import bounds, cli
+from extenso import bounds, cli, densities
 from extenso.cli import main
-from extenso.densities import EntropyFunctional, remark5_density
-from extenso.extensivity import sandwich_check
+from extenso.densities import EntropyFunctional, remark2_density, remark5_density
+from extenso.extensivity import extensivity_residual, power_coefficient, sandwich_check
 from extenso.simplex import random_joint
-from numeric_oracles import count_eval_s, reference_sandwich
+from numeric_oracles import count_eval_s, reference_residual, reference_sandwich
 
 
 def run_cli(args, capsys):
@@ -161,6 +161,80 @@ class TestStackedSandwich:
         err = captured.err.strip().splitlines()
         assert err[-1].startswith(f"extenso {command}: error: --concentration 0.004 is too low")
         assert not any("Traceback" in line for line in err)
+
+
+def reference_residual_payload(argv: list[str]) -> dict:
+    """residual's payload built one joint at a time: extensivity_residual on
+    random_joint(m, n, seeds[i]), one detail dict per instance."""
+    args = cli.build_parser().parse_args(argv)
+    d = cli._resolve_density(args, args._parser)
+    F = EntropyFunctional(d)
+    q = args.power if args.power is not None else 1.0 if d.label == "bg" else float(d.params["q"])
+    f = power_coefficient(q)
+    seeds = [int(s) for s in np.random.SeedSequence(args.seed).generate_state(args.instances)]
+    details = []
+    for i, seed in enumerate(seeds):
+        P = random_joint(args.m, args.n, seed=seed, concentration=args.concentration)
+        res = extensivity_residual(F, P, f)
+        assert res == reference_residual(F, P, f)  # and so per vector
+        details.append({"instance": i, "residual": res, "verdict": "pass" if abs(res) <= args.tolerance else "fail"})
+    outcomes = [row["verdict"] for row in details]
+    slacks = [args.tolerance - abs(row["residual"]) for row in details]
+    payload = cli.batch_report(d.label, "residual", args.seed, outcomes, slacks)
+    payload["power"] = q
+    payload["tolerance"] = args.tolerance
+    payload["max_abs_residual"] = max((abs(r["residual"]) for r in details), default=math.nan)
+    payload["details"] = details
+    return payload
+
+
+RESIDUAL_32X32 = ["--m", "32", "--n", "32", "--seed", "5"]
+
+
+class TestStackedResidual:
+    """residual evaluates every joint in blocks; its payload is the one a
+    per-joint loop builds, byte for byte."""
+
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    @pytest.mark.parametrize("argv", [
+        ["--density", "remark5", "--power", "1", *RESIDUAL_32X32, "--instances", "3"],
+        ["--density", "remark2", "--power", "1", *RESIDUAL_32X32, "--instances", "3"],
+        ["--density", "bg", "--instances", "30", "--seed", "2"],
+        ["--density", "tsallis", "--q", "0.5", "--instances", "30", "--seed", "2"],
+        ["--density", "remark5", "--power", "0.5", "--instances", "30", "--seed", "2"],
+        ["--density", "bg", "--instances", "0", "--seed", "2"],
+        ["--density", "bg", "--instances", "1", "--seed", "2"],
+        ["--density", "tsallis", "--q", "2", "--m", "1", "--n", "1", "--instances", "5", "--seed", "3"],
+        ["--density", "remark2", "--power", "0.5", "--m", "3", "--n", "7", "--concentration", "0.2",
+         "--instances", "20", "--seed", "11"],
+        # 2 080 points a joint, 15 joints a block: three blocks
+        ["--density", "remark5", "--power", "1", *RESIDUAL_32X32, "--instances", "32"],
+    ], ids=lambda a: " ".join(a))
+    def test_payload_matches_per_joint_loop(self, argv, fmt, capsys):
+        argv = ["residual", *argv, "--format", fmt]
+        code = main(argv)
+        out = capsys.readouterr().out
+        args = cli.build_parser().parse_args(argv)
+        payload = reference_residual_payload(argv)
+        cli._emit(payload, args)
+        assert out == capsys.readouterr().out
+        assert code == (0 if payload["fail_count"] == 0 else 1)
+        if args.instances == 32:
+            assert args.instances * (2 * 32 * 32 + 32) > 2 * densities.ENTROPY_BLOCK
+
+    @pytest.mark.parametrize("m, n, instances", [(32, 32, 32), (32, 32, 15), (4, 4, 100), (8, 8, 600), (1, 1, 0)])
+    def test_eval_s_calls_hold_whole_joints_within_the_block(self, m, n, instances, capsys, monkeypatch):
+        # a call takes as many whole joints as fit in densities.ENTROPY_BLOCK
+        # points; test_densities checks the count where a joint divides the block
+        d, calls = count_eval_s(remark2_density())
+        monkeypatch.setattr(cli, "density_from_spec", lambda spec: d)
+        main(["residual", "--density", "remark2", "--power", "1", "--m", str(m), "--n", str(n),
+              "--instances", str(instances), "--seed", "4"])
+        capsys.readouterr()
+        per_joint = 2 * m * n + n
+        step = densities.ENTROPY_BLOCK // per_joint
+        assert len(calls) == math.ceil(instances / step)
+        assert sum(calls) == instances * per_joint and max(calls, default=0) <= densities.ENTROPY_BLOCK
 
 
 class TestDeterminism:
@@ -547,6 +621,49 @@ class TestNonFiniteFlags:
         assert (proc.returncode, proc.stderr) == (0, "")
         code, out = run_cli(args, capsys)
         assert code == 0 and proc.stdout == out
+
+
+# Run one CLI command, its payload written to the path in argv[1], then print
+# its exit status and the peak resident set of its own address space, VmHWM
+# in KiB.  Not ru_maxrss: across exec the kernel folds the spawning process's
+# high-water mark into it, which in a full test run is pytest's own.
+_PEAK_SCRIPT = (
+    "import re, sys; from extenso.cli import main; "
+    "code = main(sys.argv[2:] + ['--output', sys.argv[1]]); "
+    "status = open('/proc/self/status').read(); "
+    "print(code, re.search(r'VmHWM:\\s*(\\d+) kB', status).group(1))"
+)
+
+
+def cli_peak_mb(argv: list[str], tmp_path: Path) -> float:
+    """Peak resident set of one CLI command in a fresh interpreter, in MB."""
+    src = str(Path(extenso.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    env.pop("EXTENSO_SEED", None)
+    proc = subprocess.run(
+        [sys.executable, "-c", _PEAK_SCRIPT, str(tmp_path / "payload"), *argv],
+        env=env, capture_output=True, text=True, check=True,
+    )
+    code, kb = proc.stdout.split()
+    assert code in ("0", "1")
+    return int(kb) / 1024.0
+
+
+@pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="reads VmHWM from /proc")
+class TestPeakMemory:
+    """Large runs keep their evaluation blocks bounded."""
+
+    def test_remark2_axioms_peak_near_remark5(self, tmp_path):
+        # remark2 gathers its partial panels' coefficients in fixed chunks
+        argv = ["axioms", "--instances", "4000", "--seed", "1"]
+        remark5 = cli_peak_mb([*argv, "--density", "remark5"], tmp_path)
+        remark2 = cli_peak_mb([*argv, "--density", "remark2"], tmp_path)
+        assert remark2 <= 1.25 * remark5
+
+    def test_residual_2000_joints_32x32(self, tmp_path):
+        argv = ["residual", "--density", "remark2", "--power", "1", "--m", "32", "--n", "32",
+                "--instances", "2000", "--seed", "1"]
+        assert cli_peak_mb(argv, tmp_path) < 100.0
 
 
 class TestImportSurface:

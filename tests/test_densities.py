@@ -20,12 +20,20 @@ from extenso.densities import (
     canonical_grid,
     density_from_spec,
     entropy,
+    joint_entropies,
     remark2_density,
     remark5_density,
-    slice_entropies,
     tsallis_density,
 )
-from extenso.simplex import SimplexVector, marginal, random_joint
+from extenso.simplex import (
+    JointMatrix,
+    SimplexVector,
+    conditional,
+    factor_grids,
+    marginal,
+    random_grids,
+    random_joint,
+)
 from numeric_oracles import (
     adaptive_quadrature,
     count_eval_s,
@@ -291,6 +299,19 @@ class TestRemark2Ladder:
             for k in range(x.size):
                 assert batch[k] == getattr(d, name)(x[k : k + 1])[0]
 
+    @pytest.mark.parametrize("chunk", [1, 7, 64])
+    def test_values_across_chunk_boundaries(self, chunk, monkeypatch):
+        # the tail below b0, narrow panels, sub-panels and r = 1, in chunks
+        # that end inside the batch and one that ends with it
+        rng = np.random.default_rng(7)
+        x = np.concatenate([[0.0, 1e-5, 1.0], np.geomspace(B0, 1.0, 57), rng.random(4)])
+        assert x.size == 64
+        d = remark2_density()
+        single = [(d.eval_s(x[k : k + 1])[0], d.eval_s1(x[k : k + 1])[0]) for k in range(x.size)]
+        monkeypatch.setattr(densities, "_REMARK2_CHUNK", chunk)
+        assert list(zip(d.eval_s(x).tolist(), d.eval_s1(x).tolist())) == single
+        assert d.eval_s(x.reshape(8, 8)).ravel().tolist() == [s for s, _ in single]
+
 
 class TestRemark5:
     def test_endpoint_values(self):
@@ -442,25 +463,66 @@ class TestEntropyContract:
         F = EntropyFunctional(bare)
         with pytest.raises(DensityDomainError):
             entropy(F, SimplexVector([1.0, 0.0]))
+        # a zero in any part of a joint: its grid, and so a conditional
+        grids = np.array([[[0.5, 0.25], [0.0, 0.25]]])
         with pytest.raises(DensityDomainError):
-            slice_entropies(F, np.array([0.5, 0.5, 1.0, 0.0]), [2, 2])
+            joint_entropies(F, grids, *factor_grids(grids))
         assert entropy(F, SimplexVector([0.5, 0.5])) == pytest.approx(math.sqrt(2), abs=1e-15)
+        grids = np.full((1, 2, 2), 0.25)
+        S_joint, S_marg, _ = joint_entropies(F, grids, *factor_grids(grids))
+        assert (S_joint.tolist(), S_marg.tolist()) == ([2.0], [math.sqrt(2)])
 
 
-class TestEntropies:
+def per_vector_entropies(F, grids):
+    """joint_entropies' three parts from one entropy_one call per vector."""
+    joints = [JointMatrix(g) for g in grids]
+    return (
+        [entropy_one(F, SimplexVector(P.entries.ravel())) for P in joints],
+        [entropy_one(F, marginal(P)) for P in joints],
+        [[entropy_one(F, conditional(P, j)) for j in range(1, P.n + 1)] for P in joints],
+    )
+
+
+class TestJointEntropies:
     @pytest.mark.parametrize("d", catalog(), ids=lambda d: d.label)
-    def test_one_call_matches_per_vector(self, d):
+    @pytest.mark.parametrize("m, n", [(1, 1), (3, 7), (4, 4), (7, 2)])
+    def test_matches_per_vector(self, d, m, n):
+        grids = random_grids(m, n, list(range(12)), concentration=0.2)
+        grids[0] = 0.0  # one joint with zero entries, and so zero conditional entries
+        grids[0, 0, :] = 1.0 / n
         counted, calls = count_eval_s(d)
-        vectors = [uniform_vector(3), SimplexVector([1.0]), SimplexVector([0.25, 0.0, 0.75])]
-        vectors += [marginal(random_joint(1, n, seed=n)) for n in range(1, 7)]
-        flat = np.concatenate([p.entries for p in vectors])
-        got = slice_entropies(EntropyFunctional(counted), flat, [p.n for p in vectors])
-        assert calls == [sum(p.n for p in vectors)]
-        assert got == [entropy_one(EntropyFunctional(d), p) for p in vectors]
+        got = joint_entropies(EntropyFunctional(counted), grids, *factor_grids(grids))
+        assert calls == [12 * (2 * m * n + n)]
+        assert [v.tolist() for v in got] == list(per_vector_entropies(EntropyFunctional(d), grids))
 
-    def test_empty_batch_makes_no_call(self):
+    def test_one_joint_is_entropy_of_each_vector(self):
+        F = EntropyFunctional(remark2_density())
+        P = random_joint(5, 3, seed=4)
+        S_joint, S_marg, S_cond = joint_entropies(F, P.entries[None], marginal(P).entries[None], P.conditionals[None])
+        assert S_joint.tolist() == [entropy(F, SimplexVector(P.entries.ravel()))]
+        assert S_marg.tolist() == [entropy(F, marginal(P))]
+        assert S_cond.tolist() == [[entropy(F, conditional(P, j)) for j in range(1, 4)]]
+
+    @pytest.mark.parametrize("block, instances", [(36 * 4, 10), (36 * 4, 12), (100, 7), (10, 3), (1, 2)])
+    def test_whole_joints_per_block(self, block, instances, monkeypatch):
+        # 4 x 4 joints hold 36 points each; a block smaller than one joint
+        # still gets whole joints, one per call
+        monkeypatch.setattr(densities, "ENTROPY_BLOCK", block)
+        grids = random_grids(4, 4, list(range(instances)))
+        d = remark5_density()
+        counted, calls = count_eval_s(d)
+        got = joint_entropies(EntropyFunctional(counted), grids, *factor_grids(grids))
+        step = max(1, block // 36)
+        assert calls == [36 * min(step, instances - a) for a in range(0, instances, step)]
+        if block % 36 == 0:
+            assert len(calls) == math.ceil(36 * instances / block) and max(calls) <= block
+        assert [v.tolist() for v in got] == list(per_vector_entropies(EntropyFunctional(d), grids))
+
+    def test_no_joints_make_no_call(self):
         counted, calls = count_eval_s(remark5_density())
-        assert slice_entropies(EntropyFunctional(counted), np.empty(0), []) == []
+        grids = np.empty((0, 3, 2))
+        got = joint_entropies(EntropyFunctional(counted), grids, np.empty((0, 2)), np.empty((0, 2, 3)))
+        assert [v.shape for v in got] == [(0,), (0,), (0, 2)]
         assert calls == []
 
 

@@ -25,6 +25,7 @@ from extenso.extensivity import (
     monotonicity_check,
     power_coefficient,
     recover_f,
+    residual_block,
     sandwich_block,
     sandwich_check,
 )
@@ -479,6 +480,31 @@ class TestBatchedEvaluation:
         assert rep.worst_maximality_gap == 0.0
 
 
+class TestResidualBlock:
+    @pytest.mark.parametrize(
+        "d, f",
+        [
+            (remark5_density(), power_coefficient(1.0)),
+            (remark2_density(), power_coefficient(0.5)),
+            (tsallis_density(2.0), power_coefficient(2.0)),
+            (bg_density(), lambda r: 1.0 - r),
+        ],
+        ids=["remark5", "remark2", "tsallis-2", "bg-not-power"],
+    )
+    def test_each_row_is_a_residual(self, d, f):
+        grids = random_grids(5, 3, list(range(25)), concentration=0.1)
+        F = functional(d)
+        got = residual_block(F, grids, *factor_grids(grids), f).tolist()
+        want = [extensivity_residual(F, JointMatrix(g), f) for g in grids]
+        assert [repr(v) for v in got] == [repr(v) for v in want]
+        assert want == [reference_residual(F, JointMatrix(g), f) for g in grids]
+
+    def test_no_joints(self):
+        F = functional(bg_density())
+        out = residual_block(F, np.empty((0, 2, 3)), np.empty((0, 3)), np.empty((0, 3, 2)), power_coefficient(1.0))
+        assert out.shape == (0,)
+
+
 class TestSandwichBlock:
     @pytest.mark.parametrize(
         "d", [remark5_density(), tsallis_density(0.1), bg_density()], ids=lambda d: d.label
@@ -517,7 +543,8 @@ class TestEvalCount:
     def test_monotonicity(self):
         d, calls = count_eval_s(remark2_density())
         monotonicity_check(functional(d), random_joint(5, 4, seed=0))
-        assert calls == [20 + 4]
+        # joint_entropies forms every part of a joint, conditionals included
+        assert calls == [20 + 4 + 20]
 
     @pytest.mark.parametrize("sizes, trials", [((2, 3, 8), 4), ((1,), 2), ((2, 3), 0)])
     def test_suite(self, sizes, trials):

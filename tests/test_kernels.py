@@ -138,16 +138,27 @@ class TestFsumRows:
         assert fsum_rows(np.empty((0, 4))).tolist() == []
         assert fsum_rows(np.empty((3, 0))).tolist() == [0.0, 0.0, 0.0]
 
-    def test_small_blocks_sum_row_by_row(self, monkeypatch):
-        # a sandwich check's entropy block takes math.fsum row by row; one
-        # entry more than _FSUM_TREE_MIN takes the tree
+    @pytest.mark.parametrize(
+        "shape, loop",
+        [
+            ((6, 16), True),
+            ((32, 16), True),  # 512 entries: any block this small
+            ((32, 17), False),
+            ((1, 513), True),  # fewer than 32 rows: up to 2 048 entries
+            ((1, 2048), True),
+            ((1, 2049), False),
+            ((16, 128), True),
+            ((16, 129), False),
+            ((31, 66), True),
+            ((31, 67), False),
+        ],
+    )
+    def test_block_shape_picks_loop_or_tree(self, shape, loop, monkeypatch):
+        # math.fsum row by row for small blocks and for short stacks of
+        # long rows; the tree for the rest, where no row here falls back
         rng = np.random.default_rng(1)
         calls, fsum = [], math.fsum
         monkeypatch.setattr(_kernels.math, "fsum", lambda row: calls.append(row) or fsum(row))
-        small = rng.random((6, 16))
-        assert fsum_rows(small).tolist() == [fsum(row) for row in small.tolist()]
-        assert len(calls) == 6
-        calls.clear()
-        large = rng.random((1, _kernels._FSUM_TREE_MIN + 1))
-        assert fsum_rows(large).tolist() == [fsum(large[0].tolist())]
-        assert calls == []
+        block = 1.0 + rng.random(shape)
+        assert fsum_rows(block).tolist() == [fsum(row) for row in block.tolist()]
+        assert len(calls) == (shape[0] if loop else 0)
