@@ -84,7 +84,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("residual", help="chain-rule residual with a power coefficient")
     _add_density_args(p)
     _add_batch_args(p)
-    p.add_argument("--power", type=float, default=None, help="coefficient exponent (default: the density's own)")
+    p.add_argument("--power", type=float, default=None, help="coefficient exponent, > 0 (default: the density's own)")
     p.add_argument("--tolerance", type=float, default=1e-10)
     _add_output_args(p)
 
@@ -179,6 +179,7 @@ def _validate(args, parser: argparse.ArgumentParser) -> None:
         ("n", lambda v: v >= 1, ">= 1"),
         ("instances", lambda v: v >= 0, ">= 0"),
         ("concentration", lambda v: v > 0.0, "> 0"),
+        ("power", lambda v: v > 0.0, "> 0"),
         ("grid_n", lambda v: v >= 256, ">= 256"),
         ("t_min", lambda v: 0.0 < v < 1.0, "in (0, 1)"),
         ("k_max", lambda v: v >= 1, ">= 1"),
@@ -233,11 +234,11 @@ def _cmd_verify_sandwich(args, parser) -> tuple[dict, int]:
     seed = _resolve_seed(args, parser)
     grids = _random_grids(args, parser, seed)
     block = sandwich_block(EntropyFunctional(d), grids, *factor_grids(grids), _bounds_cfg(args), args.tolerance)
-    cols = {"instance": range(args.instances), **{k: v.tolist() for k, v in block.items()}}
+    cols = {"instance": range(args.instances), **{k: v.tolist() for k, v in block._asdict().items()}}
     details = [dict(zip(cols, row)) for row in zip(*cols.values())]
     slacks = list(map(min, cols["slack_lower"], cols["slack_upper"]))
     payload = batch_report(d.label, "verify-sandwich", seed, cols["verdict"], slacks)
-    worst_gap = max((block["upper"] - block["lower"]).tolist(), default=math.nan)
+    worst_gap = max((block.upper - block.lower).tolist(), default=math.nan)
     collapse_tol = max(cols["tolerance"], default=math.nan)
     payload["worst_bound_gap"] = worst_gap
     payload["equality_collapse"] = bool(worst_gap <= collapse_tol)

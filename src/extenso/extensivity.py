@@ -15,14 +15,14 @@ from __future__ import annotations
 import math
 import struct
 from dataclasses import asdict, dataclass
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
 from ._kernels import fsum_rows
 # coefficient_bounds stays importable from here: perfbench/tracer.py patches it
 from .bounds import BoundsConfig, CoefficientBounds, coefficient_bounds, column_bounds  # noqa: F401
-# entropy and conditional stay importable from here: perfbench/tracer.py patches them
+# entropy, marginal and conditional stay importable from here: perfbench/tracer.py patches them
 from .densities import Density, EntropyFunctional, entropy, joint_entropies  # noqa: F401
 from .simplex import (  # noqa: F401
     InvalidDistributionError,
@@ -73,9 +73,9 @@ def extensivity_residual(F: EntropyFunctional, P: JointMatrix, f: Callable[[floa
 
     Zero within float noise iff f is the density's matching coefficient
     function; the value itself is the defect otherwise.  The one-joint case
-    of residual_block, on P's own checked marginal and conditionals.
+    of residual_block, on P's own checked stack.
     """
-    return residual_block(F, P.entries[None], marginal(P).entries[None], P.conditionals[None], f).item()
+    return residual_block(F, *P.stack, f).item()
 
 
 # ---------------------------------------------------------------------------
@@ -83,13 +83,14 @@ def extensivity_residual(F: EntropyFunctional, P: JointMatrix, f: Callable[[floa
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True, slots=True)
-class SandwichReport:
-    """Two-sided envelope check for one joint matrix.
+class SandwichReport(NamedTuple):
+    """Two-sided envelope check of joint matrices.
 
     verdict is 'pass' iff both slacks clear -tolerance, 'divergent' when any
-    column's coefficient bounds are flagged divergent (check skipped).  Slots
-    keep each report small: batch callers hold thousands of them.
+    column's coefficient bounds are flagged divergent (check skipped).  Fields
+    are (N,) arrays from sandwich_block and Python scalars from sandwich_check,
+    its one-joint case.  A tuple holds no dict, so each report stays small:
+    batch callers hold thousands of them.
     """
 
     diff: float
@@ -102,7 +103,7 @@ class SandwichReport:
     divergent: bool
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        return self._asdict()
 
 
 # verdict codes: 0 fail, 1 pass, 2 divergent (check skipped)
@@ -120,9 +121,9 @@ def _require_sandwich_flags(d: Density) -> None:
 def sandwich_block(
     F: EntropyFunctional, grids: np.ndarray, marginals: np.ndarray, conditionals: np.ndarray,
     cfg: BoundsConfig | None = None, tolerance: float | None = None,
-) -> dict[str, np.ndarray]:
-    """sandwich_check of N joints in one pass: the SandwichReport fields,
-    each an (N,) array, row k bit-equal to sandwich_check(F, JointMatrix(grids[k])).
+) -> SandwichReport:
+    """sandwich_check of N joints in one pass: a SandwichReport of (N,)
+    arrays, row k bit-equal to sandwich_check(F, JointMatrix(grids[k])).
 
     grids (N, m, n), marginals (N, n) and conditionals (N, n, m) are as
     factor_grids returns them, checked.  joint_entropies gives every joint,
@@ -153,8 +154,7 @@ def sandwich_block(
     slack_lower, slack_upper = diff - lower, upper - diff
     divergent = cb.divergent.reshape(N, n).any(axis=1)
     verdict = _VERDICTS[np.where(divergent, 2, (slack_lower >= -tol) & (slack_upper >= -tol))]
-    fields = (diff, lower, upper, slack_lower, slack_upper, tol, verdict, divergent)
-    return dict(zip(SandwichReport.__slots__, fields))
+    return SandwichReport(diff, lower, upper, slack_lower, slack_upper, tol, verdict, divergent)
 
 
 def sandwich_check(
@@ -167,11 +167,9 @@ def sandwich_check(
 
     Requires s(0) = 0, s(1) = 0 and negative curvature (the envelope's
     hypotheses).  An explicit tolerance overrides the propagated one.  The
-    one-joint case of sandwich_block, on P's own checked marginal and
-    conditionals.
+    one-joint case of sandwich_block, on P's own checked stack.
     """
-    block = sandwich_block(F, P.entries[None], marginal(P).entries[None], P.conditionals[None], cfg, tolerance)
-    return SandwichReport(*(v.item() for v in block.values()))
+    return SandwichReport._make(v.item() for v in sandwich_block(F, *P.stack, cfg, tolerance))
 
 
 def iff_lhs(F: EntropyFunctional, P: JointMatrix, cfg: BoundsConfig | None = None) -> float:
@@ -369,7 +367,8 @@ def axiom_suite(
 
     Continuity: mixing p toward another simplex point by weight eps moves
     every coordinate by at most eps; the observed modulus L(eps) must be
-    finite, shrink along the eps ladder, and end below 1e-2.  Maximality:
+    finite, shrink along the eps ladder (a level at or below 1e-12 is
+    rounding, and counts as shrunk), and end below 1e-2.  Maximality:
     S(p) <= S(uniform) + 1e-12.  Expandability: appending a zero coordinate
     changes nothing, exactly.  Without trials both would hold vacuously.
     Each entropy is a row sum (math.fsum, by ``_kernels.fsum_rows``) of one
@@ -431,7 +430,7 @@ def axiom_suite(
     expandability_ok = bool(np.all(ext == sp))
     continuity_ok = (
         all(math.isfinite(v) for v in levels)
-        and all(b <= a for a, b in zip(levels, levels[1:]))
+        and all(b <= max(a, 1e-12) for a, b in zip(levels, levels[1:]))
         and levels[-1] <= 1e-2
     )
     return AxiomReport(
@@ -447,5 +446,5 @@ def monotonicity_check(F: EntropyFunctional, P: JointMatrix) -> bool:
     d = F.density
     if not (d.s0_zero and d.concave):
         raise ValueError("monotonicity check needs s(0) = 0 and concavity")
-    S_joint, S_marg, _ = joint_entropies(F, P.entries[None], marginal(P).entries[None], P.conditionals[None])
+    S_joint, S_marg, _ = joint_entropies(F, *P.stack)
     return bool(S_joint[0] - S_marg[0] >= -1e-10)

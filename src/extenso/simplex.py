@@ -6,7 +6,6 @@ construction because every downstream operation conditions on columns.
 """
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, field
 from typing import Sequence
@@ -53,7 +52,8 @@ def check_rows(block: np.ndarray) -> None:
     """Raise InvalidDistributionError unless every row of a 2-d float block
     is a point of the simplex: nonempty, no negative or NaN entry, and a
     math.fsum within SUM_TOL of 1.  SimplexVector runs exactly these checks
-    on its entries, and JointMatrix on its flattened grid, as one-row blocks.
+    on its entries as a one-row block; factor_grids, and so JointMatrix, on
+    the flattened grids, the marginals and the conditionals.
 
     Only rows near the tolerance edge need fsum.  Any summation order of n
     nonnegative entries with exact sum S errs by at most (n-1)*u*S, with
@@ -101,17 +101,26 @@ class SimplexVector:
 
 @dataclass(frozen=True, eq=False)
 class JointMatrix:
-    """An m x n joint distribution with strictly positive column marginals."""
+    """An m x n joint distribution with strictly positive column marginals.
+
+    Construction factors the grid as the one-grid case of factor_grids:
+    column_marginals (n,) and conditionals (n, m), whose row j is column
+    j + 1 over its marginal, are read-only and checked by check_rows.
+    """
 
     entries: np.ndarray
     column_marginals: np.ndarray = field(init=False)
+    conditionals: np.ndarray = field(init=False)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "entries", _as_readonly(self.entries))
-        if self.entries.ndim != 2 or min(self.entries.shape) < 1:
+        entries = _as_readonly(self.entries)
+        if entries.ndim != 2 or min(entries.shape) < 1:
             raise InvalidDistributionError("entries must be a nonempty 2-d grid")
-        check_rows(self.entries.reshape(1, -1))  # the grid is a point of the mn-simplex
-        object.__setattr__(self, "column_marginals", _as_readonly(_column_sums(self.entries[None])[0]))
+        cols, conds = factor_grids(entries[None])
+        cols.flags.writeable = conds.flags.writeable = False
+        object.__setattr__(self, "entries", entries)
+        object.__setattr__(self, "column_marginals", cols[0])
+        object.__setattr__(self, "conditionals", conds[0])
 
     @property
     def m(self) -> int:
@@ -121,61 +130,46 @@ class JointMatrix:
     def n(self) -> int:
         return self.entries.shape[1]
 
-    # The marginal and the conditional block are validated on first use and
-    # kept: every check of one joint shares them.
-    @functools.cached_property
-    def _marginal(self) -> SimplexVector:
-        return SimplexVector(self.column_marginals)
-
-    @functools.cached_property
-    def conditionals(self) -> np.ndarray:
-        """Read-only (n, m) block whose row j equals conditional(P, j + 1)
-        bit for bit; check_rows has validated every row."""
-        block = _conditional_blocks(self.entries[None], self.column_marginals[None])[0]
-        block.flags.writeable = False
-        return block
-
-
-def _column_sums(grids: np.ndarray) -> np.ndarray:
-    """(N, n) column sums of N stacked m x n grids; ZeroMarginalError below MIN_MARGINAL."""
-    cols = grids.sum(axis=1)
-    if np.any(cols < MIN_MARGINAL):
-        k, j = np.unravel_index(np.argmin(cols), cols.shape)
-        raise ZeroMarginalError(f"column {j + 1} has marginal {cols[k, j]!r} < {MIN_MARGINAL}")
-    return cols
-
-
-def _conditional_blocks(grids: np.ndarray, cols: np.ndarray) -> np.ndarray:
-    """(N, n, m) blocks of each grid's columns over their marginals, checked as one block."""
-    N, m, n = grids.shape
-    # written in (N, n, m) order, so the row check reads it without a copy
-    blocks = np.divide(grids.transpose(0, 2, 1), cols[:, :, None], out=np.empty((N, n, m)))
-    check_rows(blocks.reshape(N * n, m))
-    return blocks
+    @property
+    def stack(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(grids, marginals, conditionals) of the one-joint stack, as
+        factor_grids' callers pass them to the block checks."""
+        return self.entries[None], self.column_marginals[None], self.conditionals[None]
 
 
 def factor_grids(grids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Marginals (N, n) and conditional blocks (N, n, m) of N stacked m x n
-    grids, bit-equal to each grid's JointMatrix column_marginals and
-    conditionals, after the same checks as three check_rows blocks."""
+    grids, checked as three check_rows blocks: the flattened grids, the
+    marginals and every conditional.
+
+    A column whose marginal falls below MIN_MARGINAL raises
+    ZeroMarginalError.  A marginal's float dust above 1 (an n = 1 grid that
+    sums one ulp high) is read as 1, as column_bounds reads it.
+    """
     N, m, n = grids.shape
     check_rows(grids.reshape(N, m * n))
-    cols = _column_sums(grids)
+    cols = grids.sum(axis=1)
+    if np.any(cols < MIN_MARGINAL):
+        k, j = np.unravel_index(np.argmin(cols), cols.shape)
+        raise ZeroMarginalError(f"column {j + 1} has marginal {cols[k, j]!r} < {MIN_MARGINAL}")
+    np.minimum(cols, 1.0, out=cols)
     check_rows(cols)
-    return cols, _conditional_blocks(grids, cols)
+    # written in (N, n, m) order, so the row check reads it without a copy
+    conds = np.divide(grids.transpose(0, 2, 1), cols[:, :, None], out=np.empty((N, n, m)))
+    check_rows(conds.reshape(N * n, m))
+    return cols, conds
 
 
 def marginal(P: JointMatrix) -> SimplexVector:
     """Column marginals (p_1, ..., p_n); every entry strictly positive."""
-    return P._marginal
+    return SimplexVector(P.column_marginals)
 
 
 def conditional(P: JointMatrix, j: int) -> SimplexVector:
-    """Column j (1-based) normalized by its marginal."""
+    """Column j (1-based) normalized by its marginal: row j - 1 of P.conditionals."""
     if not 1 <= j <= P.n:
         raise IndexError(f"column index {j} outside 1..{P.n}")
-    col = P.entries[:, j - 1]
-    return SimplexVector(col / P.column_marginals[j - 1])
+    return SimplexVector(P.conditionals[j - 1])
 
 
 def random_grids(m: int, n: int, seeds: Sequence[int], concentration: float = 1.0) -> np.ndarray:

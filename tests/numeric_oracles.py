@@ -686,7 +686,7 @@ def reference_axiom_suite(F, sizes, seed, trials, eps_seq=(1e-3, 1e-5, 1e-7)) ->
     levels = [modulus[eps] for eps in eps_seq]
     continuity_ok = (
         all(math.isfinite(v) for v in levels)
-        and all(b <= a for a, b in zip(levels, levels[1:]))
+        and all(b <= max(a, 1e-12) for a, b in zip(levels, levels[1:]))  # 1e-12 and below: rounding
         and levels[-1] <= 1e-2
     )
     return {

@@ -390,6 +390,21 @@ class TestAxiomsCommand:
         assert code == 0
         assert payload["all_pass"] is True
 
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["--q", "1e-19", "--instances", "20", "--seed", "0"],
+            ["--q", "1e19", "--instances", "200", "--seed", "17"],
+        ],
+        ids=["q-1e-19", "q-1e19"],
+    )
+    def test_rounding_level_modulus_is_continuous(self, args, capsys):
+        # the modulus reads pure rounding, and not in falling order
+        code, payload = run_json(["axioms", "--density", "tsallis", *args], capsys)
+        levels = list(payload["modulus"].values())
+        assert max(levels) <= 1e-12 and levels != sorted(levels, reverse=True)
+        assert (code, payload["continuity"], payload["all_pass"]) == (0, True, True)
+
 
 class TestThetaPhi:
     def test_remark5(self, capsys):
@@ -479,6 +494,9 @@ class TestUsageErrors:
             ["axioms", "--density", "remark5", "--instances", "-1"],
             ["verify-sandwich", "--density", "remark5", "--concentration", "0"],
             ["residual", "--density", "bg", "--concentration", "nan"],
+            ["residual", "--density", "bg", "--power=-50", "--m", "2", "--n", "2",
+             "--concentration", "0.01", "--seed", "3", "--instances", "2"],
+            ["residual", "--density", "remark5", "--power", "0"],
             ["verify-sandwich", "--density", "remark5", "--grid-n", "100"],
             ["bounds", "--density", "bg", "--grid-n", "255"],
             ["bounds", "--density", "bg", "--t-min", "0"],
@@ -518,6 +536,22 @@ class TestUsageErrors:
         err = capsys.readouterr().err.strip().splitlines()
         assert err[-1].startswith(f"extenso {args[0]}: error: ")
         assert not any("Traceback" in line for line in err)
+
+    @pytest.mark.parametrize(
+        "args, code",
+        [
+            (["--density", "tsallis", "--q", "1e19"], 0),
+            (["--density", "bg", "--power", "1e308"], 1),
+        ],
+        ids=["tsallis-1e19", "bg-power-1e308"],
+    )
+    def test_huge_power_on_single_columns_has_no_traceback(self, args, code, capsys):
+        # n = 1 marginals that sum one ulp above 1 are read as 1, so p^q stays finite
+        got, payload = run_json(
+            ["residual", *args, "--n", "1", "--m", "7", "--instances", "200", "--seed", "1"], capsys
+        )
+        assert got == code and payload["instances"] == 200
+        assert capsys.readouterr().err == ""
 
     @pytest.mark.parametrize("env", ["-3", "abc", "1.5"])
     def test_bad_seed_env(self, env, capsys, monkeypatch):

@@ -322,6 +322,24 @@ class TestAxioms:
         with pytest.raises(ValueError):
             axiom_suite(functional(bare))
 
+    def test_modulus_stalled_above_rounding_is_not_continuous(self):
+        # s jumps by up to 1e-9 at every bit pattern, so no eps makes the
+        # modulus shrink: its levels stall near 1e-9, above the 1e-12 floor
+        bg = bg_density()
+        jitter = Density(
+            label="jitter",
+            eval_s=lambda r: 1e-9 * np.modf(np.asarray(r, dtype=np.float64) * 2.0**40)[0],
+            eval_s1=bg.eval_s1,
+            eval_s2=bg.eval_s2,
+            s0_zero=True,
+        )
+        F = functional(jitter)
+        rep = axiom_suite(F, sizes=(2, 3), seed=0, trials=20)
+        assert all(1e-12 < v < 1e-8 for v in rep.levels)
+        assert rep.levels[2] > rep.levels[1]
+        assert not rep.continuity
+        assert rep.to_dict() == reference_axiom_suite(F, (2, 3), 0, 20)
+
     def test_rejects_empty_vectors(self):
         with pytest.raises(InvalidDistributionError, match="n must be >= 1"):
             axiom_suite(functional(bg_density()), sizes=(3, 0), trials=1)
@@ -514,15 +532,16 @@ class TestSandwichBlock:
         grids = random_grids(4, 4, list(range(40)), concentration=0.05)
         F = functional(d)
         block = sandwich_block(F, grids, *factor_grids(grids))
-        rows = [SandwichReport(*row) for row in zip(*(v.tolist() for v in block.values()))]
+        assert isinstance(block, SandwichReport) and all(v.shape == (40,) for v in block)
+        rows = [SandwichReport._make(row) for row in zip(*(v.tolist() for v in block))]
         assert [repr(rep) for rep in rows] == [repr(sandwich_check(F, JointMatrix(g))) for g in grids]
 
     def test_tolerance_overrides_every_row(self):
         grids = random_grids(3, 3, list(range(6)))
         F = functional(remark5_density())
         block = sandwich_block(F, grids, *factor_grids(grids), tolerance=0.0)
-        assert block["tolerance"].tolist() == [0.0] * 6
-        assert block["verdict"].tolist() == [
+        assert block.tolerance.tolist() == [0.0] * 6
+        assert block.verdict.tolist() == [
             sandwich_check(F, JointMatrix(g), tolerance=0.0).verdict for g in grids
         ]
 
@@ -567,7 +586,9 @@ class TestEvalCount:
 def watch_validation(monkeypatch):
     """(sizes of SimplexVectors built, row counts of blocks passed to check_rows).
 
-    SimplexVector and JointMatrix validate themselves as one-row blocks."""
+    A SimplexVector validates itself as a one-row block; a JointMatrix as
+    factor_grids' three blocks: its flattened grid, its marginal and its n
+    conditionals."""
     built, rows = [], []
     post_init = SimplexVector.__post_init__
     check_rows = simplex.check_rows
@@ -602,15 +623,17 @@ class TestBlockValidation:
 
     @pytest.mark.parametrize("m, n", [(2, 2), (9, 7)])
     def test_joint_checks(self, monkeypatch, m, n):
-        P = random_joint(m, n, seed=1)
+        entries = random_joint(m, n, seed=1).entries
         built, rows = watch_validation(monkeypatch)
+        P = JointMatrix(entries)
+        # the flattened grid, the marginal and the conditional block
+        assert rows == [1, 1, n] and built == []
+        # checks of the joint read its stack and validate nothing more
         F = functional(remark5_density())
         extensivity_residual(F, P, power_coefficient(1.0))
-        assert built == [n] and rows == [1, n]  # the marginal; the conditionals
-        # later checks of the same joint reuse both
         monotonicity_check(F, P)
         sandwich_check(F, P)
-        assert built == [n] and rows == [1, n]
+        assert rows == [1, 1, n] and built == []
 
     def test_sandwich_op_validates_once(self, monkeypatch):
         # the benchmark's sandwich op: one joint, checked under two functionals
@@ -620,19 +643,22 @@ class TestBlockValidation:
         P = JointMatrix(entries)
         reports = [sandwich_check(F, P) for F in Fs]
         # the flattened grid, the marginal and the conditional block
-        assert rows == [1, 1, 4] and built == [4]
+        assert rows == [1, 1, 4] and built == []
         for F, rep in zip(Fs, reports):
             assert repr(rep) == repr(sandwich_check(F, JointMatrix(entries)))
             assert rep.to_dict() == reference_sandwich(F, JointMatrix(entries))
 
-    def test_cached_blocks_are_read_only(self):
+    def test_factored_blocks_are_read_only(self):
         P = random_joint(3, 4, seed=2)
-        assert marginal(P) is marginal(P)
-        assert P.conditionals is P.conditionals
+        assert P.column_marginals.shape == (4,) and P.conditionals.shape == (4, 3)
+        assert marginal(P).entries.tobytes() == P.column_marginals.tobytes()
         for j in range(1, P.n + 1):
-            assert np.array_equal(P.conditionals[j - 1], conditional(P, j).entries)
-        with pytest.raises(ValueError):
-            P.conditionals[0, 0] = 0.5
+            assert conditional(P, j).entries.tobytes() == P.conditionals[j - 1].tobytes()
+        grids, marginals, conditionals = P.stack
+        assert grids.shape == (1, 3, 4) and marginals.shape == (1, 4) and conditionals.shape == (1, 4, 3)
+        for block in (P.column_marginals, P.conditionals, *P.stack):
+            with pytest.raises(ValueError, match="read-only"):
+                block.flat[0] = 0.5
         with pytest.raises(ValueError):
             marginal(P).entries[0] = 0.5
 

@@ -175,6 +175,18 @@ class TestFactorGrids:
         with pytest.raises(error):
             JointMatrix(bad)
 
+    def test_single_column_dust_above_one_reads_one(self):
+        # an n = 1 grid's column sum can land one ulp above 1, where p^q and
+        # tsallis s(p) overflow for q near 1e19
+        grids = random_grids(7, 1, list(range(200)), concentration=1.0)
+        high = grids.sum(axis=1)[:, 0] > 1.0
+        assert high.any()
+        cols, conds = factor_grids(grids)
+        assert (cols <= 1.0).all() and (cols[high] == 1.0).all()
+        assert conds[high].tobytes() == grids[high].transpose(0, 2, 1).tobytes()
+        for grid in grids[high]:
+            assert JointMatrix(grid).column_marginals.tolist() == [1.0]
+
     def test_empty_stack(self):
         cols, conds = factor_grids(np.empty((0, 3, 4)))
         assert cols.shape == (0, 4) and conds.shape == (0, 4, 3)
