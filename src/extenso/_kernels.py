@@ -167,24 +167,26 @@ _FSUM_TREE_MIN = 512
 _FSUM_FEW_ROWS = 32
 
 
-def fsum_rows(block: np.ndarray) -> np.ndarray:
-    """math.fsum of every row of a 2-d array, bit for bit.
+def sums_by_loop(block: np.ndarray) -> bool:
+    """Whether fsum_rows sums this block row by row rather than by the tree."""
+    return block.size <= _FSUM_TREE_MIN * (4 if block.shape[0] < _FSUM_FEW_ROWS else 1)
 
-    A pairwise TwoSum tree leaves each row's float sum s and error terms
-    adding up to the rest, all multiples of the ulp of the row's smallest
-    nonzero entry.  While their absolute sum stays below that entry, their
-    float sum E is exact and fl(s + E) the correctly rounded sum.  Other
-    rows, zero sums, small blocks (see _FSUM_TREE_MIN) and blocks with an
-    entry beyond 2^1020 / (2 width) or not finite go to math.fsum, which
-    also raises as it does.
+
+def twosum_rows(block: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per row of a nonempty 2-d array: the float sum s of a pairwise TwoSum
+    tree, the float sum e of its error terms, and whether e is exact.
+
+    The error terms add up to the rest of the row's sum, all multiples of
+    the ulp of the row's smallest nonzero entry.  While their absolute sum
+    stays below that entry, e is exact, so s + e is the row's exact sum.  A
+    block with an entry beyond 2^1020 / (2 width) or not finite certifies
+    no row.
     """
     rows, width = block.shape
-    if block.size <= _FSUM_TREE_MIN * (4 if rows < _FSUM_FEW_ROWS else 1):
-        return np.array([math.fsum(row) for row in block.tolist()], dtype=np.float64)
     x = block.T.copy()  # rows along the last axis: each level adds two blocks
     mag = np.abs(x)
     if not mag.max() < 2.0**1020 / (2 * width):
-        return np.array([math.fsum(row) for row in block.tolist()], dtype=np.float64)
+        return x[0], np.zeros(rows), np.zeros(rows, dtype=bool)
     smallest = np.minimum.reduce(mag, axis=0, initial=np.inf, where=mag > 0.0)
     errors = np.empty((width - 1, rows))
     n = width
@@ -198,8 +200,25 @@ def fsum_rows(block: np.ndarray) -> np.ndarray:
         err += np.subtract(b, back, out=back)
         x[:m] = s
         n -= m
-    r = x[0] + errors.sum(axis=0)
-    # math.fsum signs a zero sum
-    for i in np.flatnonzero((np.abs(errors).sum(axis=0) >= smallest) | (r == 0.0)).tolist():
-        r[i] = math.fsum(block[i].tolist())
-    return r
+    return x[0], errors.sum(axis=0), np.abs(errors).sum(axis=0) < smallest
+
+
+def fsum_fallback(block: np.ndarray, sums: np.ndarray, exact: np.ndarray) -> np.ndarray:
+    """sums, with math.fsum of the block's row in place of every sum not
+    certified exact and every zero sum (math.fsum signs a zero sum)."""
+    for i in np.flatnonzero(~exact | (sums == 0.0)).tolist():
+        sums[i] = math.fsum(block[i].tolist())
+    return sums
+
+
+def fsum_rows(block: np.ndarray) -> np.ndarray:
+    """math.fsum of every row of a 2-d array, bit for bit.
+
+    Small blocks (see sums_by_loop) go to math.fsum row by row; the rest to
+    twosum_rows, whose certified rows sum to fl(s + e), the correctly
+    rounded sum.  Other rows go to math.fsum, which also raises as it does.
+    """
+    if sums_by_loop(block):
+        return np.array([math.fsum(row) for row in block.tolist()], dtype=np.float64)
+    s, e, exact = twosum_rows(block)
+    return fsum_fallback(block, s + e, exact)

@@ -59,7 +59,6 @@ def _add_batch_args(p: argparse.ArgumentParser) -> None:
 def _add_numeric_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--t-min", type=float, default=BoundsConfig.t_min)
     p.add_argument("--grid-n", type=int, default=BoundsConfig.grid_n)
-    p.add_argument("--tolerance", type=float, default=None)
 
 
 def _add_output_args(p: argparse.ArgumentParser) -> None:
@@ -79,6 +78,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_density_args(p)
     _add_batch_args(p)
     _add_numeric_args(p)
+    p.add_argument("--tolerance", type=float, default=None, help="overrides the propagated tolerance")
     _add_output_args(p)
 
     p = sub.add_parser("residual", help="chain-rule residual with a power coefficient")
@@ -108,11 +108,14 @@ def build_parser() -> argparse.ArgumentParser:
         help="reproduce a failure construction",
         epilog="remark2 CSV columns: k,t_k,ratio,closed_form,abs_err",
     )
-    p.add_argument("kind", choices=["remark5", "remark2"])
-    p.add_argument("--x", type=float, default=0.01, help="remark5 family parameter in (0,1)")
-    p.add_argument("--k-max", type=int, default=20, help="remark2 ladder depth")
-    _add_numeric_args(p)
-    _add_output_args(p)
+    kinds = p.add_subparsers(dest="kind", required=True)
+    kind = kinds.add_parser("remark5", help="the iff line's limit along the 2x2 family")
+    kind.add_argument("--x", type=float, default=0.01, help="family parameter in (0,1)")
+    kind = kinds.add_parser("remark2", help="the curvature half-ratio ladder")
+    kind.add_argument("--k-max", type=int, default=20, help="ladder depth")
+    for kind in kinds.choices.values():
+        _add_numeric_args(kind)
+        _add_output_args(kind)
 
     p = sub.add_parser("axioms", help="continuity/maximality/expandability suite")
     _add_density_args(p)
@@ -449,8 +452,11 @@ def _emit(payload: dict, args) -> None:
 
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
-    # usage errors name the subcommand and show its own flags
+    args, extra = parser.parse_known_args(argv)
+    # usage errors name the subcommand and show its own flags; a flag the
+    # subcommand does not read is one of them
+    if extra:
+        args._parser.error(f"unrecognized arguments: {' '.join(extra)}")
     _validate(args, args._parser)
     payload, code = _COMMANDS[args.command](args, args._parser)
     _emit(payload, args)

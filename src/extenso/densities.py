@@ -101,7 +101,12 @@ def joint_entropies(
     """S of N joints (N,), of their marginals (N,) and of their conditionals
     (N, n), from the checked blocks ``simplex.factor_grids`` returns: one
     eval_s call per block of joints (one joint may exceed ENTROPY_BLOCK) and
-    one ``fsum_rows`` call per part, so each value is its vector's entropy."""
+    one ``fsum_rows`` call per part, so each value is its vector's entropy.
+
+    Where fsum_rows would sum the joints row by row but the conditionals by
+    the tree (one or a few long joints), the joints' columns ride in the
+    conditionals' tree instead: S(joint) is then math.fsum of its columns'
+    exact partials s and e, the same correctly rounded sum."""
     d = F.density
     N, m, n = grids.shape
     w = m * n
@@ -112,9 +117,20 @@ def joint_entropies(
         flat = np.concatenate([grids[b].reshape(-1, w), marginals[b], conditionals[b].reshape(-1, w)], axis=1)
         _require_s0_convention(d, flat)
         v = np.asarray(d.eval_s(flat.ravel()), dtype=np.float64).reshape(flat.shape)
-        S_joint[b] = _kernels.fsum_rows(v[:, :w])
+        joints, conds = v[:, :w], v[:, w + n :].reshape(-1, m)
         S_marg[b] = _kernels.fsum_rows(v[:, w : w + n])
-        S_cond[b] = _kernels.fsum_rows(v[:, w + n :].reshape(-1, m)).reshape(-1, n)
+        if not _kernels.sums_by_loop(joints) or _kernels.sums_by_loop(conds):
+            S_joint[b] = _kernels.fsum_rows(joints)
+            S_cond[b] = _kernels.fsum_rows(conds).reshape(-1, n)
+            continue
+        k = len(conds)
+        cols = joints.reshape(-1, m, n).transpose(0, 2, 1).reshape(k, m)
+        s, e, exact = _kernels.twosum_rows(np.concatenate([conds, cols]))
+        S_cond[b] = _kernels.fsum_fallback(conds, s[:k] + e[:k], exact[:k]).reshape(-1, n)
+        whole = exact[k:].reshape(-1, n).all(axis=1)
+        parts = np.concatenate([s[k:].reshape(-1, n), e[k:].reshape(-1, n)], axis=1).tolist()
+        sums = np.array([math.fsum(p) if ok else 0.0 for p, ok in zip(parts, whole.tolist())])
+        S_joint[b] = _kernels.fsum_fallback(joints, sums, whole)
     return S_joint, S_marg, S_cond
 
 
@@ -161,7 +177,8 @@ def tsallis_density(q: float) -> Density:
     s and s' use expm1 of a multiple of log r, exact to rounding as q nears
     1, where r - r^q cancels.  For s that argument is never positive:
     s = -r expm1((q-1) log r)/(q-1) for q > 1, r^q expm1((1-q) log r)/(q-1)
-    for q < 1, and log is taken at 1 for r = 0, where s is 0.
+    for q < 1, and log is taken at 1 for r = 0, where s is 0.  s' takes
+    r^q / r - 1 for expm1((q-1) log r) where |(q-1) log r| > 1.
     """
     q = float(q)
     if not 0.0 < q < math.inf or q == 1.0:
@@ -177,7 +194,10 @@ def tsallis_density(q: float) -> Density:
 
     def eval_s1(r):
         r = np.asarray(r, dtype=np.float64)
-        return -q * np.expm1(qm1 * np.log(r)) / qm1 - 1.0
+        x = qm1 * np.log(r)
+        # expm1 carries the rounding of log r and of q - 1 times |x| into
+        # r^(q-1) - 1; beyond |x| = 1 r^q / r is closer and no longer cancels
+        return -q * np.where(abs(x) > 1.0, r**q / r - 1.0, np.expm1(x)) / qm1 - 1.0
 
     def eval_s2(r):
         r = np.asarray(r, dtype=np.float64)

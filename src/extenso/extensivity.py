@@ -87,7 +87,8 @@ class SandwichReport(NamedTuple):
     """Two-sided envelope check of joint matrices.
 
     verdict is 'pass' iff both slacks clear -tolerance, 'divergent' when any
-    column's coefficient bounds are flagged divergent (check skipped).  Fields
+    column's coefficient bounds are flagged divergent or the propagated
+    tolerance is not finite (check skipped).  Fields
     are (N,) arrays from sandwich_block and Python scalars from sandwich_check,
     its one-joint case.  A tuple holds no dict, so each report stays small:
     batch callers hold thousands of them.
@@ -149,10 +150,11 @@ def sandwich_block(
     lower = lower + s1_at_1 * gap
     upper = upper - s1_at_1 * gap
     diff = S_joint - S_marg
+    # a propagated tolerance that is not finite would pass any slack: skip the joint
+    divergent = cb.divergent.reshape(N, n).any(axis=1) | ~np.isfinite(tol)
     if tolerance is not None:
         tol = np.full(N, float(tolerance))
     slack_lower, slack_upper = diff - lower, upper - diff
-    divergent = cb.divergent.reshape(N, n).any(axis=1)
     verdict = _VERDICTS[np.where(divergent, 2, (slack_lower >= -tol) & (slack_upper >= -tol))]
     return SandwichReport(diff, lower, upper, slack_lower, slack_upper, tol, verdict, divergent)
 

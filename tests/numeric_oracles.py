@@ -601,6 +601,7 @@ def reference_sandwich(F, P, cfg=None) -> dict:
     lower = math.fsum(lower_terms) + s1_at_1 * gap
     upper = math.fsum(upper_terms) - s1_at_1 * gap
     tol = math.fsum(tol_terms)
+    divergent = divergent or not math.isfinite(tol)
     diff = entropy_one(F, _flat(P)) - entropy_one(F, p)
     slack_lower = diff - lower
     slack_upper = upper - diff

@@ -73,6 +73,18 @@ class TestVerifySandwich:
         assert code == 0
         assert (payload["pass_count"], payload["divergent_count"]) == (200, 0)
 
+    def test_infinite_tolerance_is_no_pass(self, capsys):
+        # at q = 1e19 the scan's grid errors are +inf, so the propagated
+        # tolerance (null) would pass any slack: every joint is skipped
+        code, payload = run_json(
+            ["verify-sandwich", "--density", "tsallis", "--q", "1e19", "--n", "1", "--m", "7",
+             "--instances", "3", "--seed", "1"],
+            capsys,
+        )
+        assert code == 0
+        assert (payload["pass_count"], payload["divergent_count"]) == (0, 3)
+        assert [(row["verdict"], row["tolerance"]) for row in payload["details"]] == [("divergent", None)] * 3
+
 
 def reference_sandwich_payload(argv: list[str]) -> dict:
     """verify-sandwich's payload built one joint at a time: sandwich_check on
@@ -526,6 +538,13 @@ class TestUsageErrors:
             ["verify-sandwich", "--density", "remark5", "--seed", "-1"],
             ["residual", "--density", "bg", "--seed", "-1"],
             ["axioms", "--density", "remark5", "--seed", "-1"],
+            # flags a subcommand does not read
+            ["bounds", "--density", "bg", "--tolerance", "1e-9"],
+            ["counterexample", "remark5", "--tolerance", "0"],
+            ["counterexample", "remark2", "--tolerance", "0"],
+            ["counterexample", "remark2", "--x", "0.5"],
+            ["counterexample", "remark5", "--k-max", "3"],
+            ["theta-phi", "--density", "bg", "--instances", "3"],
         ],
         ids=lambda a: " ".join(a),
     )

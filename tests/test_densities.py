@@ -7,7 +7,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 
 import extenso
@@ -25,8 +25,11 @@ from extenso.densities import (
     remark5_density,
     tsallis_density,
 )
+from extenso.cli import main
+from extenso.extensivity import extensivity_residual, power_coefficient, residual_block, sandwich_check
 from extenso.simplex import (
     JointMatrix,
+    RandomGenerationError,
     SimplexVector,
     conditional,
     factor_grids,
@@ -41,6 +44,7 @@ from numeric_oracles import (
     gl12_remark2_ladder,
     gl12_remark2_moments,
     mp_remark2_moments,
+    reference_residual,
     shifted_density,
     uniform_vector,
 )
@@ -141,6 +145,31 @@ class TestTsallis:
         with np.errstate(over="ignore"):
             vals = tsallis_density(0.1).eval_s2(np.array([1e-300, 0.5]))
         assert vals[0] == -math.inf and vals[1] == -0.1 * 0.5**-1.9
+
+    @pytest.mark.parametrize(
+        "q, r",
+        [
+            (0.1, 1e-200),
+            (0.5, 1e-300),
+            (0.01, 1e-300),
+            (0.3, 0.01),
+            (1.0 + 1e-8, 1e-300),
+            (1.0 - 1e-8, 1e-300),
+            (1.0 + 1e-9, 0.3),
+            (1.0 - 1e-9, 1e-10),
+            (1.0 + 1e-12, 0.5),
+            (3.0, 1e-5),
+        ],
+    )
+    def test_derivative_against_mpmath(self, q, r):
+        # s'(r) = -q (r^(q-1) - 1)/(q - 1) - 1 at 50 digits, for the float q
+        # itself; far from r = 1 the expm1 form lost |(q-1) log r| ulps
+        mp = pytest.importorskip("mpmath")
+        with mp.workdps(50):
+            qq, rr = mp.mpf(q), mp.mpf(r)
+            want = -qq * (rr ** (qq - 1) - 1) / (qq - 1) - 1
+            got = float(tsallis_density(q).eval_s1(r))
+            assert abs((got - want) / want) <= 1e-15
 
 
 class TestRemark2:
@@ -473,6 +502,14 @@ class TestEntropyContract:
         assert (S_joint.tolist(), S_marg.tolist()) == ([2.0], [math.sqrt(2)])
 
 
+def zero_row_joint(grids):
+    """grids with joint 0 replaced by one whose first row holds all the mass:
+    zero joint entries, and conditionals that are unit vectors."""
+    grids[0] = 0.0
+    grids[0, 0, :] = 1.0 / grids.shape[2]
+    return grids
+
+
 def per_vector_entropies(F, grids):
     """joint_entropies' three parts from one entropy_one call per vector."""
     joints = [JointMatrix(g) for g in grids]
@@ -487,9 +524,7 @@ class TestJointEntropies:
     @pytest.mark.parametrize("d", catalog(), ids=lambda d: d.label)
     @pytest.mark.parametrize("m, n", [(1, 1), (3, 7), (4, 4), (7, 2)])
     def test_matches_per_vector(self, d, m, n):
-        grids = random_grids(m, n, list(range(12)), concentration=0.2)
-        grids[0] = 0.0  # one joint with zero entries, and so zero conditional entries
-        grids[0, 0, :] = 1.0 / n
+        grids = zero_row_joint(random_grids(m, n, list(range(12)), concentration=0.2))
         counted, calls = count_eval_s(d)
         got = joint_entropies(EntropyFunctional(counted), grids, *factor_grids(grids))
         assert calls == [12 * (2 * m * n + n)]
@@ -524,6 +559,126 @@ class TestJointEntropies:
         got = joint_entropies(EntropyFunctional(counted), grids, np.empty((0, 2)), np.empty((0, 2, 3)))
         assert [v.shape for v in got] == [(0,), (0,), (0, 2)]
         assert calls == []
+
+
+class TestSharedTree:
+    """A block of one or a few long joints sums each joint's columns in the
+    conditionals' TwoSum tree; every value is still its vector's math.fsum."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        st.sampled_from(catalog()),
+        st.one_of(
+            st.tuples(st.just(1), st.integers(1, 1100)),
+            st.tuples(st.integers(1, 64), st.just(1)),
+            st.just((3, 7)),
+            st.just((32, 32)),
+        ),
+        st.integers(1, 3),
+        st.sampled_from([0.05, 0.2, 1.0]),
+        st.integers(0, 2**32 - 1),
+        st.booleans(),
+        st.sampled_from([0.5, 1.0, 2.0]),
+    )
+    def test_matches_per_vector_fsum(self, d, shape, joints, concentration, seed, zeros, power):
+        m, n = shape
+        try:
+            grids = random_grids(m, n, [seed + i for i in range(joints)], concentration=concentration)
+        except RandomGenerationError:  # a single row at low concentration: marginals too small
+            reject()
+        if zeros:
+            zero_row_joint(grids)
+        F = EntropyFunctional(d)
+        blocks = factor_grids(grids)
+        got = joint_entropies(F, grids, *blocks)
+        assert [v.tolist() for v in got] == list(per_vector_entropies(F, grids))
+        f = power_coefficient(power)
+        want = [reference_residual(F, JointMatrix(g), f) for g in grids]
+        assert [repr(v) for v in residual_block(F, grids, *blocks, f).tolist()] == [repr(v) for v in want]
+
+    @pytest.mark.parametrize("d", catalog(), ids=lambda d: d.label)
+    def test_residual_joints_match_per_vector_fsum(self, d):
+        # one in about twelve such joints rounds differently from the sum of
+        # its columns' float sums alone: the error sums e are needed
+        F = EntropyFunctional(d)
+        for seed in range(30):
+            grids = random_grids(32, 32, [seed], concentration=1.0 if seed % 3 else 0.2)
+            got = joint_entropies(F, grids, *factor_grids(grids))
+            assert [v.tolist() for v in got] == list(per_vector_entropies(F, grids))
+
+    @staticmethod
+    def record(monkeypatch):
+        calls = []
+        for name in ("fsum_rows", "twosum_rows"):
+            kernel = getattr(_kernels, name)
+            monkeypatch.setattr(
+                _kernels, name, lambda block, name=name, kernel=kernel: calls.append((name, block.shape)) or kernel(block)
+            )
+        return calls
+
+    def test_one_long_joint_takes_one_tree(self, monkeypatch):
+        # the 32 x 32 residual joint: the marginal summed row by row, then one
+        # pass over 32 conditional rows and the joint's 32 columns
+        calls = self.record(monkeypatch)
+        P = JointMatrix(random_grids(32, 32, [5])[0])
+        for d in (remark5_density(), remark2_density()):
+            extensivity_residual(EntropyFunctional(d), P, power_coefficient(1.0))
+        assert calls == [("fsum_rows", (1, 32)), ("twosum_rows", (64, 32))] * 2
+
+    def test_one_wide_row_takes_one_tree(self, monkeypatch):
+        # a 1 x 600 joint: 600 one-entry conditionals reach the tree, and
+        # each sums to s(1), a zero that math.fsum signs
+        calls = self.record(monkeypatch)
+        grids = random_grids(1, 600, [2])
+        F = EntropyFunctional(tsallis_density(2.0))
+        got = joint_entropies(F, grids, *factor_grids(grids))
+        assert calls == [("fsum_rows", (1, 600)), ("twosum_rows", (1200, 1))]
+        assert [v.tolist() for v in got] == list(per_vector_entropies(F, grids))
+
+    def test_sandwich_op_keeps_three_sums(self, monkeypatch):
+        calls = self.record(monkeypatch)
+        P = JointMatrix(random_grids(4, 4, [3], concentration=0.05)[0])
+        sandwich_check(EntropyFunctional(remark5_density()), P)
+        assert calls == [("fsum_rows", (1, 4)), ("fsum_rows", (1, 16)), ("fsum_rows", (4, 4))]
+
+    def test_cli_residual_blocks_keep_three_sums(self, monkeypatch, capsys):
+        # 200 joints of 32 x 32 in blocks of 15: each block's joints and
+        # conditionals are long enough for a tree of their own
+        calls = self.record(monkeypatch)
+        main(["residual", "--density", "remark5", "--power", "1", "--m", "32", "--n", "32",
+              "--instances", "200", "--seed", "101"])
+        capsys.readouterr()
+        block = lambda k: [("fsum_rows", (k, 32)), ("fsum_rows", (k, 1024)), ("twosum_rows", (k, 1024)),
+                           ("fsum_rows", (32 * k, 32)), ("twosum_rows", (32 * k, 32))]
+        # and residual_block's own sum of each joint's 34 terms
+        assert calls == block(15) * 13 + block(5) + [("twosum_rows", (200, 34))]
+
+    def test_uncertified_columns_fall_back_to_fsum(self, monkeypatch):
+        # concentration 0.05 leaves entries so small that columns fail the
+        # certificate: such joints are summed whole by math.fsum
+        F = EntropyFunctional(remark5_density())
+        grids = random_grids(32, 32, [0], concentration=0.05)
+        rows, fsum = [], math.fsum
+        monkeypatch.setattr(densities.math, "fsum", lambda row: rows.append(len(row)) or fsum(row))
+        got = joint_entropies(F, grids, *factor_grids(grids))
+        assert 1024 in rows
+        monkeypatch.undo()
+        assert [v.tolist() for v in got] == list(per_vector_entropies(F, grids))
+
+    def test_no_uncertified_partial_is_used(self, monkeypatch):
+        # a tree that certifies no row and returns wrong sums: every joint and
+        # conditional must come from math.fsum
+        tree = _kernels.twosum_rows
+
+        def uncertified(block):
+            s, e, exact = tree(block)
+            return s + 1.0, e, np.zeros_like(exact)
+
+        monkeypatch.setattr(_kernels, "twosum_rows", uncertified)
+        F = EntropyFunctional(remark2_density())
+        grids = random_grids(32, 32, [1, 2])
+        got = joint_entropies(F, grids, *factor_grids(grids))
+        assert [v.tolist() for v in got] == list(per_vector_entropies(F, grids))
 
 
 class TestDensityInvariants:

@@ -545,6 +545,29 @@ class TestSandwichBlock:
             sandwich_check(F, JointMatrix(g), tolerance=0.0).verdict for g in grids
         ]
 
+    @pytest.mark.parametrize("tolerance", [None, 0.0, 1e-3])
+    def test_infinite_propagated_tolerance_is_divergent(self, tolerance):
+        # from about q = 1e6 the scan's grid errors are +inf: the propagated
+        # tolerance would pass any slack, so each joint is skipped, whatever
+        # tolerance overrides it
+        grids = random_grids(4, 4, list(range(20)))
+        F = functional(tsallis_density(1e6))
+        block = sandwich_block(F, grids, *factor_grids(grids), tolerance=tolerance)
+        propagated = sandwich_block(F, grids, *factor_grids(grids)).tolerance
+        assert np.isinf(propagated).all()
+        assert block.verdict.tolist() == ["divergent"] * 20 and block.divergent.all()
+        for g, got in zip(grids, zip(*(v.tolist() for v in block))):
+            P = JointMatrix(g)
+            assert repr(SandwichReport._make(got)) == repr(sandwich_check(F, P, tolerance=tolerance))
+            if tolerance is None:
+                assert repr(sandwich_check(F, P).to_dict()) == repr(reference_sandwich(F, P))
+
+    def test_finite_propagated_tolerance_still_checks(self):
+        grids = random_grids(4, 4, list(range(20)))
+        block = sandwich_block(functional(tsallis_density(1e5)), grids, *factor_grids(grids))
+        assert np.isfinite(block.tolerance).all() and not block.divergent.any()
+        assert block.verdict.tolist() == ["pass"] * 20
+
 
 class TestEvalCount:
     """Exactly one eval_s call per joint and per suite, over the same points."""
