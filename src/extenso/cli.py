@@ -2,7 +2,8 @@
 
 Reports are JSON (canonical) or CSV (a projection).  Payloads are pure
 functions of the arguments: identical invocations produce byte-identical
-output, and the seed falls back to the EXTENSO_SEED environment variable.
+output.  A density is named by --density (with --q for tsallis) only, and
+the seed comes from --seed (default 0) only.
 One null rule covers every report: the emitter writes each non-finite float,
 at any depth, as null (None in CSV), as JSON has no NaN or Infinity.  Exit
 status is 0 for clean runs (divergent instances are reported, not failures),
@@ -15,19 +16,13 @@ import csv
 import io
 import json
 import math
-import os
 import sys
 
 import numpy as np
 
 from . import __version__
 from .bounds import BoundsConfig, coefficient_bounds, column_bounds, phi_from_density, theta_phi
-from .densities import (
-    EntropyFunctional,
-    density_from_spec,
-    remark2_density,
-    remark5_density,
-)
+from .densities import EntropyFunctional, bg_density, remark2_density, remark5_density, tsallis_density
 from .extensivity import (
     axiom_suite,
     iff_counterexample_matrix,
@@ -43,16 +38,15 @@ _IFF_LIMIT_FACTOR = (math.sqrt(2.0) - 1.0) / 2.0
 
 
 def _add_density_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--density", choices=["bg", "tsallis", "remark2", "remark5"])
+    p.add_argument("--density", required=True, choices=["bg", "tsallis", "remark2", "remark5"])
     p.add_argument("--q", type=float, help="tsallis exponent (q > 0, q != 1)")
-    p.add_argument("--density-spec", help="JSON density spec, or @path to one")
 
 
 def _add_batch_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--m", type=int, default=4)
     p.add_argument("--n", type=int, default=4)
     p.add_argument("--instances", type=int, default=100)
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--concentration", type=float, default=1.0)
 
 
@@ -121,7 +115,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_density_args(p)
     p.add_argument("--max-size", type=int, default=8)
     p.add_argument("--instances", type=int, default=200)
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=int, default=0)
     _add_output_args(p)
 
     p = sub.add_parser("theta-phi", help="growth index of the density's phi profile")
@@ -133,35 +127,14 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
-def _resolve_seed(args, parser: argparse.ArgumentParser) -> int:
-    """--seed (checked by _validate), else EXTENSO_SEED, else 0."""
-    if args.seed is not None:
-        return args.seed
-    env = os.environ.get("EXTENSO_SEED") or "0"
-    if not (env.isascii() and env.isdigit()):
-        parser.error(f"EXTENSO_SEED must be a non-negative integer, got {env!r}")
-    return int(env)
-
-
 def _resolve_density(args, parser: argparse.ArgumentParser):
-    if args.density_spec:
-        spec = args.density_spec
-        if spec.startswith("@"):
-            try:
-                with open(spec[1:], encoding="utf-8") as fh:
-                    spec = fh.read()
-            except OSError as e:
-                parser.error(f"--density-spec: cannot read {spec[1:]!r}: {e.strerror}")
-    else:
-        if not args.density:
-            parser.error("one of --density or --density-spec is required")
-        spec = {"kind": args.density, "params": {}}
-        if args.density == "tsallis":
-            if args.q is None:
-                parser.error("--density tsallis requires --q")
-            spec["params"]["q"] = args.q
+    """The catalog density that --density names, tsallis with its --q."""
+    if args.density != "tsallis":
+        return {"bg": bg_density, "remark2": remark2_density, "remark5": remark5_density}[args.density]()
+    if args.q is None:
+        parser.error("--density tsallis requires --q")
     try:
-        return density_from_spec(spec)
+        return tsallis_density(args.q)
     except ValueError as e:
         parser.error(f"bad density: {e}")
 
@@ -221,26 +194,27 @@ def batch_report(density_label: str, check: str, seed: int, outcomes: list[str],
 # ---------------------------------------------------------------------------
 
 
-def _random_grids(args, parser, seed: int) -> np.ndarray:
+def _random_grids(args, parser) -> np.ndarray:
     """Every instance's joint grid, drawn before any is checked or used."""
-    seeds = [int(s) for s in np.random.SeedSequence(seed).generate_state(args.instances)]
+    seeds = [int(s) for s in np.random.SeedSequence(args.seed).generate_state(args.instances)]
     try:
         return random_grids(args.m, args.n, seeds, concentration=args.concentration)
     except RandomGenerationError as e:
         parser.error(f"--concentration {args.concentration!r} is too low: {e}")
+    except OverflowError:  # the gamma draws of one grid sum past the float range
+        parser.error(f"--concentration {args.concentration!r} is too high: a draw's sum overflows")
 
 
 def _cmd_verify_sandwich(args, parser) -> tuple[dict, int]:
     d = _resolve_density(args, parser)
     if not (d.s0_zero and d.s1_zero and d.concave):
         parser.error(f"density {d.label} lacks s(0) = 0, s(1) = 0 or concavity, which the envelope needs")
-    seed = _resolve_seed(args, parser)
-    grids = _random_grids(args, parser, seed)
+    grids = _random_grids(args, parser)
     block = sandwich_block(EntropyFunctional(d), grids, *factor_grids(grids), _bounds_cfg(args), args.tolerance)
     cols = {"instance": range(args.instances), **{k: v.tolist() for k, v in block._asdict().items()}}
     details = [dict(zip(cols, row)) for row in zip(*cols.values())]
     slacks = list(map(min, cols["slack_lower"], cols["slack_upper"]))
-    payload = batch_report(d.label, "verify-sandwich", seed, cols["verdict"], slacks)
+    payload = batch_report(d.label, "verify-sandwich", args.seed, cols["verdict"], slacks)
     worst_gap = max((block.upper - block.lower).tolist(), default=math.nan)
     collapse_tol = max(cols["tolerance"], default=math.nan)
     payload["worst_bound_gap"] = worst_gap
@@ -251,20 +225,15 @@ def _cmd_verify_sandwich(args, parser) -> tuple[dict, int]:
 
 def _cmd_residual(args, parser) -> tuple[dict, int]:
     d = _resolve_density(args, parser)
-    seed = _resolve_seed(args, parser)
-    if args.power is not None:
-        q = args.power
-    elif d.label == "bg":
-        q = 1.0
-    elif "q" in d.params:
-        q = float(d.params["q"])
-    else:
+    # the density's own coefficient: p for bg, p^q for tsallis, none for the rest
+    q = args.power if args.power is not None else {"bg": 1.0, "tsallis": args.q}.get(args.density)
+    if q is None:
         parser.error(f"density {d.label} has no natural coefficient power; pass --power")
-    grids = _random_grids(args, parser, seed)
+    grids = _random_grids(args, parser)
     residuals = residual_block(EntropyFunctional(d), grids, *factor_grids(grids), power_coefficient(q)).tolist()
     cols = {"instance": range(args.instances), "residual": residuals,
             "verdict": ["pass" if abs(r) <= args.tolerance else "fail" for r in residuals]}
-    payload = batch_report(d.label, "residual", seed, cols["verdict"], [args.tolerance - abs(r) for r in residuals])
+    payload = batch_report(d.label, "residual", args.seed, cols["verdict"], [args.tolerance - abs(r) for r in residuals])
     payload["power"] = q
     payload["tolerance"] = args.tolerance
     payload["max_abs_residual"] = max(map(abs, residuals), default=math.nan)
@@ -360,13 +329,12 @@ def _cmd_axioms(args, parser) -> tuple[dict, int]:
     if args.instances < 1:  # no draws: continuity and expandability hold vacuously
         parser.error(f"--instances must be >= 1, got {args.instances!r}")
     F = EntropyFunctional(d)
-    seed = _resolve_seed(args, parser)
-    rep = axiom_suite(F, sizes=tuple(range(2, args.max_size + 1)), seed=seed, trials=args.instances)
+    rep = axiom_suite(F, sizes=tuple(range(2, args.max_size + 1)), seed=args.seed, trials=args.instances)
     payload = {
         "density": d.label,
         "check": "axioms",
         "instances": args.instances,
-        "seed": seed,
+        "seed": args.seed,
         **rep.to_dict(),
     }
     return payload, 0 if rep.all_pass else 1
@@ -458,7 +426,10 @@ def main(argv: list[str] | None = None) -> int:
     if extra:
         args._parser.error(f"unrecognized arguments: {' '.join(extra)}")
     _validate(args, args._parser)
-    payload, code = _COMMANDS[args.command](args, args._parser)
+    try:
+        payload, code = _COMMANDS[args.command](args, args._parser)
+    except MemoryError as e:  # sizes, counts or grids too large to allocate
+        args._parser.error(f"out of memory: {e}")
     _emit(payload, args)
     return code
 

@@ -4,11 +4,12 @@ A functional S(p) = sum_j s(p_j) is determined by its density s.  Densities
 carry evaluators for s, s', s'' (vectorized: float or ndarray in, matching
 shape out) plus regularity flags consumed by the verification layers.
 
-Catalog kinds (also the JSON wire tokens): "bg", "tsallis", "remark2",
-"remark5".  The latter two are integral-defined stress densities: remark2 has
-curvature -r(|cos(1/r)|+r), whose curvature half-ratio blows up along
-t_k = 1/((k+1/2)pi); remark5 integrates -log sin((pi/4) t), whose curvature
-half-ratio stays pinned inside [2, 1+sqrt(2)].
+Catalog kinds (also the CLI's --density choices): "bg", "tsallis" (with its
+q), "remark2", "remark5".  The latter two are integral-defined stress
+densities: remark2 has curvature -r(|cos(1/r)|+r), whose curvature
+half-ratio blows up along t_k = 1/((k+1/2)pi); remark5 integrates
+-log sin((pi/4) t), whose curvature half-ratio stays pinned inside
+[2, 1+sqrt(2)].
 
 remark2's s and s' read a panel table built on first use: a ladder of
 prefix integrals and, per panel, the antiderivative polynomial of the Gauss
@@ -19,10 +20,9 @@ from one Horner pass, so evaluation runs no trig at all.
 from __future__ import annotations
 
 import functools
-import json
 import math
-from dataclasses import dataclass, field
-from typing import Callable, Mapping, NamedTuple
+from dataclasses import dataclass
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -38,7 +38,6 @@ __all__ = [
     "remark5_density",
     "entropy",
     "joint_entropies",
-    "density_from_spec",
     "canonical_grid",
 ]
 
@@ -65,7 +64,6 @@ class Density:
     s0_zero: bool = False
     s1_zero: bool = False
     concave: bool = False
-    params: Mapping[str, float] = field(default_factory=dict)
     # extra t-values worth sampling in curvature-ratio scans (stress points)
     probe_points: tuple[float, ...] = ()
 
@@ -211,7 +209,6 @@ def tsallis_density(q: float) -> Density:
         s0_zero=True,
         s1_zero=True,
         concave=True,
-        params={"q": q},
     )
 
 
@@ -441,44 +438,3 @@ def remark2_density() -> Density:
         concave=True,
         probe_points=probes,
     )
-
-
-# ---------------------------------------------------------------------------
-# JSON density specs: {"kind": "...", "params": {...}}
-# ---------------------------------------------------------------------------
-
-_CATALOG = {
-    "bg": lambda params: bg_density(),
-    "tsallis": lambda params: tsallis_density(_number(params, "q")),
-    "remark2": lambda params: remark2_density(),
-    "remark5": lambda params: remark5_density(),
-}
-
-
-def _number(params: Mapping, name: str) -> float:
-    """params[name] as a float; a JSON number only, so no string or bool."""
-    value = params[name]
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ValueError(f"density parameter {name!r} must be a number, got {value!r}")
-    try:
-        return float(value)
-    except OverflowError:  # an integer literal beyond the float range
-        raise ValueError(f"density parameter {name!r} is out of range") from None
-
-
-def density_from_spec(spec: str | Mapping) -> Density:
-    """Resolve a density spec (JSON text or mapping) to a catalog density."""
-    if isinstance(spec, str):
-        spec = json.loads(spec)
-    if not isinstance(spec, Mapping):
-        raise ValueError("a density spec must be a JSON object")
-    kind = spec.get("kind")
-    if not isinstance(kind, str) or kind not in _CATALOG:
-        raise ValueError(f"unknown density kind {kind!r}; expected one of {sorted(_CATALOG)}")
-    params = spec.get("params", {})
-    if not isinstance(params, Mapping):
-        raise ValueError(f"density params must be a JSON object, got {params!r}")
-    try:
-        return _CATALOG[kind](params)
-    except KeyError as e:
-        raise ValueError(f"density kind {kind!r} missing parameter {e}") from e

@@ -733,7 +733,6 @@ def shifted_density(d: Density) -> Density:
         s0_zero=d.s0_zero,
         s1_zero=True,
         concave=d.concave,
-        params=dict(d.params, shift=s1_val),
         probe_points=d.probe_points,
     )
 

@@ -6,6 +6,7 @@ import json
 import math
 import os
 import re
+import shlex
 import subprocess
 import sys
 import warnings
@@ -145,7 +146,7 @@ class TestStackedSandwich:
     @pytest.mark.parametrize("instances", [1, 32, 33, 100])
     def test_one_eval_s_call_and_chunked_scans(self, instances, capsys, monkeypatch):
         d, calls = count_eval_s(remark5_density())
-        monkeypatch.setattr(cli, "density_from_spec", lambda spec: d)
+        monkeypatch.setattr(cli, "_resolve_density", lambda args, parser: d)
         rows = []
         scan_extrema = bounds.scan_extrema
 
@@ -181,7 +182,7 @@ def reference_residual_payload(argv: list[str]) -> dict:
     args = cli.build_parser().parse_args(argv)
     d = cli._resolve_density(args, args._parser)
     F = EntropyFunctional(d)
-    q = args.power if args.power is not None else 1.0 if d.label == "bg" else float(d.params["q"])
+    q = args.power if args.power is not None else 1.0 if d.label == "bg" else args.q
     f = power_coefficient(q)
     seeds = [int(s) for s in np.random.SeedSequence(args.seed).generate_state(args.instances)]
     details = []
@@ -239,7 +240,7 @@ class TestStackedResidual:
         # a call takes as many whole joints as fit in densities.ENTROPY_BLOCK
         # points; test_densities checks the count where a joint divides the block
         d, calls = count_eval_s(remark2_density())
-        monkeypatch.setattr(cli, "density_from_spec", lambda spec: d)
+        monkeypatch.setattr(cli, "_resolve_density", lambda args, parser: d)
         main(["residual", "--density", "remark2", "--power", "1", "--m", str(m), "--n", str(n),
               "--instances", str(instances), "--seed", "4"])
         capsys.readouterr()
@@ -265,12 +266,14 @@ class TestDeterminism:
         )
         assert code == 0 and payload["seed"] == 2**70
 
-    def test_seed_env_fallback(self, capsys, monkeypatch):
+    @pytest.mark.parametrize("command", ["verify-sandwich", "residual", "axioms"])
+    def test_seed_defaults_to_zero(self, command, capsys, monkeypatch):
+        # --seed is the seed's one source: the environment is not read
         monkeypatch.setenv("EXTENSO_SEED", "99")
-        _, payload = run_json(
-            ["residual", "--density", "bg", "--instances", "3"], capsys
-        )
-        assert payload["seed"] == 99
+        argv = [command, "--density", "bg", "--instances", "3"]
+        _, payload = run_json(argv, capsys)
+        assert payload["seed"] == 0
+        assert run_json(argv + ["--seed", "0"], capsys)[1] == payload
 
 
 class TestResidual:
@@ -466,7 +469,7 @@ class TestStrictJson:
         nan_density = dataclasses.replace(
             remark5_density(), label="nan", eval_s=lambda r: np.full(np.shape(r), np.nan)
         )
-        monkeypatch.setattr(cli, "density_from_spec", lambda spec: nan_density)
+        monkeypatch.setattr(cli, "_resolve_density", lambda args, parser: nan_density)
         code, out = run_cli(["axioms", "--density", "remark5", "--instances", "3"], capsys)
         payload = json.loads(out, parse_constant=_reject_constant)
         assert payload["worst_maximality_gap"] is None
@@ -495,6 +498,29 @@ def test_extreme_curvature_output_is_strict(args, fmt, capsys):
         assert not re.search(r"(?i)\b(nan|inf|infinity)\b", captured.out)
 
 
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def readme_cli_examples() -> list[list[str]]:
+    """The argv of each extenso line in the sh block under README's ## CLI."""
+    section = README.read_text(encoding="utf-8").split("\n## CLI\n", 1)[1]
+    block = section.split("```sh\n", 1)[1].split("```", 1)[0]
+    return [shlex.split(line)[1:] for line in block.splitlines() if line.startswith("extenso ")]
+
+
+class TestReadmeExamples:
+    """Every documented command runs: a flag that goes cannot stay in the README."""
+
+    def test_every_command_has_an_example(self):
+        assert {argv[0] for argv in readme_cli_examples()} == set(cli._COMMANDS)
+
+    @pytest.mark.parametrize("argv", readme_cli_examples(), ids=" ".join)
+    def test_example_runs(self, argv, capsys):
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code in (0, 1) and captured.out and captured.err == ""
+
+
 class TestUsageErrors:
     @pytest.mark.parametrize(
         "args",
@@ -516,15 +542,6 @@ class TestUsageErrors:
             ["bounds", "--density", "bg", "--r", "1.5"],
             ["bounds", "--density", "bg", "--r", "0"],
             ["bounds", "--density", "bg", "--r-grid", "0:1:5"],
-            ["recover-f", "--density-spec", "{not json"],
-            ["recover-f", "--density-spec", '{"kind": "tsallis"}'],
-            ["recover-f", "--density-spec", '{"kind": "nope"}'],
-            ["recover-f", "--density-spec", "[1, 2]"],
-            ["recover-f", "--density-spec", "@no-such-spec.json"],
-            ["recover-f", "--density-spec", '{"kind":["bg"]}'],
-            ["recover-f", "--density-spec", '{"kind":"tsallis","params":{"q":null}}'],
-            ["recover-f", "--density-spec", '{"kind":"tsallis","params":[1]}'],
-            ["recover-f", "--density-spec", '{"kind":"tsallis","params":{"q":"2"}}'],
             ["axioms", "--density", "remark5", "--max-size", "1"],
             ["axioms", "--density", "remark5", "--max-size", "0"],
             ["axioms", "--density", "remark5", "--instances", "0"],
@@ -572,15 +589,6 @@ class TestUsageErrors:
         assert got == code and payload["instances"] == 200
         assert capsys.readouterr().err == ""
 
-    @pytest.mark.parametrize("env", ["-3", "abc", "1.5"])
-    def test_bad_seed_env(self, env, capsys, monkeypatch):
-        monkeypatch.setenv("EXTENSO_SEED", env)
-        with pytest.raises(SystemExit) as exc:
-            main(["residual", "--density", "bg", "--instances", "1"])
-        assert exc.value.code == 2
-        err = capsys.readouterr().err.strip().splitlines()
-        assert err[-1] == f"extenso residual: error: EXTENSO_SEED must be a non-negative integer, got {env!r}"
-
     @pytest.mark.parametrize("where", ["missing-directory", "directory"])
     def test_unwritable_output(self, where, capsys, tmp_path):
         path = tmp_path / "no-such-dir" / "out.json" if where == "missing-directory" else tmp_path
@@ -596,10 +604,13 @@ class TestUsageErrors:
             main(["no-such-command"])
         assert exc.value.code == 2
 
-    def test_missing_density(self, capsys):
+    @pytest.mark.parametrize("command", ["verify-sandwich", "residual", "bounds", "recover-f", "axioms", "theta-phi"])
+    def test_missing_density(self, command, capsys):
         with pytest.raises(SystemExit) as exc:
-            main(["verify-sandwich", "--m", "2", "--n", "2"])
+            main([command])
         assert exc.value.code == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert err[-1] == f"extenso {command}: error: the following arguments are required: --density"
 
     def test_tsallis_without_q(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -611,11 +622,56 @@ class TestUsageErrors:
             main(["counterexample", "remark5", "--x", "1.5"])
         assert exc.value.code == 2
 
-    def test_density_spec_from_file(self, capsys, tmp_path):
-        spec = tmp_path / "spec.json"
-        spec.write_text('{"kind": "tsallis", "params": {"q": 2.0}}')
-        _, payload = run_json(["recover-f", "--density-spec", f"@{spec}"], capsys)
-        assert payload["density"] == "tsallis(q=2)"
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            (["residual", "--density", "bg", "--concentration", "2e307", "--instances", "2"],
+             "--concentration 2e+307 is too high: a draw's sum overflows"),
+            (["verify-sandwich", "--density", "bg", "--concentration", "1e308"],
+             "--concentration 1e+308 is too high: a draw's sum overflows"),
+            (["residual", "--density", "bg", "--concentration", "1e-320", "--instances", "2"],
+             "--concentration 1e-320 is too low: "),
+            (["verify-sandwich", "--density", "bg", "--concentration", "1e-320", "--instances", "2"],
+             "--concentration 1e-320 is too low: "),
+        ],
+        ids=["residual-2e307", "verify-sandwich-1e308", "residual-1e-320", "verify-sandwich-1e-320"],
+    )
+    def test_concentration_that_cannot_draw(self, args, message, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(args)
+        captured = capsys.readouterr()
+        assert exc.value.code == 2 and captured.out == ""
+        err = captured.err.strip().splitlines()
+        assert err[-1].startswith(f"extenso {args[0]}: error: {message}")
+        assert not any("Traceback" in line for line in err)
+
+    def test_one_cell_draw_at_the_float_limit(self, capsys):
+        # one gamma draw of about 1e308 sums without overflow and draws
+        code, payload = run_json(["residual", "--density", "bg", "--concentration", "1e308",
+                                  "--m", "1", "--n", "1", "--instances", "2"], capsys)
+        assert (code, payload["pass_count"], payload["max_abs_residual"]) == (0, 2, 0.0)
+        assert capsys.readouterr().err == ""
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            # each asks for one array beyond 2^48 bytes, more than any address
+            # space maps, so the request fails at once and allocates nothing
+            ["bounds", "--density", "bg", "--r-grid", "0.1:0.9:200000000000000"],
+            ["residual", "--density", "bg", "--instances", "1000000000000000"],
+            ["verify-sandwich", "--density", "bg", "--instances", "1000000000000000"],
+            ["verify-sandwich", "--density", "bg", "--m", "100000000", "--n", "100000000", "--instances", "1"],
+        ],
+        ids=lambda a: " ".join(a),
+    )
+    def test_sizes_too_large_to_allocate(self, args, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(args)
+        captured = capsys.readouterr()
+        assert exc.value.code == 2 and captured.out == ""
+        err = captured.err.strip().splitlines()
+        assert err[-1].startswith(f"extenso {args[0]}: error: out of memory: Unable to allocate ")
+        assert not any("Traceback" in line for line in err)
 
 
 NON_FINITE_CASES = [
@@ -628,8 +684,6 @@ NON_FINITE_CASES = [
     (["residual", "--density", "bg", "--power", "nan"], "--power must be finite, got nan"),
     (["residual", "--density", "bg", "--power", "inf"], "--power must be finite, got inf"),
     (["bounds", "--density", "tsallis", "--q", "inf"], "--q must be finite, got inf"),
-    (["bounds", "--density-spec", '{"kind": "tsallis", "params": {"q": Infinity}}'],
-     "bad density: q must be finite, > 0 and != 1, got inf"),
     (["verify-sandwich", "--density", "remark5", "--concentration", "inf"],
      "--concentration must be finite, got inf"),
 ]
@@ -692,7 +746,6 @@ def cli_peak_mb(argv: list[str], tmp_path: Path) -> float:
     """Peak resident set of one CLI command in a fresh interpreter, in MB."""
     src = str(Path(extenso.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    env.pop("EXTENSO_SEED", None)
     proc = subprocess.run(
         [sys.executable, "-c", _PEAK_SCRIPT, str(tmp_path / "payload"), *argv],
         env=env, capture_output=True, text=True, check=True,

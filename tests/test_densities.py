@@ -18,7 +18,6 @@ from extenso.densities import (
     EntropyFunctional,
     bg_density,
     canonical_grid,
-    density_from_spec,
     entropy,
     joint_entropies,
     remark2_density,
@@ -734,40 +733,3 @@ class TestDensityInvariants:
                 )
                 rhs = a * float(np.asarray(d.eval_s1(a))) * r - float(np.asarray(d.eval_s(a * r)))
                 assert abs(lhs - rhs) <= 1e-6
-
-
-class TestDensitySpec:
-    def test_catalog_kinds(self):
-        assert density_from_spec({"kind": "bg"}).label == "bg"
-        assert density_from_spec('{"kind": "tsallis", "params": {"q": 0.5}}').params["q"] == 0.5
-        assert density_from_spec({"kind": "remark2"}).label == "remark2"
-        assert density_from_spec({"kind": "remark5"}).label == "remark5"
-
-    def test_unknown_kind(self):
-        with pytest.raises(ValueError):
-            density_from_spec({"kind": "renyi"})
-
-    def test_missing_param(self):
-        with pytest.raises(ValueError):
-            density_from_spec({"kind": "tsallis"})
-
-    @pytest.mark.parametrize(
-        "spec",
-        [
-            '{"kind": ["bg"]}',
-            '{"kind": {"bg": 1}}',
-            '{"kind": "bg", "params": [1]}',
-            '{"kind": "bg", "params": null}',
-            '{"kind": "tsallis", "params": {"q": null}}',
-            '{"kind": "tsallis", "params": {"q": "2"}}',
-            '{"kind": "tsallis", "params": {"q": true}}',
-            '{"kind": "tsallis", "params": {"q": 1' + "0" * 400 + "}}",
-        ],
-        ids=["list kind", "object kind", "list params", "null params", "null q", "string q", "bool q", "huge q"],
-    )
-    def test_malformed_fields(self, spec):
-        with pytest.raises(ValueError):
-            density_from_spec(spec)
-
-    def test_integer_q(self):
-        assert density_from_spec('{"kind": "tsallis", "params": {"q": 2}}').params["q"] == 2.0
