@@ -1,3 +1,4 @@
+import argparse
 import csv
 import dataclasses
 import importlib
@@ -521,6 +522,25 @@ class TestReadmeExamples:
         assert code in (0, 1) and captured.out and captured.err == ""
 
 
+class TestResolveDensity:
+    @pytest.mark.parametrize(
+        "name, q, make",
+        [
+            ("bg", None, densities.bg_density),
+            ("tsallis", 0.5, lambda: densities.tsallis_density(0.5)),
+            ("remark2", None, remark2_density),
+            ("remark5", None, remark5_density),
+        ],
+        ids=["bg", "tsallis", "remark2", "remark5"],
+    )
+    def test_each_name_is_its_catalog_density(self, name, q, make):
+        got = cli._resolve_density(argparse.Namespace(density=name, q=q), cli.build_parser())
+        want = make()
+        r = np.array([0.0, 0.125, 0.5, 0.875, 1.0])
+        assert got.label == want.label
+        assert np.array_equal(got.eval_s(r), want.eval_s(r))
+
+
 class TestUsageErrors:
     @pytest.mark.parametrize(
         "args",
@@ -611,6 +631,22 @@ class TestUsageErrors:
         assert exc.value.code == 2
         err = capsys.readouterr().err.strip().splitlines()
         assert err[-1] == f"extenso {command}: error: the following arguments are required: --density"
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["residual", "--density-spec", '{"kind": "bg"}'],
+            ["residual", "--density", "bg", "--density-spec", '{"kind": "bg"}'],
+        ],
+        ids=["alone", "with --density"],
+    )
+    def test_density_spec_is_not_an_option(self, args, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(args)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert err[-1].startswith("extenso residual: error: ")
+        assert not any("Traceback" in line for line in err)
 
     def test_tsallis_without_q(self, capsys):
         with pytest.raises(SystemExit) as exc:
