@@ -39,7 +39,6 @@ SCAN_ROWS = 128
 class BoundsConfig:
     t_min: float = 1e-6
     grid_n: int = 2048
-    refine: bool = True
 
 
 class CoefficientBounds(NamedTuple):
@@ -88,7 +87,7 @@ def column_bounds(d: Density, rs, cfg: BoundsConfig | None = None) -> Coefficien
             # t is the 1-d grid or ladder (shared by all rows) or (rows, L)
             return np.asarray(s2(rt * t)) / np.asarray(s2(t))
 
-        scans.append(scan_extrema(ratio, cfg.t_min, cfg.grid_n, d.probe_points, cfg.refine))
+        scans.append(scan_extrema(ratio, cfg.t_min, cfg.grid_n, d.probe_points))
     scan = scans[0] if len(scans) == 1 else Scan._make(map(np.concatenate, zip(*scans)))
     f_scale = r * r
     lower, upper = (f_scale[:, None] * scan.value).T

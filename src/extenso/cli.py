@@ -22,7 +22,7 @@ import numpy as np
 
 from . import __version__
 from .bounds import BoundsConfig, coefficient_bounds, column_bounds, phi_from_density, theta_phi
-from .densities import EntropyFunctional, bg_density, remark2_density, remark5_density, tsallis_density
+from .densities import bg_density, remark2_density, remark5_density, tsallis_density
 from .extensivity import (
     axiom_suite,
     iff_counterexample_matrix,
@@ -35,6 +35,14 @@ from .extensivity import (
 from .simplex import RandomGenerationError, factor_grids, random_grids
 
 _IFF_LIMIT_FACTOR = (math.sqrt(2.0) - 1.0) / 2.0
+# Deepest remark2 ladder.  The ratio's rounding error grows like k^3: abs_err
+# is 1.6e-11 at k = 20 and 1.9e-9 at k = 100, and it first passes 1e-8, the
+# tolerance the ladder is checked against its closed form to, at k = 155.
+# Deeper rows would compare float noise, not the density, with the closed form.
+K_MAX_LIMIT = 100
+# numpy refuses a shape whose byte count overflows its index type with a
+# ValueError, before it tries to allocate: a MemoryError by another name
+_TOO_BIG = ("array is too big", "Maximum allowed size exceeded")
 
 
 def _add_density_args(p: argparse.ArgumentParser) -> None:
@@ -145,6 +153,8 @@ def _bounds_cfg(args) -> BoundsConfig:
 
 def _validate(args, parser: argparse.ArgumentParser) -> None:
     """Reject out-of-range numeric arguments as usage errors (exit 2)."""
+    if getattr(args, "q", None) is not None and args.density != "tsallis":
+        parser.error(f"--q applies to --density tsallis only, not {args.density}")
     # NaN or inf makes no sense as any of these, so it is bad input
     for name in ("concentration", "tolerance", "power", "q"):
         value = getattr(args, name, None)
@@ -158,7 +168,7 @@ def _validate(args, parser: argparse.ArgumentParser) -> None:
         ("power", lambda v: v > 0.0, "> 0"),
         ("grid_n", lambda v: v >= 256, ">= 256"),
         ("t_min", lambda v: 0.0 < v < 1.0, "in (0, 1)"),
-        ("k_max", lambda v: v >= 1, ">= 1"),
+        ("k_max", lambda v: 1 <= v <= K_MAX_LIMIT, f"in [1, {K_MAX_LIMIT}]"),
         ("max_size", lambda v: v >= 2, ">= 2"),
         ("tolerance", lambda v: v >= 0.0, ">= 0"),
         ("seed", lambda v: v >= 0, ">= 0"),
@@ -210,7 +220,7 @@ def _cmd_verify_sandwich(args, parser) -> tuple[dict, int]:
     if not (d.s0_zero and d.s1_zero and d.concave):
         parser.error(f"density {d.label} lacks s(0) = 0, s(1) = 0 or concavity, which the envelope needs")
     grids = _random_grids(args, parser)
-    block = sandwich_block(EntropyFunctional(d), grids, *factor_grids(grids), _bounds_cfg(args), args.tolerance)
+    block = sandwich_block(d, grids, *factor_grids(grids), _bounds_cfg(args), args.tolerance)
     cols = {"instance": range(args.instances), **{k: v.tolist() for k, v in block._asdict().items()}}
     details = [dict(zip(cols, row)) for row in zip(*cols.values())]
     slacks = list(map(min, cols["slack_lower"], cols["slack_upper"]))
@@ -230,7 +240,7 @@ def _cmd_residual(args, parser) -> tuple[dict, int]:
     if q is None:
         parser.error(f"density {d.label} has no natural coefficient power; pass --power")
     grids = _random_grids(args, parser)
-    residuals = residual_block(EntropyFunctional(d), grids, *factor_grids(grids), power_coefficient(q)).tolist()
+    residuals = residual_block(d, grids, *factor_grids(grids), power_coefficient(q)).tolist()
     cols = {"instance": range(args.instances), "residual": residuals,
             "verdict": ["pass" if abs(r) <= args.tolerance else "fail" for r in residuals]}
     payload = batch_report(d.label, "residual", args.seed, cols["verdict"], [args.tolerance - abs(r) for r in residuals])
@@ -285,9 +295,7 @@ def _cmd_counterexample(args, parser) -> tuple[dict, int]:
         if not 0.0 < args.x < 1.0:
             parser.error("--x must lie in (0, 1)")
         d = remark5_density()
-        F = EntropyFunctional(d)
-        cfg = _bounds_cfg(args)
-        value = iff_lhs(F, iff_counterexample_matrix(args.x), cfg)
+        value = iff_lhs(d, iff_counterexample_matrix(args.x), _bounds_cfg(args))
         limit = float(np.asarray(d.eval_s1(1.0))) * _IFF_LIMIT_FACTOR
         payload = {
             "density": d.label,
@@ -301,17 +309,13 @@ def _cmd_counterexample(args, parser) -> tuple[dict, int]:
         return payload, 0
     # remark2: curvature half-ratio ladder against its closed form
     d = remark2_density()
-    rows = []
-    prev = -math.inf
-    monotone = True
-    for k in range(1, args.k_max + 1):
-        t_k = 1.0 / ((k + 0.5) * math.pi)
-        ratio = float(np.asarray(d.eval_s2(t_k / 2.0)) / np.asarray(d.eval_s2(t_k)))
-        closed = 0.5 * ((k + 0.5) * math.pi + 0.5)
-        rows.append({"k": k, "t_k": t_k, "ratio": ratio, "closed_form": closed,
-                     "abs_err": abs(ratio - closed)})
-        monotone = monotone and ratio > prev
-        prev = ratio
+    k = np.arange(1, args.k_max + 1)
+    t_k = 1.0 / ((k + 0.5) * math.pi)
+    ratio = np.asarray(d.eval_s2(t_k / 2.0)) / np.asarray(d.eval_s2(t_k))
+    closed = 0.5 * ((k + 0.5) * math.pi + 0.5)
+    cols = {"k": k, "t_k": t_k, "ratio": ratio, "closed_form": closed, "abs_err": np.abs(ratio - closed)}
+    rows = [dict(zip(cols, row)) for row in zip(*(v.tolist() for v in cols.values()))]
+    monotone = bool(np.all(np.diff(ratio, prepend=-math.inf) > 0.0))
     cb = coefficient_bounds(d, 0.5, _bounds_cfg(args))
     payload = {
         "density": d.label,
@@ -328,8 +332,7 @@ def _cmd_axioms(args, parser) -> tuple[dict, int]:
     d = _resolve_density(args, parser)
     if args.instances < 1:  # no draws: continuity and expandability hold vacuously
         parser.error(f"--instances must be >= 1, got {args.instances!r}")
-    F = EntropyFunctional(d)
-    rep = axiom_suite(F, sizes=tuple(range(2, args.max_size + 1)), seed=args.seed, trials=args.instances)
+    rep = axiom_suite(d, sizes=tuple(range(2, args.max_size + 1)), seed=args.seed, trials=args.instances)
     payload = {
         "density": d.label,
         "check": "axioms",
@@ -429,6 +432,10 @@ def main(argv: list[str] | None = None) -> int:
     try:
         payload, code = _COMMANDS[args.command](args, args._parser)
     except MemoryError as e:  # sizes, counts or grids too large to allocate
+        args._parser.error(f"out of memory: {e}")
+    except ValueError as e:  # only numpy's refusal of such a size; others are faults
+        if not str(e).startswith(_TOO_BIG):
+            raise
         args._parser.error(f"out of memory: {e}")
     _emit(payload, args)
     return code

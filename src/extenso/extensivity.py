@@ -23,14 +23,8 @@ from ._kernels import fsum_rows
 # coefficient_bounds stays importable from here: perfbench/tracer.py patches it
 from .bounds import BoundsConfig, CoefficientBounds, coefficient_bounds, column_bounds  # noqa: F401
 # entropy, marginal and conditional stay importable from here: perfbench/tracer.py patches them
-from .densities import Density, EntropyFunctional, entropy, joint_entropies  # noqa: F401
-from .simplex import (  # noqa: F401
-    InvalidDistributionError,
-    JointMatrix,
-    check_rows,
-    conditional,
-    marginal,
-)
+from .densities import Density, entropy, joint_entropies  # noqa: F401
+from .simplex import InvalidDistributionError, JointMatrix, check_rows, conditional, marginal  # noqa: F401
 
 __all__ = [
     "extensivity_residual",
@@ -57,25 +51,25 @@ def power_coefficient(q: float) -> Callable[[float], float]:
 
 
 def residual_block(
-    F: EntropyFunctional, grids: np.ndarray, marginals: np.ndarray, conditionals: np.ndarray,
+    d: Density, grids: np.ndarray, marginals: np.ndarray, conditionals: np.ndarray,
     f: Callable[[float], float],
 ) -> np.ndarray:
     """extensivity_residual of N joints, from the checked blocks factor_grids
     returns: each the math.fsum (by fsum_rows) of S(joint), -S(marginal) and
     every -f(p_j) S(conditional_j)."""
-    S_joint, S_marg, S_cond = joint_entropies(F, grids, marginals, conditionals)
+    S_joint, S_marg, S_cond = joint_entropies(d, grids, marginals, conditionals)
     neg_f = np.array([-f(p) for p in marginals.ravel().tolist()], dtype=np.float64).reshape(S_cond.shape)
     return fsum_rows(np.concatenate([S_joint[:, None], -S_marg[:, None], neg_f * S_cond], axis=1))
 
 
-def extensivity_residual(F: EntropyFunctional, P: JointMatrix, f: Callable[[float], float]) -> float:
+def extensivity_residual(d: Density, P: JointMatrix, f: Callable[[float], float]) -> float:
     """S(P) - S(marginal) - sum_j f(p_j) S(conditional_j).
 
     Zero within float noise iff f is the density's matching coefficient
     function; the value itself is the defect otherwise.  The one-joint case
     of residual_block, on P's own checked stack.
     """
-    return residual_block(F, *P.stack, f).item()
+    return residual_block(d, *P.stack, f).item()
 
 
 # ---------------------------------------------------------------------------
@@ -120,22 +114,21 @@ def _require_sandwich_flags(d: Density) -> None:
 
 
 def sandwich_block(
-    F: EntropyFunctional, grids: np.ndarray, marginals: np.ndarray, conditionals: np.ndarray,
+    d: Density, grids: np.ndarray, marginals: np.ndarray, conditionals: np.ndarray,
     cfg: BoundsConfig | None = None, tolerance: float | None = None,
 ) -> SandwichReport:
     """sandwich_check of N joints in one pass: a SandwichReport of (N,)
-    arrays, row k bit-equal to sandwich_check(F, JointMatrix(grids[k])).
+    arrays, row k bit-equal to sandwich_check(d, JointMatrix(grids[k])).
 
     grids (N, m, n), marginals (N, n) and conditionals (N, n, m) are as
     factor_grids returns them, checked.  joint_entropies gives every joint,
     marginal and conditional entropy.  The envelope sums gap, lower, upper
     and tolerance are row sums of one (N, 4, n + 1) block.
     """
-    d = F.density
     _require_sandwich_flags(d)
     s1_at_1 = float(np.asarray(d.eval_s1(1.0)))
     N, n = marginals.shape
-    S_joint, S_marg, cond = joint_entropies(F, grids, marginals, conditionals)
+    S_joint, S_marg, cond = joint_entropies(d, grids, marginals, conditionals)
     cb: CoefficientBounds = column_bounds(d, marginals, cfg)
     lo, up = cb.lower.reshape(N, n), cb.upper.reshape(N, n)
     # one-sided grid errors, propagated linearly on the f scale
@@ -160,7 +153,7 @@ def sandwich_block(
 
 
 def sandwich_check(
-    F: EntropyFunctional,
+    d: Density,
     P: JointMatrix,
     cfg: BoundsConfig | None = None,
     tolerance: float | None = None,
@@ -171,16 +164,16 @@ def sandwich_check(
     hypotheses).  An explicit tolerance overrides the propagated one.  The
     one-joint case of sandwich_block, on P's own checked stack.
     """
-    return SandwichReport._make(v.item() for v in sandwich_block(F, *P.stack, cfg, tolerance))
+    return SandwichReport._make(v.item() for v in sandwich_block(d, *P.stack, cfg, tolerance))
 
 
-def iff_lhs(F: EntropyFunctional, P: JointMatrix, cfg: BoundsConfig | None = None) -> float:
+def iff_lhs(d: Density, P: JointMatrix, cfg: BoundsConfig | None = None) -> float:
     """The envelope's lower line: sum_j lower_j S_j + s'(1) sum_j (upper_j - lower_j).
 
     The two-sided estimate only sharpens the trivial monotonicity bound when
     this is nonnegative; it can go negative (see iff_counterexample_matrix).
     """
-    return sandwich_check(F, P, cfg).lower
+    return sandwich_check(d, P, cfg).lower
 
 
 def iff_counterexample_matrix(x: float) -> JointMatrix:
@@ -360,7 +353,7 @@ class AxiomReport:
 
 
 def axiom_suite(
-    F: EntropyFunctional,
+    d: Density,
     sizes: Sequence[int] = tuple(range(2, 9)),
     seed: int = 0,
     trials: int = 200,
@@ -376,7 +369,7 @@ def axiom_suite(
     Each entropy is a row sum (math.fsum, by ``_kernels.fsum_rows``) of one
     zero-padded block of s values.
     """
-    if not F.density.s0_zero:
+    if not d.s0_zero:
         raise ValueError("axiom suite needs the s(0) = 0 convention")
     if not len(sizes):
         raise ValueError("sizes must hold at least one size")
@@ -417,7 +410,7 @@ def axiom_suite(
     lengths = ns + (np.arange(n_rows) >= n_rows - trials)
     cells = col < lengths[..., None]
     s_block = np.zeros(rows.shape)
-    s_block[cells] = F.density.eval_s(rows[cells])
+    s_block[cells] = d.eval_s(rows[cells])
     values = fsum_rows(s_block.reshape(-1, width)).reshape(lengths.shape)
     u_val = values[:, :1]
     sp = values[:, 1 : 1 + trials]
@@ -443,10 +436,9 @@ def axiom_suite(
     )
 
 
-def monotonicity_check(F: EntropyFunctional, P: JointMatrix) -> bool:
+def monotonicity_check(d: Density, P: JointMatrix) -> bool:
     """S(P) >= S(marginal) - 1e-10 (holds for concave densities with s(0)=0)."""
-    d = F.density
     if not (d.s0_zero and d.concave):
         raise ValueError("monotonicity check needs s(0) = 0 and concavity")
-    S_joint, S_marg, _ = joint_entropies(F, *P.stack)
+    S_joint, S_marg, _ = joint_entropies(d, *P.stack)
     return bool(S_joint[0] - S_marg[0] >= -1e-10)

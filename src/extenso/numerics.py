@@ -65,7 +65,7 @@ _NEIGHBOURS = np.array([-1, 0, 1])
 
 
 def _zoom(h, lo: np.ndarray, hi: np.ndarray, value: np.ndarray, arg: np.ndarray):
-    """Refine each lane's extremum of h inside its bracket [lo, hi], all at once.
+    """Zoom in on each lane's extremum of h inside its bracket [lo, hi], all at once.
 
     lo, hi, value and arg have shape (rows, 2): column 0 holds the infimum
     lanes, column 1 the supremum lanes, value and arg each lane's grid
@@ -160,7 +160,6 @@ def scan_extrema(
     t_min: float,
     grid_n: int,
     probe_points: tuple[float, ...] = (),
-    refine: bool = True,
 ) -> Scan:
     """One grid scan of each row of h over [t_min, 1]: an (inf, sup) lane pair per row.
 
@@ -213,7 +212,7 @@ def scan_extrema(
     bracket = ts[near]
     arg = bracket[..., 1]
 
-    if refine and rows:
+    if rows:  # an empty batch has no lanes to zoom in on
         value, arg = _zoom(h, bracket[..., 0], bracket[..., 2], value, arg)
 
     # probe families: geometric ladder toward 0, then declared points

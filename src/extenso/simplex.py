@@ -15,7 +15,6 @@ import numpy as np
 __all__ = [
     "InvalidDistributionError",
     "RandomGenerationError",
-    "SimplexVector",
     "JointMatrix",
     "check_rows",
     "factor_grids",
@@ -42,18 +41,12 @@ class RandomGenerationError(RuntimeError):
     """Seeded resampling exhausted its retry budget."""
 
 
-def _as_readonly(a) -> np.ndarray:
-    out = np.array(a, dtype=np.float64)
-    out.setflags(write=False)
-    return out
-
-
 def check_rows(block: np.ndarray) -> None:
     """Raise InvalidDistributionError unless every row of a 2-d float block
     is a point of the simplex: nonempty, no negative or NaN entry, and a
-    math.fsum within SUM_TOL of 1.  SimplexVector runs exactly these checks
-    on its entries as a one-row block; factor_grids, and so JointMatrix, on
-    the flattened grids, the marginals and the conditionals.
+    math.fsum within SUM_TOL of 1.  densities.entropy runs exactly these
+    checks on its vector as a one-row block; factor_grids, and so
+    JointMatrix, on the flattened grids, the marginals and the conditionals.
 
     Only rows near the tolerance edge need fsum.  Any summation order of n
     nonnegative entries with exact sum S errs by at most (n-1)*u*S, with
@@ -79,27 +72,6 @@ def check_rows(block: np.ndarray) -> None:
 
 
 @dataclass(frozen=True, eq=False)
-class SimplexVector:
-    """A point of the n-simplex: nonnegative entries summing to 1."""
-
-    entries: np.ndarray
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "entries", _as_readonly(self.entries))
-        check_rows(self.entries[None])
-
-    @property
-    def n(self) -> int:
-        return self.entries.size
-
-    def __len__(self) -> int:
-        return self.entries.size
-
-    def __getitem__(self, i: int) -> float:
-        return float(self.entries[i])
-
-
-@dataclass(frozen=True, eq=False)
 class JointMatrix:
     """An m x n joint distribution with strictly positive column marginals.
 
@@ -113,11 +85,11 @@ class JointMatrix:
     conditionals: np.ndarray = field(init=False)
 
     def __post_init__(self) -> None:
-        entries = _as_readonly(self.entries)
+        entries = np.array(self.entries, dtype=np.float64)
         if entries.ndim != 2 or min(entries.shape) < 1:
             raise InvalidDistributionError("entries must be a nonempty 2-d grid")
         cols, conds = factor_grids(entries[None])
-        cols.flags.writeable = conds.flags.writeable = False
+        entries.flags.writeable = cols.flags.writeable = conds.flags.writeable = False
         object.__setattr__(self, "entries", entries)
         object.__setattr__(self, "column_marginals", cols[0])
         object.__setattr__(self, "conditionals", conds[0])
@@ -160,16 +132,17 @@ def factor_grids(grids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return cols, conds
 
 
-def marginal(P: JointMatrix) -> SimplexVector:
-    """Column marginals (p_1, ..., p_n); every entry strictly positive."""
-    return SimplexVector(P.column_marginals)
+def marginal(P: JointMatrix) -> np.ndarray:
+    """Column marginals (p_1, ..., p_n), P.column_marginals; every entry
+    strictly positive."""
+    return P.column_marginals
 
 
-def conditional(P: JointMatrix, j: int) -> SimplexVector:
+def conditional(P: JointMatrix, j: int) -> np.ndarray:
     """Column j (1-based) normalized by its marginal: row j - 1 of P.conditionals."""
     if not 1 <= j <= P.n:
         raise IndexError(f"column index {j} outside 1..{P.n}")
-    return SimplexVector(P.conditionals[j - 1])
+    return P.conditionals[j - 1]
 
 
 def random_grids(m: int, n: int, seeds: Sequence[int], concentration: float = 1.0) -> np.ndarray:

@@ -37,7 +37,6 @@ from extenso.simplex import (
     SUM_TOL,
     InvalidDistributionError,
     JointMatrix,
-    SimplexVector,
     conditional,
     marginal,
 )
@@ -291,7 +290,6 @@ def global_extremum(
     t_min: float = 1e-6,
     grid_n: int = 2048,
     probe_points: tuple[float, ...] = (),
-    refine: bool = True,
 ) -> Extremum:
     """Infimum or supremum of a 1-d h over (0, 1] truncated at t_min: the
     one-row case of scan_extrema."""
@@ -301,7 +299,7 @@ def global_extremum(
     def one_row(t):
         return np.asarray(h(np.ravel(t)), dtype=np.float64).reshape(1, -1)
 
-    scan = scan_extrema(one_row, t_min, grid_n, probe_points, refine)
+    scan = scan_extrema(one_row, t_min, grid_n, probe_points)
     lane = 0 if mode == "inf" else 1
     return Extremum(*(field[0, lane].item() for field in scan[:4]))
 
@@ -370,7 +368,6 @@ def reference_scan_extrema(
     t_min: float = 1e-6,
     grid_n: int = 2048,
     probe_points: tuple[float, ...] = (),
-    refine: bool = True,
 ) -> Scan:
     """scan_extrema as it was before its zoom rounds and grid reduction were
     rewritten with fewer numpy calls; the rewrite must match it bit for bit.
@@ -411,13 +408,12 @@ def reference_scan_extrema(
         est_error = np.maximum(est_error, np.where(ok, gap, -np.inf))
     est_error[est_error == -np.inf] = np.inf
 
-    if refine:
-        lo = ts[np.maximum(idx - 1, 0)]
-        hi = ts[np.minimum(idx + 1, grid_n - 1)]
-        z_arg, z_best = _reference_zoom(h, lo, hi, sign * value)
-        moved = ~np.isnan(z_arg)
-        value = np.where(moved, sign * z_best, value)
-        arg = np.where(moved, z_arg, arg)
+    lo = ts[np.maximum(idx - 1, 0)]
+    hi = ts[np.minimum(idx + 1, grid_n - 1)]
+    z_arg, z_best = _reference_zoom(h, lo, hi, sign * value)
+    moved = ~np.isnan(z_arg)
+    value = np.where(moved, sign * z_best, value)
+    arg = np.where(moved, z_arg, arg)
 
     # probe families: geometric ladder toward 0, then declared points
     families = [2.0 ** -np.arange(1, _LADDER_K + 1, dtype=np.float64)]
@@ -560,34 +556,28 @@ def count_eval_s(d):
     return dataclasses.replace(d, eval_s=eval_s), calls
 
 
-def entropy_one(F, p) -> float:
+def entropy_one(d, p) -> float:
     """S(p) = sum_j s(p_j) from an eval_s call on p alone."""
-    d = F.density
-    if not d.s0_zero and np.any(p.entries == 0.0):
+    if not d.s0_zero and np.any(p == 0.0):
         raise DensityDomainError(f"density {d.label!r} has no s(0) convention")
-    return math.fsum(np.asarray(d.eval_s(p.entries), dtype=np.float64).tolist())
+    return math.fsum(np.asarray(d.eval_s(p), dtype=np.float64).tolist())
 
 
-def _flat(P) -> SimplexVector:
-    return SimplexVector(P.entries.ravel())
-
-
-def reference_residual(F, P, f) -> float:
+def reference_residual(d, P, f) -> float:
     p = marginal(P)
-    pieces = [entropy_one(F, _flat(P)), -entropy_one(F, p)]
+    pieces = [entropy_one(d, P.entries.ravel()), -entropy_one(d, p)]
     for j in range(1, P.n + 1):
-        pieces.append(-f(float(p.entries[j - 1])) * entropy_one(F, conditional(P, j)))
+        pieces.append(-f(float(p[j - 1])) * entropy_one(d, conditional(P, j)))
     return math.fsum(pieces)
 
 
-def reference_sandwich(F, P, cfg=None) -> dict:
-    """sandwich_check(F, P, cfg).to_dict() with per-vector entropies."""
-    d = F.density
+def reference_sandwich(d, P, cfg=None) -> dict:
+    """sandwich_check(d, P, cfg).to_dict() with per-vector entropies."""
     _require_sandwich_flags(d)
     s1_at_1 = float(np.asarray(d.eval_s1(1.0)))
     p = marginal(P)
-    cond = [entropy_one(F, conditional(P, j)) for j in range(1, P.n + 1)]
-    cb = column_bounds(d, p.entries, cfg)
+    cond = [entropy_one(d, conditional(P, j)) for j in range(1, P.n + 1)]
+    cb = column_bounds(d, p, cfg)
     per_col = zip(cb.r.tolist(), cb.lower.tolist(), cb.upper.tolist(), (cb.err_inf + cb.err_sup).tolist())
     divergent = bool(cb.divergent.any())
     lower_terms, upper_terms, gap_terms, tol_terms = [], [], [], [1e-9]
@@ -602,7 +592,7 @@ def reference_sandwich(F, P, cfg=None) -> dict:
     upper = math.fsum(upper_terms) - s1_at_1 * gap
     tol = math.fsum(tol_terms)
     divergent = divergent or not math.isfinite(tol)
-    diff = entropy_one(F, _flat(P)) - entropy_one(F, p)
+    diff = entropy_one(d, P.entries.ravel()) - entropy_one(d, p)
     slack_lower = diff - lower
     slack_upper = upper - diff
     if divergent:
@@ -623,8 +613,8 @@ def reference_sandwich(F, P, cfg=None) -> dict:
     }
 
 
-def reference_monotonicity(F, P) -> bool:
-    return entropy_one(F, _flat(P)) - entropy_one(F, marginal(P)) >= -1e-10
+def reference_monotonicity(d, P) -> bool:
+    return entropy_one(d, P.entries.ravel()) - entropy_one(d, marginal(P)) >= -1e-10
 
 
 def reference_check_rows(block) -> None:
@@ -644,23 +634,30 @@ def reference_check_rows(block) -> None:
             raise InvalidDistributionError(f"entries sum to {total!r}, not 1")
 
 
-def uniform_vector(n: int) -> SimplexVector:
+def simplex_vector(entries) -> np.ndarray:
+    """entries as a float vector, checked as one row by reference_check_rows."""
+    v = np.asarray(entries, dtype=np.float64)
+    reference_check_rows(v[None])
+    return v
+
+
+def uniform_vector(n: int) -> np.ndarray:
     if n < 1:
         raise InvalidDistributionError("n must be >= 1")
-    return SimplexVector(np.full(n, 1.0 / n))
+    return simplex_vector(np.full(n, 1.0 / n))
 
 
-def _random_simplex(rng: np.random.Generator, n: int) -> SimplexVector:
+def _random_simplex(rng: np.random.Generator, n: int) -> np.ndarray:
     """One normalized gamma draw per vector: pins the order of the rng stream."""
     g = rng.gamma(shape=1.0, scale=1.0, size=n)
     total = math.fsum(g.tolist())
     if total <= 0.0:
         g = np.full(n, 1.0)
         total = float(n)
-    return SimplexVector(g / total)
+    return simplex_vector(g / total)
 
 
-def reference_axiom_suite(F, sizes, seed, trials, eps_seq=(1e-3, 1e-5, 1e-7)) -> dict:
+def reference_axiom_suite(d, sizes, seed, trials, eps_seq=(1e-3, 1e-5, 1e-7)) -> dict:
     """axiom_suite(...).to_dict(), drawing and evaluating one vector at a time."""
     rng = np.random.default_rng(seed)
     modulus = {eps: 0.0 for eps in eps_seq}
@@ -668,21 +665,21 @@ def reference_axiom_suite(F, sizes, seed, trials, eps_seq=(1e-3, 1e-5, 1e-7)) ->
     expandability_ok = True
     worst_gap = -math.inf
     for n in sizes:
-        u_val = entropy_one(F, uniform_vector(n))
+        u_val = entropy_one(d, uniform_vector(n))
         for _ in range(trials):
             p = _random_simplex(rng, n)
-            sp = entropy_one(F, p)
+            sp = entropy_one(d, p)
             gap = sp - u_val
             worst_gap = max(worst_gap, gap)
             if gap > 1e-12:
                 maximality_ok = False
             q = _random_simplex(rng, n)
             for eps in eps_seq:
-                mixed = SimplexVector((1.0 - eps) * p.entries + eps * q.entries)
-                delta = abs(entropy_one(F, mixed) - sp)
+                mixed = simplex_vector((1.0 - eps) * p + eps * q)
+                delta = abs(entropy_one(d, mixed) - sp)
                 if delta > modulus[eps]:
                     modulus[eps] = delta
-            if entropy_one(F, SimplexVector(np.append(p.entries, 0.0))) != sp:
+            if entropy_one(d, simplex_vector(np.append(p, 0.0))) != sp:
                 expandability_ok = False
     levels = [modulus[eps] for eps in eps_seq]
     continuity_ok = (
@@ -707,8 +704,8 @@ def reference_axiom_suite(F, sizes, seed, trials, eps_seq=(1e-3, 1e-5, 1e-7)) ->
 
 def rebuild(P) -> np.ndarray:
     """The joint's entries from its factors: column j is conditional(P, j) * p_j."""
-    cols = [conditional(P, j).entries for j in range(1, P.n + 1)]
-    return np.stack(cols, axis=1) * marginal(P).entries
+    cols = [conditional(P, j) for j in range(1, P.n + 1)]
+    return np.stack(cols, axis=1) * marginal(P)
 
 
 def shifted_density(d: Density) -> Density:

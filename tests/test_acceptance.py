@@ -13,7 +13,6 @@ import pytest
 from extenso.bounds import coefficient_bounds, phi_from_density, theta_phi
 from extenso.cli import main as cli_main
 from extenso.densities import (
-    EntropyFunctional,
     bg_density,
     remark2_density,
     remark5_density,
@@ -59,12 +58,11 @@ def test_criterion_01_extensivity_exactness():
     start = time.perf_counter()
     worst = 0.0
     for d, q in cases:
-        F = EntropyFunctional(d)
         f = power_coefficient(q)
         for seed in range(1000):
             m, n = _sizes(seed)
             P = random_joint(m, n, seed=seed)
-            worst = max(worst, abs(extensivity_residual(F, P, f)))
+            worst = max(worst, abs(extensivity_residual(d, P, f)))
     elapsed = time.perf_counter() - start
     ok = worst <= 1e-10 and elapsed < 10.0
     _report(1, ok, f"matching-power residual <= 1e-10 over 4x1000 joints "
@@ -90,13 +88,12 @@ def test_criterion_03_sandwich_soundness():
         (tsallis_density(2.0), True),
         (remark5_density(), False),
     ]:
-        F = EntropyFunctional(d)
         worst_slack = math.inf
         worst_gap = 0.0
         for seed in range(500):
             m, n = _sizes(seed)
             P = random_joint(m, n, seed=seed)
-            rep = sandwich_check(F, P)
+            rep = sandwich_check(d, P)
             ok = ok and rep.verdict == "pass"
             worst_slack = min(worst_slack, rep.slack_lower, rep.slack_upper)
             if collapse:
@@ -131,8 +128,7 @@ def test_criterion_05_logsin_extremes():
     sup_err = abs(cb.upper / 0.25 - (1.0 + SQRT2))
     theta = theta_phi(phi_from_density(d))
     theta_err = abs(theta - math.pi / 2.0)
-    F = EntropyFunctional(d)
-    vals = {x: iff_lhs(F, iff_counterexample_matrix(x)) for x in (0.02, 0.01, 0.005)}
+    vals = {x: iff_lhs(d, iff_counterexample_matrix(x)) for x in (0.02, 0.01, 0.005)}
     all_negative = all(v < 0.0 for v in vals.values())
     limit_err = abs(vals[0.005] - IFF_LIMIT)
     ok = inf_err <= 1e-4 and sup_err <= 1e-4 and theta_err <= 1e-3 and all_negative and limit_err <= 0.05
@@ -161,7 +157,7 @@ def test_criterion_07_axiom_suites():
     notes = []
     for d in (bg_density(), tsallis_density(0.5), tsallis_density(2.0),
               tsallis_density(3.0), remark2_density(), remark5_density()):
-        rep = axiom_suite(EntropyFunctional(d), sizes=tuple(range(2, 9)), seed=17, trials=200)
+        rep = axiom_suite(d, sizes=tuple(range(2, 9)), seed=17, trials=200)
         ok = ok and rep.all_pass
         notes.append(f"{d.label}: {'ok' if rep.all_pass else 'FAIL'}")
     _report(7, ok, "continuity/maximality/expandability over n<=8, 200 trials: " + "; ".join(notes))
@@ -188,10 +184,9 @@ def test_criterion_09_monotonicity():
     ok = True
     for d in (bg_density(), tsallis_density(0.5), tsallis_density(2.0),
               tsallis_density(3.0), remark2_density(), remark5_density()):
-        F = EntropyFunctional(d)
         for seed in range(500):
             m, n = _sizes(seed)
-            ok = ok and monotonicity_check(F, random_joint(m, n, seed=seed))
+            ok = ok and monotonicity_check(d, random_joint(m, n, seed=seed))
     _report(9, ok, "S(joint) >= S(marginal) - 1e-10 on 6 densities x 500 joints")
 
 

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import warnings
 
@@ -139,9 +140,11 @@ class TestCoefficientBounds:
         with pytest.raises(ValueError, match=rf"^r must lie in \(0, 1\], got {bad}$"):
             column_bounds(bg_density(), rs)
 
-    @pytest.mark.parametrize("refine", [True, False])
-    def test_no_columns(self, refine):
-        cb = column_bounds(remark5_density(), [], BoundsConfig(refine=refine))
+    def test_config_holds_the_grid_only(self):
+        assert [f.name for f in dataclasses.fields(BoundsConfig)] == ["t_min", "grid_n"]
+
+    def test_no_columns(self):
+        cb = column_bounds(remark5_density(), [])
         assert [field.shape for field in cb] == [(0,)] * len(cb)
 
     def test_accepts_float_dust_above_one(self):
@@ -205,7 +208,7 @@ def density_and_marginals(draw):
     concentration = draw(st.sampled_from([0.05, 0.2, 1.0, 5.0]))
     seed = draw(st.integers(0, 2**32 - 1))
     P = random_joint(4, n, seed=seed, concentration=concentration)
-    return d, marginal(P).entries
+    return d, marginal(P)
 
 
 class TestColumnBounds:
@@ -234,7 +237,7 @@ class TestColumnBounds:
     def test_stacked_joints_match_columns(self, d):
         # the columns of 200 joints in one call, as a batch of checks would
         rs = np.concatenate([
-            marginal(random_joint(4, 4, seed=seed, concentration=0.05)).entries for seed in range(200)
+            marginal(random_joint(4, 4, seed=seed, concentration=0.05)) for seed in range(200)
         ])
         singles = [coefficient_bounds(d, r) for r in rs.tolist()]
         assert all(type(v) in (float, bool) for cb in singles for v in cb)

@@ -19,7 +19,7 @@ import pytest
 import extenso
 from extenso import bounds, cli, densities
 from extenso.cli import main
-from extenso.densities import EntropyFunctional, remark2_density, remark5_density
+from extenso.densities import remark2_density, remark5_density
 from extenso.extensivity import extensivity_residual, power_coefficient, sandwich_check
 from extenso.simplex import random_joint
 from numeric_oracles import count_eval_s, reference_residual, reference_sandwich
@@ -93,15 +93,14 @@ def reference_sandwich_payload(argv: list[str]) -> dict:
     random_joint(m, n, seeds[i]), one report dict per row."""
     args = cli.build_parser().parse_args(argv)
     d = cli._resolve_density(args, args._parser)
-    F = EntropyFunctional(d)
     cfg = cli._bounds_cfg(args)
     seeds = [int(s) for s in np.random.SeedSequence(args.seed).generate_state(args.instances)]
     details = []
     for i, seed in enumerate(seeds):
         P = random_joint(args.m, args.n, seed=seed, concentration=args.concentration)
-        rep = sandwich_check(F, P, cfg, tolerance=args.tolerance)
+        rep = sandwich_check(d, P, cfg, tolerance=args.tolerance)
         if args.tolerance is None:  # an independent per-vector build of the same report
-            assert rep.to_dict() == reference_sandwich(F, P, cfg)
+            assert rep.to_dict() == reference_sandwich(d, P, cfg)
         details.append({"instance": i, **rep.to_dict()})
     outcomes = [row["verdict"] for row in details]
     slacks = [min(row["slack_lower"], row["slack_upper"]) for row in details]
@@ -182,15 +181,14 @@ def reference_residual_payload(argv: list[str]) -> dict:
     random_joint(m, n, seeds[i]), one detail dict per instance."""
     args = cli.build_parser().parse_args(argv)
     d = cli._resolve_density(args, args._parser)
-    F = EntropyFunctional(d)
     q = args.power if args.power is not None else 1.0 if d.label == "bg" else args.q
     f = power_coefficient(q)
     seeds = [int(s) for s in np.random.SeedSequence(args.seed).generate_state(args.instances)]
     details = []
     for i, seed in enumerate(seeds):
         P = random_joint(args.m, args.n, seed=seed, concentration=args.concentration)
-        res = extensivity_residual(F, P, f)
-        assert res == reference_residual(F, P, f)  # and so per vector
+        res = extensivity_residual(d, P, f)
+        assert res == reference_residual(d, P, f)  # and so per vector
         details.append({"instance": i, "residual": res, "verdict": "pass" if abs(res) <= args.tolerance else "fail"})
     outcomes = [row["verdict"] for row in details]
     slacks = [args.tolerance - abs(row["residual"]) for row in details]
@@ -390,6 +388,22 @@ class TestCounterexamples:
             assert row["closed_form"] == pytest.approx(want, rel=1e-15)
             assert row["abs_err"] <= 1e-8
 
+    def test_remark2_ladder_matches_a_loop_over_k(self, capsys):
+        # the ladder is one array evaluation; each row must be the one a
+        # scalar evaluation at that k gives, bit for bit
+        k_max = cli.K_MAX_LIMIT
+        code, payload = run_json(["counterexample", "remark2", "--k-max", str(k_max)], capsys)
+        assert code == 0 and payload["monotone_growth"] is True
+        d = remark2_density()
+        want = []
+        for k in range(1, k_max + 1):
+            t_k = 1.0 / ((k + 0.5) * math.pi)
+            ratio = float(np.asarray(d.eval_s2(t_k / 2.0)) / np.asarray(d.eval_s2(t_k)))
+            closed = 0.5 * ((k + 0.5) * math.pi + 0.5)
+            want.append({"k": k, "t_k": t_k, "ratio": ratio, "closed_form": closed, "abs_err": abs(ratio - closed)})
+        assert payload["rows"] == want
+        assert max(row["abs_err"] for row in want) <= 1e-8
+
     def test_remark2_csv(self, capsys):
         code, out = run_cli(["counterexample", "remark2", "--k-max", "3", "--format", "csv"], capsys)
         assert code == 0
@@ -572,6 +586,10 @@ class TestUsageErrors:
             ["residual", "--density", "bg", "--concentration", "0.001", "--instances", "5"],
             ["bounds", "--density", "bg", "--r-grid", "0.1:0.9:0"],
             ["counterexample", "remark2", "--k-max", "0"],
+            ["counterexample", "remark2", "--k-max", str(cli.K_MAX_LIMIT + 1)],
+            # --q names tsallis' exponent and nothing else
+            ["recover-f", "--density", "bg", "--q", "2"],
+            ["verify-sandwich", "--density", "remark5", "--q", "0.5"],
             ["verify-sandwich", "--density", "remark5", "--seed", "-1"],
             ["residual", "--density", "bg", "--seed", "-1"],
             ["axioms", "--density", "remark5", "--seed", "-1"],
@@ -689,25 +707,41 @@ class TestUsageErrors:
         assert capsys.readouterr().err == ""
 
     @pytest.mark.parametrize(
-        "args",
+        "args, reason",
         [
-            # each asks for one array beyond 2^48 bytes, more than any address
-            # space maps, so the request fails at once and allocates nothing
-            ["bounds", "--density", "bg", "--r-grid", "0.1:0.9:200000000000000"],
-            ["residual", "--density", "bg", "--instances", "1000000000000000"],
-            ["verify-sandwich", "--density", "bg", "--instances", "1000000000000000"],
-            ["verify-sandwich", "--density", "bg", "--m", "100000000", "--n", "100000000", "--instances", "1"],
+            pytest.param(args, reason, id=" ".join(args))
+            for args, reason in [
+                # each asks for one array beyond 2^48 bytes, more than any
+                # address space maps, so the request fails at once and
+                # allocates nothing
+                (["bounds", "--density", "bg", "--r-grid", "0.1:0.9:200000000000000"], "Unable to allocate "),
+                (["residual", "--density", "bg", "--instances", "1000000000000000"], "Unable to allocate "),
+                (["verify-sandwich", "--density", "bg", "--instances", "1000000000000000"], "Unable to allocate "),
+                (["verify-sandwich", "--density", "bg", "--m", "100000000", "--n", "100000000", "--instances", "1"],
+                 "Unable to allocate "),
+                # numpy refuses each shape outright: its byte count overflows the index type
+                (["axioms", "--density", "bg", "--instances", "1000000000000000000"], "array is too big"),
+                (["verify-sandwich", "--density", "bg", "--m", "1000000000", "--n", "1000000000"], "array is too big"),
+                (["bounds", "--density", "bg", "--r-grid", "0.1:0.9:3000000000000000000"], "array is too big"),
+            ]
         ],
-        ids=lambda a: " ".join(a),
     )
-    def test_sizes_too_large_to_allocate(self, args, capsys):
+    def test_sizes_too_large_to_allocate(self, args, reason, capsys):
         with pytest.raises(SystemExit) as exc:
             main(args)
         captured = capsys.readouterr()
         assert exc.value.code == 2 and captured.out == ""
         err = captured.err.strip().splitlines()
-        assert err[-1].startswith(f"extenso {args[0]}: error: out of memory: Unable to allocate ")
+        assert err[-1].startswith(f"extenso {args[0]}: error: out of memory: {reason}")
         assert not any("Traceback" in line for line in err)
+
+    def test_other_value_errors_stay_faults(self, monkeypatch):
+        def broken(args, parser):
+            raise ValueError("a fault in the program")
+
+        monkeypatch.setitem(cli._COMMANDS, "theta-phi", broken)
+        with pytest.raises(ValueError, match="a fault in the program"):
+            main(["theta-phi", "--density", "bg"])
 
 
 NON_FINITE_CASES = [
@@ -808,6 +842,9 @@ class TestPeakMemory:
         assert cli_peak_mb(argv, tmp_path) < 100.0
 
 
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
 class TestImportSurface:
     """What the benchmark harness imports from the package."""
 
@@ -825,9 +862,31 @@ class TestImportSurface:
         assert extensivity.coefficient_bounds is bounds.coefficient_bounds
         assert callable(_kernels.logsinc_integral)
         assert callable(_kernels.osc_panel_moments)
-        assert bounds.BoundsConfig(refine=False).refine is False
+        d = remark5_density()
+        assert EntropyFunctional(d) is d
         for name in extenso.__all__:
             assert getattr(extenso, name) is not None
+
+    @pytest.mark.parametrize("name", ["sandwich", "residual", "axioms"])
+    def test_harness_ops_match_under_the_tracer(self, name, monkeypatch):
+        # the harness's set-up and its traced pass, as perfbench/child.py runs
+        # them: patched names and wrapped densities must give the same outputs
+        monkeypatch.syspath_prepend(str(PERFBENCH))
+        child, tracer, workloads = map(importlib.import_module, ("child", "tracer", "workloads"))
+        w = workloads.WORKLOADS[name]
+        inputs = w.make_inputs(1, w.round_size, w.round_size)
+        dens, functionals = child._setup(w)
+        plain = [w.encode(w.op(functionals, inputs, i)) for i in range(w.round_size)]
+        op_tracer = tracer.Tracer()
+        traced_fs = [extenso.EntropyFunctional(tracer.wrap_density(op_tracer, d)) for d in dens]
+        with tracer.patched(op_tracer):
+            traced = [w.encode(w.op(traced_fs, inputs, i)) for i in range(w.round_size)]
+        assert traced == plain
+        # the op's own call went through the patched name, once per density
+        spans = op_tracer.summary()
+        op_span = {"sandwich": "sandwich_check", "residual": "residual", "axioms": "axiom_suite"}[name]
+        assert spans[f"extensivity.{op_span}"]["calls"] == w.round_size * len(dens)
+        assert spans["densities.eval_s"]["calls"] > 0
 
     def test_names_the_tracer_patches(self):
         # perfbench/tracer.py swaps these module attributes for timed wrappers

@@ -15,7 +15,6 @@ from extenso import _kernels, densities
 from extenso.densities import (
     Density,
     DensityDomainError,
-    EntropyFunctional,
     bg_density,
     canonical_grid,
     entropy,
@@ -29,7 +28,6 @@ from extenso.extensivity import extensivity_residual, power_coefficient, residua
 from extenso.simplex import (
     JointMatrix,
     RandomGenerationError,
-    SimplexVector,
     conditional,
     factor_grids,
     marginal,
@@ -86,42 +84,42 @@ def catalog():
 
 class TestBg:
     def test_uniform_maximum(self):
-        F = EntropyFunctional(bg_density())
-        assert entropy(F, uniform_vector(4)) == pytest.approx(math.log(4), abs=1e-14)
+        d = bg_density()
+        assert entropy(d, uniform_vector(4)) == pytest.approx(math.log(4), abs=1e-14)
 
     def test_degenerate_zero(self):
-        F = EntropyFunctional(bg_density())
-        assert entropy(F, SimplexVector([1.0, 0.0, 0.0])) == 0.0
+        d = bg_density()
+        assert entropy(d, [1.0, 0.0, 0.0]) == 0.0
 
     def test_curvature(self):
         assert bg_density().eval_s2(0.5) == -2.0
 
     def test_half_half(self):
-        F = EntropyFunctional(bg_density())
-        assert entropy(F, SimplexVector([0.5, 0.5])) == pytest.approx(math.log(2), abs=1e-15)
+        d = bg_density()
+        assert entropy(d, [0.5, 0.5]) == pytest.approx(math.log(2), abs=1e-15)
 
 
 class TestTsallis:
     def test_q2_half_half(self):
-        F = EntropyFunctional(tsallis_density(2.0))
-        assert entropy(F, SimplexVector([0.5, 0.5])) == pytest.approx(0.5, abs=1e-15)
+        d = tsallis_density(2.0)
+        assert entropy(d, [0.5, 0.5]) == pytest.approx(0.5, abs=1e-15)
 
     def test_degenerate(self):
         for q in (0.5, 2.0, 3.7):
-            F = EntropyFunctional(tsallis_density(q))
-            assert entropy(F, SimplexVector([1.0])) == 0.0
+            d = tsallis_density(q)
+            assert entropy(d, [1.0]) == 0.0
 
     def test_q_half_uniform4(self):
-        F = EntropyFunctional(tsallis_density(0.5))
-        assert entropy(F, uniform_vector(4)) == pytest.approx(2.0, abs=1e-14)
+        d = tsallis_density(0.5)
+        assert entropy(d, uniform_vector(4)) == pytest.approx(2.0, abs=1e-14)
 
     def test_limit_to_bg(self):
-        Fbg = EntropyFunctional(bg_density())
+        bg = bg_density()
         for q in (0.999, 1.001):
-            Fq = EntropyFunctional(tsallis_density(q))
+            ts = tsallis_density(q)
             for seed in range(5):
                 p = marginal(random_joint(1, 6, seed=seed))
-                assert entropy(Fq, p) == pytest.approx(entropy(Fbg, p), abs=1e-2)
+                assert entropy(ts, p) == pytest.approx(entropy(bg, p), abs=1e-2)
 
     def test_invalid_q(self):
         for q in (0.0, -1.0, 1.0):
@@ -365,8 +363,8 @@ class TestRemark5:
         assert abs(float(remark5_density().eval_s(0.5)) - R5_S_AT_HALF) <= 1e-9
 
     def test_entropy_half_half(self):
-        F = EntropyFunctional(remark5_density())
-        got = entropy(F, SimplexVector([0.5, 0.5]))
+        d = remark5_density()
+        got = entropy(d, [0.5, 0.5])
         assert abs(got - R5_ENTROPY_HALF_HALF) <= 1e-9
 
 
@@ -431,7 +429,7 @@ class TestLogsincSeries:
             "import sys, numpy as np, extenso; from extenso import extensivity; "
             "np.random.default_rng; before = set(sys.modules); d = extenso.remark2_density(); "
             "d.eval_s(np.linspace(0.0, 1.0, 101)); "
-            "extensivity.axiom_suite(extensivity.EntropyFunctional(d), trials=3); "
+            "extensivity.axiom_suite(d, trials=3); "
             "print(sorted(set(sys.modules) - before))"
         )
         src = str(Path(extenso.__file__).resolve().parents[1])
@@ -463,14 +461,13 @@ class TestShifted:
     def test_difference_invariance(self):
         # joint-minus-marginal entropy differences ignore the shift
         d = remark2_density()
-        F = EntropyFunctional(d)
-        Fs = EntropyFunctional(shifted_density(d))
+        shifted = shifted_density(d)
         for seed in range(5):
             P = random_joint(4, 3, seed=seed)
-            flat = SimplexVector(P.entries.ravel())
+            flat = P.entries.ravel()
             p = marginal(P)
-            diff = entropy(F, flat) - entropy(F, p)
-            diff_shifted = entropy(Fs, flat) - entropy(Fs, p)
+            diff = entropy(d, flat) - entropy(d, p)
+            diff_shifted = entropy(shifted, flat) - entropy(shifted, p)
             assert diff_shifted == pytest.approx(diff, abs=1e-12)
 
     def test_curvature_unchanged(self):
@@ -481,23 +478,22 @@ class TestShifted:
 
 class TestEntropyContract:
     def test_zero_entry_requires_convention(self):
-        bare = Density(
+        d = Density(
             label="sqrt",
             eval_s=lambda r: np.sqrt(np.asarray(r)),
             eval_s1=lambda r: 0.5 / np.sqrt(np.asarray(r)),
             eval_s2=lambda r: -0.25 * np.asarray(r) ** -1.5,
             s0_zero=False,
         )
-        F = EntropyFunctional(bare)
         with pytest.raises(DensityDomainError):
-            entropy(F, SimplexVector([1.0, 0.0]))
+            entropy(d, [1.0, 0.0])
         # a zero in any part of a joint: its grid, and so a conditional
         grids = np.array([[[0.5, 0.25], [0.0, 0.25]]])
         with pytest.raises(DensityDomainError):
-            joint_entropies(F, grids, *factor_grids(grids))
-        assert entropy(F, SimplexVector([0.5, 0.5])) == pytest.approx(math.sqrt(2), abs=1e-15)
+            joint_entropies(d, grids, *factor_grids(grids))
+        assert entropy(d, [0.5, 0.5]) == pytest.approx(math.sqrt(2), abs=1e-15)
         grids = np.full((1, 2, 2), 0.25)
-        S_joint, S_marg, _ = joint_entropies(F, grids, *factor_grids(grids))
+        S_joint, S_marg, _ = joint_entropies(d, grids, *factor_grids(grids))
         assert (S_joint.tolist(), S_marg.tolist()) == ([2.0], [math.sqrt(2)])
 
 
@@ -509,13 +505,13 @@ def zero_row_joint(grids):
     return grids
 
 
-def per_vector_entropies(F, grids):
+def per_vector_entropies(d, grids):
     """joint_entropies' three parts from one entropy_one call per vector."""
     joints = [JointMatrix(g) for g in grids]
     return (
-        [entropy_one(F, SimplexVector(P.entries.ravel())) for P in joints],
-        [entropy_one(F, marginal(P)) for P in joints],
-        [[entropy_one(F, conditional(P, j)) for j in range(1, P.n + 1)] for P in joints],
+        [entropy_one(d, P.entries.ravel()) for P in joints],
+        [entropy_one(d, marginal(P)) for P in joints],
+        [[entropy_one(d, conditional(P, j)) for j in range(1, P.n + 1)] for P in joints],
     )
 
 
@@ -525,17 +521,17 @@ class TestJointEntropies:
     def test_matches_per_vector(self, d, m, n):
         grids = zero_row_joint(random_grids(m, n, list(range(12)), concentration=0.2))
         counted, calls = count_eval_s(d)
-        got = joint_entropies(EntropyFunctional(counted), grids, *factor_grids(grids))
+        got = joint_entropies(counted, grids, *factor_grids(grids))
         assert calls == [12 * (2 * m * n + n)]
-        assert [v.tolist() for v in got] == list(per_vector_entropies(EntropyFunctional(d), grids))
+        assert [v.tolist() for v in got] == list(per_vector_entropies(d, grids))
 
     def test_one_joint_is_entropy_of_each_vector(self):
-        F = EntropyFunctional(remark2_density())
+        d = remark2_density()
         P = random_joint(5, 3, seed=4)
-        S_joint, S_marg, S_cond = joint_entropies(F, P.entries[None], marginal(P).entries[None], P.conditionals[None])
-        assert S_joint.tolist() == [entropy(F, SimplexVector(P.entries.ravel()))]
-        assert S_marg.tolist() == [entropy(F, marginal(P))]
-        assert S_cond.tolist() == [[entropy(F, conditional(P, j)) for j in range(1, 4)]]
+        S_joint, S_marg, S_cond = joint_entropies(d, P.entries[None], marginal(P)[None], P.conditionals[None])
+        assert S_joint.tolist() == [entropy(d, P.entries.ravel())]
+        assert S_marg.tolist() == [entropy(d, marginal(P))]
+        assert S_cond.tolist() == [[entropy(d, conditional(P, j)) for j in range(1, 4)]]
 
     @pytest.mark.parametrize("block, instances", [(36 * 4, 10), (36 * 4, 12), (100, 7), (10, 3), (1, 2)])
     def test_whole_joints_per_block(self, block, instances, monkeypatch):
@@ -545,17 +541,17 @@ class TestJointEntropies:
         grids = random_grids(4, 4, list(range(instances)))
         d = remark5_density()
         counted, calls = count_eval_s(d)
-        got = joint_entropies(EntropyFunctional(counted), grids, *factor_grids(grids))
+        got = joint_entropies(counted, grids, *factor_grids(grids))
         step = max(1, block // 36)
         assert calls == [36 * min(step, instances - a) for a in range(0, instances, step)]
         if block % 36 == 0:
             assert len(calls) == math.ceil(36 * instances / block) and max(calls) <= block
-        assert [v.tolist() for v in got] == list(per_vector_entropies(EntropyFunctional(d), grids))
+        assert [v.tolist() for v in got] == list(per_vector_entropies(d, grids))
 
     def test_no_joints_make_no_call(self):
         counted, calls = count_eval_s(remark5_density())
         grids = np.empty((0, 3, 2))
-        got = joint_entropies(EntropyFunctional(counted), grids, np.empty((0, 2)), np.empty((0, 2, 3)))
+        got = joint_entropies(counted, grids, np.empty((0, 2)), np.empty((0, 2, 3)))
         assert [v.shape for v in got] == [(0,), (0,), (0, 2)]
         assert calls == []
 
@@ -587,23 +583,21 @@ class TestSharedTree:
             reject()
         if zeros:
             zero_row_joint(grids)
-        F = EntropyFunctional(d)
         blocks = factor_grids(grids)
-        got = joint_entropies(F, grids, *blocks)
-        assert [v.tolist() for v in got] == list(per_vector_entropies(F, grids))
+        got = joint_entropies(d, grids, *blocks)
+        assert [v.tolist() for v in got] == list(per_vector_entropies(d, grids))
         f = power_coefficient(power)
-        want = [reference_residual(F, JointMatrix(g), f) for g in grids]
-        assert [repr(v) for v in residual_block(F, grids, *blocks, f).tolist()] == [repr(v) for v in want]
+        want = [reference_residual(d, JointMatrix(g), f) for g in grids]
+        assert [repr(v) for v in residual_block(d, grids, *blocks, f).tolist()] == [repr(v) for v in want]
 
     @pytest.mark.parametrize("d", catalog(), ids=lambda d: d.label)
     def test_residual_joints_match_per_vector_fsum(self, d):
         # one in about twelve such joints rounds differently from the sum of
         # its columns' float sums alone: the error sums e are needed
-        F = EntropyFunctional(d)
         for seed in range(30):
             grids = random_grids(32, 32, [seed], concentration=1.0 if seed % 3 else 0.2)
-            got = joint_entropies(F, grids, *factor_grids(grids))
-            assert [v.tolist() for v in got] == list(per_vector_entropies(F, grids))
+            got = joint_entropies(d, grids, *factor_grids(grids))
+            assert [v.tolist() for v in got] == list(per_vector_entropies(d, grids))
 
     @staticmethod
     def record(monkeypatch):
@@ -621,7 +615,7 @@ class TestSharedTree:
         calls = self.record(monkeypatch)
         P = JointMatrix(random_grids(32, 32, [5])[0])
         for d in (remark5_density(), remark2_density()):
-            extensivity_residual(EntropyFunctional(d), P, power_coefficient(1.0))
+            extensivity_residual(d, P, power_coefficient(1.0))
         assert calls == [("fsum_rows", (1, 32)), ("twosum_rows", (64, 32))] * 2
 
     def test_one_wide_row_takes_one_tree(self, monkeypatch):
@@ -629,15 +623,15 @@ class TestSharedTree:
         # each sums to s(1), a zero that math.fsum signs
         calls = self.record(monkeypatch)
         grids = random_grids(1, 600, [2])
-        F = EntropyFunctional(tsallis_density(2.0))
-        got = joint_entropies(F, grids, *factor_grids(grids))
+        d = tsallis_density(2.0)
+        got = joint_entropies(d, grids, *factor_grids(grids))
         assert calls == [("fsum_rows", (1, 600)), ("twosum_rows", (1200, 1))]
-        assert [v.tolist() for v in got] == list(per_vector_entropies(F, grids))
+        assert [v.tolist() for v in got] == list(per_vector_entropies(d, grids))
 
     def test_sandwich_op_keeps_three_sums(self, monkeypatch):
         calls = self.record(monkeypatch)
         P = JointMatrix(random_grids(4, 4, [3], concentration=0.05)[0])
-        sandwich_check(EntropyFunctional(remark5_density()), P)
+        sandwich_check(remark5_density(), P)
         assert calls == [("fsum_rows", (1, 4)), ("fsum_rows", (1, 16)), ("fsum_rows", (4, 4))]
 
     def test_cli_residual_blocks_keep_three_sums(self, monkeypatch, capsys):
@@ -655,14 +649,14 @@ class TestSharedTree:
     def test_uncertified_columns_fall_back_to_fsum(self, monkeypatch):
         # concentration 0.05 leaves entries so small that columns fail the
         # certificate: such joints are summed whole by math.fsum
-        F = EntropyFunctional(remark5_density())
+        d = remark5_density()
         grids = random_grids(32, 32, [0], concentration=0.05)
         rows, fsum = [], math.fsum
         monkeypatch.setattr(densities.math, "fsum", lambda row: rows.append(len(row)) or fsum(row))
-        got = joint_entropies(F, grids, *factor_grids(grids))
+        got = joint_entropies(d, grids, *factor_grids(grids))
         assert 1024 in rows
         monkeypatch.undo()
-        assert [v.tolist() for v in got] == list(per_vector_entropies(F, grids))
+        assert [v.tolist() for v in got] == list(per_vector_entropies(d, grids))
 
     def test_no_uncertified_partial_is_used(self, monkeypatch):
         # a tree that certifies no row and returns wrong sums: every joint and
@@ -674,10 +668,10 @@ class TestSharedTree:
             return s + 1.0, e, np.zeros_like(exact)
 
         monkeypatch.setattr(_kernels, "twosum_rows", uncertified)
-        F = EntropyFunctional(remark2_density())
+        d = remark2_density()
         grids = random_grids(32, 32, [1, 2])
-        got = joint_entropies(F, grids, *factor_grids(grids))
-        assert [v.tolist() for v in got] == list(per_vector_entropies(F, grids))
+        got = joint_entropies(d, grids, *factor_grids(grids))
+        assert [v.tolist() for v in got] == list(per_vector_entropies(d, grids))
 
 
 class TestDensityInvariants:

@@ -8,13 +8,12 @@ from hypothesis import strategies as st
 from extenso.densities import (
     Density,
     DensityDomainError,
-    EntropyFunctional,
     bg_density,
     remark2_density,
     remark5_density,
     tsallis_density,
 )
-from extenso import extensivity, simplex
+from extenso import densities, extensivity, simplex
 from extenso.cli import batch_report
 from extenso.extensivity import (
     SandwichReport,
@@ -33,7 +32,6 @@ from extenso.simplex import (
     InvalidDistributionError,
     JointMatrix,
     RandomGenerationError,
-    SimplexVector,
     conditional,
     factor_grids,
     marginal,
@@ -58,10 +56,6 @@ R5_S1_AT_1 = -0.9296953983416102
 IFF_LIMIT = R5_S1_AT_1 * (math.sqrt(2.0) - 1.0) / 2.0  # -0.192546221434476
 
 
-def functional(d):
-    return EntropyFunctional(d)
-
-
 def sizes_from_seed(seed):
     rng = np.random.default_rng(seed + 987)
     return int(rng.integers(1, 9)), int(rng.integers(1, 9))
@@ -79,91 +73,89 @@ class TestResidual:
         ids=["bg", "t0.5", "t2", "t3"],
     )
     def test_matching_power_vanishes(self, d, q):
-        F = functional(d)
         f = power_coefficient(q)
         worst = 0.0
         for seed in range(150):
             m, n = sizes_from_seed(seed)
             P = random_joint(m, n, seed=seed)
-            worst = max(worst, abs(extensivity_residual(F, P, f)))
+            worst = max(worst, abs(extensivity_residual(d, P, f)))
         assert worst <= 1e-10
 
     def test_product_matrix_nonadditivity(self):
         # independent 2x2 product with f(r) = r: residual is exactly -1/4
-        F = functional(tsallis_density(2.0))
+        d = tsallis_density(2.0)
         P = JointMatrix(np.outer([0.5, 0.5], [0.5, 0.5]))
-        res = extensivity_residual(F, P, power_coefficient(1.0))
+        res = extensivity_residual(d, P, power_coefficient(1.0))
         assert res == pytest.approx(-0.25, abs=1e-14)
 
     def test_mismatched_power_nonzero(self):
-        F = functional(tsallis_density(2.0))
+        d = tsallis_density(2.0)
         P = random_joint(3, 3, seed=1)
-        assert abs(extensivity_residual(F, P, power_coefficient(1.0))) > 1e-4
+        assert abs(extensivity_residual(d, P, power_coefficient(1.0))) > 1e-4
 
 
 class TestSandwich:
     @pytest.mark.parametrize("d", [tsallis_density(0.5), tsallis_density(2.0)],
                              ids=["t0.5", "t2"])
     def test_equality_collapse(self, d):
-        F = functional(d)
         for seed in range(40):
             m, n = sizes_from_seed(seed)
             P = random_joint(m, n, seed=seed)
-            rep = sandwich_check(F, P)
+            rep = sandwich_check(d, P)
             assert rep.verdict == "pass"
             assert rep.upper - rep.lower <= rep.tolerance
 
     def test_bg_collapse(self):
-        F = functional(bg_density())
+        d = bg_density()
         for seed in range(40):
             P = random_joint(4, 5, seed=seed)
-            rep = sandwich_check(F, P)
+            rep = sandwich_check(d, P)
             assert rep.verdict == "pass"
             assert rep.upper - rep.lower <= rep.tolerance
 
     def test_remark5_passes(self):
-        F = functional(remark5_density())
+        d = remark5_density()
         for seed in range(40):
             m, n = sizes_from_seed(seed)
             P = random_joint(m, n, seed=seed)
-            rep = sandwich_check(F, P)
+            rep = sandwich_check(d, P)
             assert rep.verdict == "pass"
             assert rep.slack_lower >= -rep.tolerance
             assert rep.slack_upper >= -rep.tolerance
 
     def test_remark5_on_counterexample_matrix(self):
-        rep = sandwich_check(functional(remark5_density()), iff_counterexample_matrix(0.5))
+        rep = sandwich_check(remark5_density(), iff_counterexample_matrix(0.5))
         assert rep.verdict == "pass"
 
     def test_divergent_verdict(self):
         # the x-family has both marginals exactly 1/2, where the oscillating
         # density's divergence is detectable
-        F = functional(shifted_density(remark2_density()))
-        rep = sandwich_check(F, iff_counterexample_matrix(0.3))
+        d = shifted_density(remark2_density())
+        rep = sandwich_check(d, iff_counterexample_matrix(0.3))
         assert rep.verdict == "divergent"
         assert rep.divergent
 
     def test_flag_requirements(self):
         with pytest.raises(ValueError):
-            sandwich_check(functional(remark2_density()), random_joint(2, 2, seed=0))
+            sandwich_check(remark2_density(), random_joint(2, 2, seed=0))
 
     def test_explicit_tolerance_override(self):
-        F = functional(tsallis_density(2.0))
-        rep = sandwich_check(F, random_joint(3, 3, seed=2), tolerance=1e-3)
+        d = tsallis_density(2.0)
+        rep = sandwich_check(d, random_joint(3, 3, seed=2), tolerance=1e-3)
         assert rep.tolerance == 1e-3
 
 
 class TestIff:
     @pytest.mark.parametrize("x", [0.02, 0.01, 0.005])
     def test_negative_for_small_x(self, x):
-        F = functional(remark5_density())
-        assert iff_lhs(F, iff_counterexample_matrix(x)) < 0.0
+        d = remark5_density()
+        assert iff_lhs(d, iff_counterexample_matrix(x)) < 0.0
 
     def test_limit_approach(self):
-        F = functional(remark5_density())
+        d = remark5_density()
         prev_dist = math.inf
         for x in (0.02, 0.01, 0.005):
-            val = iff_lhs(F, iff_counterexample_matrix(x))
+            val = iff_lhs(d, iff_counterexample_matrix(x))
             dist = abs(val - IFF_LIMIT)
             assert dist < prev_dist
             prev_dist = dist
@@ -173,14 +165,13 @@ class TestIff:
         # collapse kills the correction term; what remains is a nonnegative
         # combination of conditional entropies
         for d in (tsallis_density(0.5), tsallis_density(2.0), bg_density()):
-            F = functional(d)
             for seed in range(10):
                 P = random_joint(3, 4, seed=seed)
-                assert iff_lhs(F, P) >= -1e-10
+                assert iff_lhs(d, P) >= -1e-10
 
     def test_not_negative_for_moderate_x(self):
-        F = functional(remark5_density())
-        assert iff_lhs(F, iff_counterexample_matrix(0.8)) > 0.0
+        d = remark5_density()
+        assert iff_lhs(d, iff_counterexample_matrix(0.8)) > 0.0
 
 
 class TestRecovery:
@@ -253,9 +244,9 @@ class TestTwiceEquation:
         r, xi, x = 0.4, 0.8, 0.25
         P = three_by_two_family(r, xi, x)
         assert P.m == 3 and P.n == 2
-        np.testing.assert_allclose(marginal(P).entries, [r, 1.0 - r], atol=1e-15)
+        np.testing.assert_allclose(marginal(P), [r, 1.0 - r], atol=1e-15)
         np.testing.assert_allclose(
-            conditional(P, 1).entries, [x, xi - x, 1.0 - xi], atol=1e-15
+            conditional(P, 1), [x, xi - x, 1.0 - xi], atol=1e-15
         )
 
     def test_validation(self):
@@ -279,11 +270,10 @@ class TestTwiceEquation:
     def test_second_difference_cross_validation(self, d, f):
         # d^2/dx^2 of the chain-rule residual over the 3x2 family equals the
         # twice-differentiated relation's residual
-        F = functional(d)
         r, xi, x = 0.5, 0.8, 0.3
 
         def residual_of_x(xx):
-            return extensivity_residual(F, three_by_two_family(r, xi, xx), f)
+            return extensivity_residual(d, three_by_two_family(r, xi, xx), f)
 
         fd = finite_difference(residual_of_x, x, order=2, domain=(0.0, xi))
         direct = check_twice_equation(d, f, r, xi, x)
@@ -298,14 +288,14 @@ class TestAxioms:
         ids=lambda d: d.label,
     )
     def test_suite_passes(self, d):
-        rep = axiom_suite(functional(d), sizes=(2, 4, 6), seed=11, trials=60)
+        rep = axiom_suite(d, sizes=(2, 4, 6), seed=11, trials=60)
         assert rep.continuity
         assert rep.maximality
         assert rep.expandability
         assert rep.worst_maximality_gap <= 1e-12
 
     def test_modulus_shrinks(self):
-        rep = axiom_suite(functional(remark5_density()), sizes=(3,), seed=5, trials=40)
+        rep = axiom_suite(remark5_density(), sizes=(3,), seed=5, trials=40)
         vals = list(rep.modulus.values())
         assert vals == sorted(vals, reverse=True)
 
@@ -320,29 +310,28 @@ class TestAxioms:
             s0_zero=False,
         )
         with pytest.raises(ValueError):
-            axiom_suite(functional(bare))
+            axiom_suite(bare)
 
     def test_modulus_stalled_above_rounding_is_not_continuous(self):
         # s jumps by up to 1e-9 at every bit pattern, so no eps makes the
         # modulus shrink: its levels stall near 1e-9, above the 1e-12 floor
         bg = bg_density()
-        jitter = Density(
+        d = Density(
             label="jitter",
             eval_s=lambda r: 1e-9 * np.modf(np.asarray(r, dtype=np.float64) * 2.0**40)[0],
             eval_s1=bg.eval_s1,
             eval_s2=bg.eval_s2,
             s0_zero=True,
         )
-        F = functional(jitter)
-        rep = axiom_suite(F, sizes=(2, 3), seed=0, trials=20)
+        rep = axiom_suite(d, sizes=(2, 3), seed=0, trials=20)
         assert all(1e-12 < v < 1e-8 for v in rep.levels)
         assert rep.levels[2] > rep.levels[1]
         assert not rep.continuity
-        assert rep.to_dict() == reference_axiom_suite(F, (2, 3), 0, 20)
+        assert rep.to_dict() == reference_axiom_suite(d, (2, 3), 0, 20)
 
     def test_rejects_empty_vectors(self):
         with pytest.raises(InvalidDistributionError, match="n must be >= 1"):
-            axiom_suite(functional(bg_density()), sizes=(3, 0), trials=1)
+            axiom_suite(bg_density(), sizes=(3, 0), trials=1)
 
 
 class TestMonotonicity:
@@ -353,14 +342,13 @@ class TestMonotonicity:
         ids=lambda d: d.label,
     )
     def test_random_joints(self, d):
-        F = functional(d)
         for seed in range(60):
             m, n = sizes_from_seed(seed)
-            assert monotonicity_check(F, random_joint(m, n, seed=seed))
+            assert monotonicity_check(d, random_joint(m, n, seed=seed))
 
     def test_counterexample_matrix_still_monotone(self):
-        F = functional(remark5_density())
-        assert monotonicity_check(F, iff_counterexample_matrix(0.3))
+        d = remark5_density()
+        assert monotonicity_check(d, iff_counterexample_matrix(0.3))
 
 
 class TestBatchReport:
@@ -402,7 +390,7 @@ class TestProperties:
     @settings(max_examples=150, deadline=None)
     @given(st.sampled_from(SANDWICH_DENSITIES), joints())
     def test_sandwich_never_fails(self, d, P):
-        assert sandwich_check(functional(d), P).verdict != "fail"
+        assert sandwich_check(d, P).verdict != "fail"
 
     @settings(max_examples=100, deadline=None)
     @given(joints())
@@ -412,7 +400,7 @@ class TestProperties:
     @settings(max_examples=100, deadline=None)
     @given(st.sampled_from(CONCAVE_DENSITIES), joints())
     def test_monotonicity(self, d, P):
-        assert monotonicity_check(functional(d), P)
+        assert monotonicity_check(d, P)
 
 
 BATCH_DENSITIES = [bg_density(), tsallis_density(0.5), remark2_density(), remark5_density()]
@@ -434,12 +422,11 @@ class TestBatchedEvaluation:
     @settings(max_examples=60, deadline=None)
     @given(st.sampled_from(BATCH_DENSITIES), joints())
     def test_joint_checks_match_per_vector(self, d, P):
-        F = functional(d)
         f = power_coefficient(0.5)
-        assert extensivity_residual(F, P, f) == reference_residual(F, P, f)
-        assert monotonicity_check(F, P) == reference_monotonicity(F, P)
-        Fs = functional(sandwich_ready(d))
-        assert sandwich_check(Fs, P).to_dict() == reference_sandwich(Fs, P)
+        assert extensivity_residual(d, P, f) == reference_residual(d, P, f)
+        assert monotonicity_check(d, P) == reference_monotonicity(d, P)
+        ready = sandwich_ready(d)
+        assert sandwich_check(ready, P).to_dict() == reference_sandwich(ready, P)
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -449,51 +436,48 @@ class TestBatchedEvaluation:
         st.integers(0, 2**32 - 1),
     )
     def test_axiom_suite_matches_per_vector(self, d, sizes, trials, seed):
-        F = functional(d)
-        got = axiom_suite(F, sizes=tuple(sizes), seed=seed, trials=trials).to_dict()
-        assert got == reference_axiom_suite(F, tuple(sizes), seed, trials)
+        got = axiom_suite(d, sizes=tuple(sizes), seed=seed, trials=trials).to_dict()
+        assert got == reference_axiom_suite(d, tuple(sizes), seed, trials)
 
     def test_no_zero_convention_still_raises(self):
-        bare = Density(
+        d = Density(
             label="sqrt",
             eval_s=lambda r: np.sqrt(np.asarray(r)),
             eval_s1=lambda r: 0.5 / np.sqrt(np.asarray(r)),
             eval_s2=lambda r: -0.25 * np.asarray(r) ** -1.5,
             s0_zero=False,
         )
-        F = functional(bare)
         f = power_coefficient(0.5)
         with pytest.raises(DensityDomainError):
-            extensivity_residual(F, JointMatrix([[0.5, 0.0], [0.0, 0.5]]), f)
+            extensivity_residual(d, JointMatrix([[0.5, 0.0], [0.0, 0.5]]), f)
         P = random_joint(3, 4, seed=0)
-        assert extensivity_residual(F, P, f) == reference_residual(F, P, f)
+        assert extensivity_residual(d, P, f) == reference_residual(d, P, f)
 
     def test_nan_values_skipped_like_the_loop(self):
         bg = bg_density()
-        holed = Density(
+        d = Density(
             label="bg-nan-above-0.6",
             eval_s=lambda r: np.where(np.asarray(r) > 0.6, np.nan, bg.eval_s(r)),
             eval_s1=bg.eval_s1,
             eval_s2=bg.eval_s2,
             s0_zero=True,
         )
-        F = functional(holed)
-        got = axiom_suite(F, sizes=(2, 3), seed=5, trials=30).to_dict()
-        assert got == reference_axiom_suite(F, (2, 3), 5, 30)
+        got = axiom_suite(d, sizes=(2, 3), seed=5, trials=30).to_dict()
+        assert got == reference_axiom_suite(d, (2, 3), 5, 30)
         assert math.isfinite(got["worst_maximality_gap"]) and not got["expandability"]
 
     @pytest.mark.parametrize("sizes, trials", [((), 5), ((1,), 5), ((2, 3), 0)],
                              ids=["no-sizes", "size-1", "no-trials"])
     def test_edge_suites(self, sizes, trials):
-        F = functional(remark5_density())
+        d = remark5_density()
         if not sizes or not trials:
             # a suite that draws no vector would pass vacuously: rejected
             match = "sizes must hold at least one size" if not sizes else "trials must be >= 1"
             with pytest.raises(ValueError, match=match):
-                axiom_suite(F, sizes=sizes, seed=3, trials=trials)
+                axiom_suite(d, sizes=sizes, seed=3, trials=trials)
             return
-        rep = axiom_suite(F, sizes=sizes, seed=3, trials=trials)
-        assert rep.to_dict() == reference_axiom_suite(F, sizes, 3, trials)
+        rep = axiom_suite(d, sizes=sizes, seed=3, trials=trials)
+        assert rep.to_dict() == reference_axiom_suite(d, sizes, 3, trials)
         assert rep.all_pass
         assert rep.worst_maximality_gap == 0.0
 
@@ -511,15 +495,14 @@ class TestResidualBlock:
     )
     def test_each_row_is_a_residual(self, d, f):
         grids = random_grids(5, 3, list(range(25)), concentration=0.1)
-        F = functional(d)
-        got = residual_block(F, grids, *factor_grids(grids), f).tolist()
-        want = [extensivity_residual(F, JointMatrix(g), f) for g in grids]
+        got = residual_block(d, grids, *factor_grids(grids), f).tolist()
+        want = [extensivity_residual(d, JointMatrix(g), f) for g in grids]
         assert [repr(v) for v in got] == [repr(v) for v in want]
-        assert want == [reference_residual(F, JointMatrix(g), f) for g in grids]
+        assert want == [reference_residual(d, JointMatrix(g), f) for g in grids]
 
     def test_no_joints(self):
-        F = functional(bg_density())
-        out = residual_block(F, np.empty((0, 2, 3)), np.empty((0, 3)), np.empty((0, 3, 2)), power_coefficient(1.0))
+        d = bg_density()
+        out = residual_block(d, np.empty((0, 2, 3)), np.empty((0, 3)), np.empty((0, 3, 2)), power_coefficient(1.0))
         assert out.shape == (0,)
 
 
@@ -530,19 +513,18 @@ class TestSandwichBlock:
     def test_each_row_is_a_sandwich_check(self, d):
         # 160 columns: two scans
         grids = random_grids(4, 4, list(range(40)), concentration=0.05)
-        F = functional(d)
-        block = sandwich_block(F, grids, *factor_grids(grids))
+        block = sandwich_block(d, grids, *factor_grids(grids))
         assert isinstance(block, SandwichReport) and all(v.shape == (40,) for v in block)
         rows = [SandwichReport._make(row) for row in zip(*(v.tolist() for v in block))]
-        assert [repr(rep) for rep in rows] == [repr(sandwich_check(F, JointMatrix(g))) for g in grids]
+        assert [repr(rep) for rep in rows] == [repr(sandwich_check(d, JointMatrix(g))) for g in grids]
 
     def test_tolerance_overrides_every_row(self):
         grids = random_grids(3, 3, list(range(6)))
-        F = functional(remark5_density())
-        block = sandwich_block(F, grids, *factor_grids(grids), tolerance=0.0)
+        d = remark5_density()
+        block = sandwich_block(d, grids, *factor_grids(grids), tolerance=0.0)
         assert block.tolerance.tolist() == [0.0] * 6
         assert block.verdict.tolist() == [
-            sandwich_check(F, JointMatrix(g), tolerance=0.0).verdict for g in grids
+            sandwich_check(d, JointMatrix(g), tolerance=0.0).verdict for g in grids
         ]
 
     @pytest.mark.parametrize("tolerance", [None, 0.0, 1e-3])
@@ -551,20 +533,20 @@ class TestSandwichBlock:
         # tolerance would pass any slack, so each joint is skipped, whatever
         # tolerance overrides it
         grids = random_grids(4, 4, list(range(20)))
-        F = functional(tsallis_density(1e6))
-        block = sandwich_block(F, grids, *factor_grids(grids), tolerance=tolerance)
-        propagated = sandwich_block(F, grids, *factor_grids(grids)).tolerance
+        d = tsallis_density(1e6)
+        block = sandwich_block(d, grids, *factor_grids(grids), tolerance=tolerance)
+        propagated = sandwich_block(d, grids, *factor_grids(grids)).tolerance
         assert np.isinf(propagated).all()
         assert block.verdict.tolist() == ["divergent"] * 20 and block.divergent.all()
         for g, got in zip(grids, zip(*(v.tolist() for v in block))):
             P = JointMatrix(g)
-            assert repr(SandwichReport._make(got)) == repr(sandwich_check(F, P, tolerance=tolerance))
+            assert repr(SandwichReport._make(got)) == repr(sandwich_check(d, P, tolerance=tolerance))
             if tolerance is None:
-                assert repr(sandwich_check(F, P).to_dict()) == repr(reference_sandwich(F, P))
+                assert repr(sandwich_check(d, P).to_dict()) == repr(reference_sandwich(d, P))
 
     def test_finite_propagated_tolerance_still_checks(self):
         grids = random_grids(4, 4, list(range(20)))
-        block = sandwich_block(functional(tsallis_density(1e5)), grids, *factor_grids(grids))
+        block = sandwich_block(tsallis_density(1e5), grids, *factor_grids(grids))
         assert np.isfinite(block.tolerance).all() and not block.divergent.any()
         assert block.verdict.tolist() == ["pass"] * 20
 
@@ -574,17 +556,17 @@ class TestEvalCount:
 
     def test_residual(self):
         d, calls = count_eval_s(remark5_density())
-        extensivity_residual(functional(d), random_joint(5, 4, seed=0), power_coefficient(1.0))
+        extensivity_residual(d, random_joint(5, 4, seed=0), power_coefficient(1.0))
         assert calls == [20 + 4 + 20]  # joint, marginal, 4 conditionals of 5
 
     def test_sandwich(self):
         d, calls = count_eval_s(remark5_density())
-        sandwich_check(functional(d), random_joint(5, 4, seed=0))
+        sandwich_check(d, random_joint(5, 4, seed=0))
         assert calls == [20 + 4 + 20]
 
     def test_monotonicity(self):
         d, calls = count_eval_s(remark2_density())
-        monotonicity_check(functional(d), random_joint(5, 4, seed=0))
+        monotonicity_check(d, random_joint(5, 4, seed=0))
         # joint_entropies forms every part of a joint, conditionals included
         assert calls == [20 + 4 + 20]
 
@@ -593,53 +575,46 @@ class TestEvalCount:
         d, calls = count_eval_s(remark5_density())
         if not trials:  # rejected before any evaluation
             with pytest.raises(ValueError, match="trials must be >= 1"):
-                axiom_suite(functional(d), sizes=sizes, seed=0, trials=trials)
+                axiom_suite(d, sizes=sizes, seed=0, trials=trials)
             assert calls == []
             return
-        axiom_suite(functional(d), sizes=sizes, seed=0, trials=trials)
+        axiom_suite(d, sizes=sizes, seed=0, trials=trials)
         assert calls == [suite_points(sizes, trials)]
 
     def test_empty_suite(self):
         d, calls = count_eval_s(remark5_density())
         with pytest.raises(ValueError, match="sizes must hold at least one size"):
-            axiom_suite(functional(d), sizes=(), seed=0, trials=5)
+            axiom_suite(d, sizes=(), seed=0, trials=5)
         assert calls == []
 
 
 def watch_validation(monkeypatch):
-    """(sizes of SimplexVectors built, row counts of blocks passed to check_rows).
+    """Row counts of the blocks passed to check_rows.
 
-    A SimplexVector validates itself as a one-row block; a JointMatrix as
+    entropy checks a lone vector as a one-row block; a JointMatrix checks
     factor_grids' three blocks: its flattened grid, its marginal and its n
     conditionals."""
-    built, rows = [], []
-    post_init = SimplexVector.__post_init__
+    rows = []
     check_rows = simplex.check_rows
-
-    def counted_post_init(self):
-        post_init(self)
-        built.append(self.entries.size)
 
     def counted_check_rows(block):
         check_rows(block)
         rows.append(block.shape[0])
 
-    monkeypatch.setattr(SimplexVector, "__post_init__", counted_post_init)
-    monkeypatch.setattr(extensivity, "check_rows", counted_check_rows)
-    monkeypatch.setattr(simplex, "check_rows", counted_check_rows)
-    return built, rows
+    for mod in (extensivity, simplex, densities):
+        monkeypatch.setattr(mod, "check_rows", counted_check_rows)
+    return rows
 
 
 class TestBlockValidation:
     """Rows derived inside a suite or a joint are validated as blocks: every
-    row is checked, and no SimplexVector is built per row."""
+    row is checked, and no vector is checked on its own."""
 
     @pytest.mark.parametrize("trials", [1, 40])
     def test_suite(self, monkeypatch, trials):
-        built, rows = watch_validation(monkeypatch)
+        rows = watch_validation(monkeypatch)
         sizes = (2, 3, 8)
-        axiom_suite(functional(remark5_density()), sizes=sizes, seed=0, trials=trials)
-        assert built == []
+        axiom_suite(remark5_density(), sizes=sizes, seed=0, trials=trials)
         # one padded block: per size the uniform vector and, per trial, p, q
         # and the 3 eps-mixtures (each p row doubles as p with a zero appended)
         assert rows == [len(sizes) * (1 + (2 + 3) * trials)]
@@ -647,55 +622,55 @@ class TestBlockValidation:
     @pytest.mark.parametrize("m, n", [(2, 2), (9, 7)])
     def test_joint_checks(self, monkeypatch, m, n):
         entries = random_joint(m, n, seed=1).entries
-        built, rows = watch_validation(monkeypatch)
+        rows = watch_validation(monkeypatch)
         P = JointMatrix(entries)
         # the flattened grid, the marginal and the conditional block
-        assert rows == [1, 1, n] and built == []
+        assert rows == [1, 1, n]
         # checks of the joint read its stack and validate nothing more
-        F = functional(remark5_density())
-        extensivity_residual(F, P, power_coefficient(1.0))
-        monotonicity_check(F, P)
-        sandwich_check(F, P)
-        assert rows == [1, 1, n] and built == []
+        d = remark5_density()
+        extensivity_residual(d, P, power_coefficient(1.0))
+        monotonicity_check(d, P)
+        sandwich_check(d, P)
+        assert rows == [1, 1, n]
 
     def test_sandwich_op_validates_once(self, monkeypatch):
         # the benchmark's sandwich op: one joint, checked under two functionals
         entries = random_joint(4, 4, seed=3, concentration=0.05).entries
-        Fs = [functional(remark5_density()), functional(tsallis_density(0.1))]
-        built, rows = watch_validation(monkeypatch)
+        pair = [remark5_density(), tsallis_density(0.1)]
+        rows = watch_validation(monkeypatch)
         P = JointMatrix(entries)
-        reports = [sandwich_check(F, P) for F in Fs]
+        reports = [sandwich_check(d, P) for d in pair]
         # the flattened grid, the marginal and the conditional block
-        assert rows == [1, 1, 4] and built == []
-        for F, rep in zip(Fs, reports):
-            assert repr(rep) == repr(sandwich_check(F, JointMatrix(entries)))
-            assert rep.to_dict() == reference_sandwich(F, JointMatrix(entries))
+        assert rows == [1, 1, 4]
+        for d, rep in zip(pair, reports):
+            assert repr(rep) == repr(sandwich_check(d, JointMatrix(entries)))
+            assert rep.to_dict() == reference_sandwich(d, JointMatrix(entries))
 
     def test_factored_blocks_are_read_only(self):
         P = random_joint(3, 4, seed=2)
         assert P.column_marginals.shape == (4,) and P.conditionals.shape == (4, 3)
-        assert marginal(P).entries.tobytes() == P.column_marginals.tobytes()
+        assert marginal(P).tobytes() == P.column_marginals.tobytes()
         for j in range(1, P.n + 1):
-            assert conditional(P, j).entries.tobytes() == P.conditionals[j - 1].tobytes()
+            assert conditional(P, j).tobytes() == P.conditionals[j - 1].tobytes()
         grids, marginals, conditionals = P.stack
         assert grids.shape == (1, 3, 4) and marginals.shape == (1, 4) and conditionals.shape == (1, 4, 3)
         for block in (P.column_marginals, P.conditionals, *P.stack):
             with pytest.raises(ValueError, match="read-only"):
                 block.flat[0] = 0.5
         with pytest.raises(ValueError):
-            marginal(P).entries[0] = 0.5
+            marginal(P)[0] = 0.5
 
     def test_reports_share_labels_and_hold_no_dict(self):
-        F = functional(bg_density())
-        a = axiom_suite(F, sizes=(2,), seed=0, trials=3)
-        b = axiom_suite(F, sizes=(3,), seed=1, trials=3)
+        d = bg_density()
+        a = axiom_suite(d, sizes=(2,), seed=0, trials=3)
+        b = axiom_suite(d, sizes=(3,), seed=1, trials=3)
         assert list(a.modulus) == list(b.modulus)
         assert not hasattr(a, "__dict__")
         assert a.modulus == dict(zip(("0.001", "1e-05", "1e-07"), a.levels))
 
     def test_sandwich_report_holds_no_dict(self):
-        F = functional(remark5_density())
-        rep = sandwich_check(F, random_joint(3, 3, seed=4))
+        d = remark5_density()
+        rep = sandwich_check(d, random_joint(3, 3, seed=4))
         assert not hasattr(rep, "__dict__")
         assert list(rep.to_dict()) == [
             "diff", "lower", "upper", "slack_lower", "slack_upper", "tolerance", "verdict", "divergent",

@@ -246,7 +246,7 @@ def scan_cases(draw):
     rs = draw(st.lists(r, min_size=1, max_size=5))
     t_min = draw(st.sampled_from([1e-6, 1e-8, 1e-3, 0.05]))
     grid_n = draw(st.sampled_from([2048, 256, 300]))
-    return d, rs, t_min, grid_n, draw(st.booleans())
+    return d, rs, t_min, grid_n
 
 
 class TestScanMatchesReference:
@@ -256,25 +256,23 @@ class TestScanMatchesReference:
     @settings(max_examples=60, deadline=None)
     @given(scan_cases())
     def test_curvature_ratios(self, case):
-        d, rs, t_min, grid_n, refine = case
+        d, rs, t_min, grid_n = case
         h = curvature_ratio(d, rs)
-        args = (t_min, grid_n, d.probe_points, refine)
+        args = (t_min, grid_n, d.probe_points)
         assert exact(scan_extrema(h, *args)) == exact(reference(h, *args))
 
-    @pytest.mark.parametrize("refine", [True, False])
     @pytest.mark.parametrize("probes", [(), (0.5, 1e-7, 0.01), (2e-8,)])
     @pytest.mark.parametrize("t_min, grid_n", [(1e-6, 512), (1e-3, 256)])
-    def test_nan_and_infinite_regions(self, refine, probes, t_min, grid_n):
+    def test_nan_and_infinite_regions(self, probes, t_min, grid_n):
         # warnings are errors in this suite: the scan stays quiet on rows
         # without a finite value
-        args = (t_min, grid_n, probes, refine)
+        args = (t_min, grid_n, probes)
         got = scan_extrema(patchy, *args)
         assert exact(got) == exact(reference(patchy, *args))
         assert (got.est_error[6:10] == math.inf).all()  # rows without a finite value
 
     @pytest.mark.parametrize("probes", [(), (0.25, 1e-9)])
-    @pytest.mark.parametrize("refine", [True, False])
-    def test_calls_h_once_per_grid_round_and_family(self, probes, refine):
+    def test_calls_h_once_per_grid_round_and_family(self, probes):
         calls = []
         ratio = curvature_ratio(remark5_density(), [0.3, 0.9, 1.0])
 
@@ -282,12 +280,11 @@ class TestScanMatchesReference:
             calls.append(np.shape(t))
             return ratio(t)
 
-        scan_extrema(h, 1e-6, 2048, probe_points=probes, refine=refine)
+        scan_extrema(h, 1e-6, 2048, probe_points=probes)
         families = 1 + bool(probes)
-        assert len(calls) == 1 + (_ZOOM_ROUNDS if refine else 0) + families
+        assert len(calls) == 1 + _ZOOM_ROUNDS + families
         assert calls[0] == (2048,)
-        if refine:
-            assert set(calls[1 : 1 + _ZOOM_ROUNDS]) == {(3, 62)}
+        assert set(calls[1 : 1 + _ZOOM_ROUNDS]) == {(3, 62)}
 
     @pytest.mark.parametrize("t_min, grid_n", [(1e-300, 260), (1e-200, 256)])
     def test_stored_bracket_end(self, t_min, grid_n):

@@ -6,12 +6,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from extenso.densities import bg_density, entropy
 from extenso.simplex import (
     SUM_TOL,
     InvalidDistributionError,
     JointMatrix,
     RandomGenerationError,
-    SimplexVector,
     ZeroMarginalError,
     check_rows,
     conditional,
@@ -27,40 +27,41 @@ def eq_x_matrix(x):
     return JointMatrix([[0.5, 0.5 * x], [0.0, 0.5 * (1.0 - x)]])
 
 
-class TestSimplexVector:
+class TestOneVectorCheck:
+    """entropy checks its vector as a one-row check_rows block."""
+
     def test_valid(self):
-        p = SimplexVector([0.25, 0.25, 0.5])
-        assert p.n == 3
-        assert p[2] == 0.5
+        assert entropy(bg_density(), [0.25, 0.25, 0.5]) == pytest.approx(1.5 * math.log(2.0), abs=1e-15)
 
     def test_rejects_negative(self):
         with pytest.raises(InvalidDistributionError):
-            SimplexVector([0.5, 0.6, -0.1])
+            entropy(bg_density(), [0.5, 0.6, -0.1])
 
     def test_rejects_bad_sum(self):
         with pytest.raises(InvalidDistributionError):
-            SimplexVector([0.5, 0.6])
+            entropy(bg_density(), [0.5, 0.6])
 
     def test_rejects_empty(self):
         with pytest.raises(InvalidDistributionError):
-            SimplexVector([])
+            entropy(bg_density(), [])
 
     def test_sum_tolerance_is_tight(self):
         with pytest.raises(InvalidDistributionError):
-            SimplexVector([0.5, 0.5 + 1e-10])
+            entropy(bg_density(), [0.5, 0.5 + 1e-10])
 
     def test_rejects_nan(self):
         with pytest.raises(InvalidDistributionError, match="NaN"):
-            SimplexVector([math.nan, 1.0])
+            entropy(bg_density(), [math.nan, 1.0])
 
-    def test_entries_immutable(self):
-        p = SimplexVector([0.5, 0.5])
-        with pytest.raises(ValueError):
-            p.entries[0] = 0.9
+    def test_factors_immutable(self):
+        P = JointMatrix([[0.25, 0.25], [0.25, 0.25]])
+        for p in (marginal(P), conditional(P, 1)):
+            with pytest.raises(ValueError):
+                p[0] = 0.9
 
     def test_uniform(self):
         u = uniform_vector(5)
-        np.testing.assert_allclose(u.entries, 0.2)
+        np.testing.assert_allclose(u, 0.2)
         with pytest.raises(InvalidDistributionError):
             uniform_vector(0)
 
@@ -68,7 +69,7 @@ class TestSimplexVector:
 class TestJointMatrix:
     def test_marginal_direct_sums(self):
         P = JointMatrix([[0.5, 0.25], [0.0, 0.25]])
-        np.testing.assert_allclose(marginal(P).entries, [0.5, 0.5])
+        np.testing.assert_allclose(marginal(P), [0.5, 0.5])
 
     def test_zero_column_rejected(self):
         with pytest.raises(ZeroMarginalError):
@@ -83,7 +84,7 @@ class TestJointMatrix:
         p = np.array([0.3, 0.7])
         r = np.array([0.2, 0.8])
         P = JointMatrix(np.outer(r, p))  # columns indexed by p
-        np.testing.assert_allclose(marginal(P).entries, p, atol=1e-15)
+        np.testing.assert_allclose(marginal(P), p, atol=1e-15)
 
     def test_rejects_nan(self):
         with pytest.raises(InvalidDistributionError, match="NaN"):
@@ -98,18 +99,18 @@ class TestConditional:
     def test_eq_x_first_column(self):
         P = eq_x_matrix(0.5)
         c = conditional(P, 1)
-        assert isinstance(c, SimplexVector)
-        np.testing.assert_allclose(c.entries, [1.0, 0.0])
+        assert isinstance(c, np.ndarray)
+        np.testing.assert_allclose(c, [1.0, 0.0])
 
     def test_eq_x_second_column(self):
         x = 0.5
         c = conditional(eq_x_matrix(x), 2)
-        np.testing.assert_allclose(c.entries, [x, 1.0 - x])
+        np.testing.assert_allclose(c, [x, 1.0 - x])
 
     def test_uniform_joint_gives_uniform_conditionals(self):
         P = JointMatrix(np.full((3, 4), 1.0 / 12.0))
         for j in range(1, 5):
-            np.testing.assert_allclose(conditional(P, j).entries, 1.0 / 3.0)
+            np.testing.assert_allclose(conditional(P, j), 1.0 / 3.0)
 
     def test_out_of_range(self):
         P = eq_x_matrix(0.5)
@@ -195,13 +196,13 @@ class TestFactorGrids:
 class TestRebuild:
     def test_single_column(self):
         P = JointMatrix([[0.5], [0.5]])
-        np.testing.assert_array_equal(marginal(P).entries, [1.0])
+        np.testing.assert_array_equal(marginal(P), [1.0])
         np.testing.assert_array_equal(rebuild(P), [[0.5], [0.5]])
 
     def test_eq_x_reconstruction(self):
         x = 0.3
         P = eq_x_matrix(x)
-        np.testing.assert_allclose(marginal(P).entries, [0.5, 0.5], atol=1e-15)
+        np.testing.assert_allclose(marginal(P), [0.5, 0.5], atol=1e-15)
         np.testing.assert_allclose(rebuild(P), P.entries, atol=1e-15)
 
     def test_factorization_round_trip_1000_seeds(self):
@@ -212,7 +213,7 @@ class TestRebuild:
             P = random_joint(m, n, seed=seed)
             np.testing.assert_allclose(rebuild(P), P.entries, atol=1e-12, rtol=0.0)
             for j in range(1, n + 1):
-                assert abs(math.fsum(conditional(P, j).entries.tolist()) - 1.0) <= 1e-12
+                assert abs(math.fsum(conditional(P, j).tolist()) - 1.0) <= 1e-12
 
 
 def _outcome(check, block):
