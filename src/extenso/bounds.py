@@ -84,7 +84,7 @@ def column_bounds(d: Density, rs, cfg: BoundsConfig | None = None) -> Coefficien
         rt = r[k : k + SCAN_ROWS, None]
 
         def ratio(t, rt=rt):
-            # t is the 1-d grid or ladder (shared by all rows) or (rows, L)
+            # t is the 1-d grid or a probe family, shared by all rows
             return np.asarray(s2(rt * t)) / np.asarray(s2(t))
 
         scans.append(scan_extrema(ratio, cfg.t_min, cfg.grid_n, d.probe_points))

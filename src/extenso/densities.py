@@ -180,13 +180,16 @@ def tsallis_density(q: float) -> Density:
     1, where r - r^q cancels.  For s that argument is never positive:
     s = -r expm1((q-1) log r)/(q-1) for q > 1, r^q expm1((1-q) log r)/(q-1)
     for q < 1, and log is taken at 1 for r = 0, where s is 0.  s' takes
-    r^q / r - 1 for expm1((q-1) log r) where |(q-1) log r| > 1.
+    r^q / r - 1 for expm1((q-1) log r) where |(q-1) log r| > 1.  Both run
+    with overflow ignored: (q-1) log r is -inf for huge q at tiny r, and
+    expm1 takes it to -1, the right limit.
     """
     q = float(q)
     if not 0.0 < q < math.inf or q == 1.0:
         raise ValueError(f"q must be finite, > 0 and != 1, got {q!r}")
     qm1 = q - 1.0
 
+    @np.errstate(over="ignore")
     def eval_s(r):
         r = np.asarray(r, dtype=np.float64)
         log_r = np.log(np.where(r > 0.0, r, 1.0))
@@ -194,6 +197,7 @@ def tsallis_density(q: float) -> Density:
             return -r * np.expm1(qm1 * log_r) / qm1
         return r**q * np.expm1(-qm1 * log_r) / qm1
 
+    @np.errstate(over="ignore")
     def eval_s1(r):
         r = np.asarray(r, dtype=np.float64)
         x = qm1 * np.log(r)

@@ -78,31 +78,56 @@ def extensivity_residual(d: Density, P: JointMatrix, f: Callable[[float], float]
 
 
 class SandwichReport(NamedTuple):
-    """Two-sided envelope check of joint matrices.
+    """Two-sided envelope check of N joint matrices, as (N,) arrays.
 
     verdict is 'pass' iff both slacks clear -tolerance, 'divergent' when any
     column's coefficient bounds are flagged divergent or the propagated
-    tolerance is not finite (check skipped).  Fields
-    are (N,) arrays from sandwich_block and Python scalars from sandwich_check,
-    its one-joint case.  A tuple holds no dict, so each report stays small:
-    batch callers hold thousands of them.
+    tolerance is not finite (check skipped).
     """
 
-    diff: float
-    lower: float
-    upper: float
-    slack_lower: float
-    slack_upper: float
-    tolerance: float
-    verdict: str
-    divergent: bool
-
-    def to_dict(self) -> dict:
-        return self._asdict()
+    diff: np.ndarray
+    lower: np.ndarray
+    upper: np.ndarray
+    slack_lower: np.ndarray
+    slack_upper: np.ndarray
+    tolerance: np.ndarray
+    verdict: np.ndarray
+    divergent: np.ndarray
 
 
 # verdict codes: 0 fail, 1 pass, 2 divergent (check skipped)
-_VERDICTS = np.array(["fail", "pass", "divergent"], dtype=object)
+_VERDICT_NAMES = ("fail", "pass", "divergent")
+_VERDICTS = np.array(_VERDICT_NAMES, dtype=object)
+# one joint's diff, lower, upper and tolerance as float64, then its verdict code
+_SANDWICH_NUMBERS = struct.Struct("<4dB")
+
+
+class SandwichCheck(bytes):
+    """One joint's row of a SandwichReport, as Python scalars, packed.
+
+    Only diff, lower, upper, tolerance and the verdict code are stored, in
+    33 bytes; the slacks and divergent are derived, bit-equal to
+    sandwich_block's.  Batch callers, the benchmark loop among them, hold
+    every report, so (as with AxiomReport) each stays small.  Every field is
+    an explicit property: bytes has lower() and upper() methods of its own.
+    """
+
+    __slots__ = ()
+
+    diff = property(lambda self: _SANDWICH_NUMBERS.unpack(self)[0])
+    lower = property(lambda self: _SANDWICH_NUMBERS.unpack(self)[1])
+    upper = property(lambda self: _SANDWICH_NUMBERS.unpack(self)[2])
+    tolerance = property(lambda self: _SANDWICH_NUMBERS.unpack(self)[3])
+    verdict = property(lambda self: _VERDICT_NAMES[self[-1]])
+    slack_lower = property(lambda self: self.diff - self.lower)
+    slack_upper = property(lambda self: self.upper - self.diff)
+    divergent = property(lambda self: self.verdict == "divergent")
+
+    def to_dict(self) -> dict:
+        """SandwichReport's fields in order."""
+        return {name: getattr(self, name) for name in SandwichReport._fields}
+
+
 # the last entry of the gap, lower, upper and tolerance sums: the tolerance's floor
 _SUM_PAD = np.array([-0.0, -0.0, -0.0, 1e-9])
 
@@ -117,8 +142,8 @@ def sandwich_block(
     d: Density, grids: np.ndarray, marginals: np.ndarray, conditionals: np.ndarray,
     cfg: BoundsConfig | None = None, tolerance: float | None = None,
 ) -> SandwichReport:
-    """sandwich_check of N joints in one pass: a SandwichReport of (N,)
-    arrays, row k bit-equal to sandwich_check(d, JointMatrix(grids[k])).
+    """sandwich_check of N joints in one pass: a SandwichReport whose row k
+    is bit-equal to sandwich_check(d, JointMatrix(grids[k])).
 
     grids (N, m, n), marginals (N, n) and conditionals (N, n, m) are as
     factor_grids returns them, checked.  joint_entropies gives every joint,
@@ -157,14 +182,16 @@ def sandwich_check(
     P: JointMatrix,
     cfg: BoundsConfig | None = None,
     tolerance: float | None = None,
-) -> SandwichReport:
+) -> SandwichCheck:
     """Verify lower <= S(P) - S(marginal) <= upper within propagated slack.
 
     Requires s(0) = 0, s(1) = 0 and negative curvature (the envelope's
     hypotheses).  An explicit tolerance overrides the propagated one.  The
     one-joint case of sandwich_block, on P's own checked stack.
     """
-    return SandwichReport._make(v.item() for v in sandwich_block(d, *P.stack, cfg, tolerance))
+    b = sandwich_block(d, *P.stack, cfg, tolerance)
+    code = _VERDICT_NAMES.index(b.verdict[0])
+    return SandwichCheck(_SANDWICH_NUMBERS.pack(b.diff[0], b.lower[0], b.upper[0], b.tolerance[0], code))
 
 
 def iff_lhs(d: Density, P: JointMatrix, cfg: BoundsConfig | None = None) -> float:

@@ -24,12 +24,12 @@ class Scan(NamedTuple):
     """Result of a row-batched extremum scan.  value, arg, est_error and
     diverging are (rows, 2), column 0 the infimum lanes and 1 the supremum.
 
-    est_error is the neighbour-cell value gap at the winning grid cell, to be
-    applied as slack; at the t_min edge it also covers how far the probes
-    below t_min pass the value.  diverging: a probe family trends away, or
-    the grid meets an infinity in the unbounded direction.  probe_max, (rows,),
-    is a row's largest finite probe value (NaN without one), for the caller's
-    magnitude thresholds.
+    value and arg are a lane's grid extremum and its grid point.  est_error
+    is the neighbour-cell value gap there, to be applied as slack; at the
+    t_min edge it also covers how far the probes below t_min pass the value.
+    diverging: a probe family trends away, or the grid meets an infinity in
+    the unbounded direction.  probe_max, (rows,), is a row's largest finite
+    probe value (NaN without one), for the caller's magnitude thresholds.
     """
 
     value: np.ndarray
@@ -39,17 +39,6 @@ class Scan(NamedTuple):
     probe_max: np.ndarray
 
 
-# Bracket zoom: each round samples _ZOOM_POINTS interior points per lane and
-# keeps the two cells around the lane's best sample, so a bracket shrinks
-# (_ZOOM_POINTS + 1)/2 = 16-fold per round.  Twelve rounds take a cell of the
-# default 2048-point log grid (relative width ~1.4e-2) below float
-# resolution.  The round count is fixed: a lane's result never depends on the
-# other lanes of its batch.
-_ZOOM_POINTS = 31
-_ZOOM_ROUNDS = 12
-# A round's samples at fractions k/(_ZOOM_POINTS + 1) of the bracket, k = 0
-# and _ZOOM_POINTS + 1 being the bracket ends themselves.
-_ZOOM_FRAC = np.arange(_ZOOM_POINTS + 2, dtype=np.float64) / (_ZOOM_POINTS + 1)
 # Lane signs: the infimum lanes as they are, the supremum lanes negated, so
 # every lane minimizes.  _LANE_SIGN broadcasts over (rows, 2, points).
 _SIGN = np.array([1.0, -1.0])
@@ -62,51 +51,6 @@ _LADDER.flags.writeable = False
 _TREND_WINDOW = 8
 # Offsets of a grid lane's left neighbour, itself and its right neighbour.
 _NEIGHBOURS = np.array([-1, 0, 1])
-
-
-def _zoom(h, lo: np.ndarray, hi: np.ndarray, value: np.ndarray, arg: np.ndarray):
-    """Zoom in on each lane's extremum of h inside its bracket [lo, hi], all at once.
-
-    lo, hi, value and arg have shape (rows, 2): column 0 holds the infimum
-    lanes, column 1 the supremum lanes, value and arg each lane's grid
-    extremum.  h maps a (rows, L) array of t to (rows, L) values.  Returns
-    the (value, arg) pair with every lane moved to its best sample that
-    strictly beats the grid value, if any.
-
-    Each round lays a lane's samples out as one padded row [lo, xs..., hi],
-    so the next bracket is read off the row around the best sample.  Column
-    0 is lo + d*0 = lo exactly, and hi is stored rather than computed, since
-    lo + (hi - lo) need not round to hi: a bracket end is always a sample of
-    an earlier round or of the grid.  Non-finite samples never win: argmin
-    picks a lane's first NaN, or else its first -inf, so a pick above -inf
-    proves the lane holds neither; only otherwise are they masked with +inf
-    and the lanes picked again.  A +inf sample needs no mask: it is +inf
-    either way, and +inf never beats the best value.
-    """
-    rows = lo.shape[0]
-    best = _SIGN * value
-    lanes = np.arange(2 * rows).reshape(rows, 2)
-    sample_at = lanes * _ZOOM_POINTS
-    edge_at = lanes * _ZOOM_FRAC.size
-    for _ in range(_ZOOM_ROUNDS):
-        pts = lo[..., None] + (hi - lo)[..., None] * _ZOOM_FRAC
-        pts[..., -1] = hi
-        vals = h(pts[..., 1:-1].reshape(rows, -1)).reshape(rows, 2, _ZOOM_POINTS)
-        work = _LANE_SIGN * vals
-        j = work.argmin(axis=-1)
-        w = work.ravel()[sample_at + j]
-        if not w.min() > -np.inf:  # a NaN or -inf pick
-            work = np.where(np.isfinite(work), work, np.inf)
-            j = work.argmin(axis=-1)
-            w = work.ravel()[sample_at + j]
-        at = edge_at + j
-        flat = pts.ravel()
-        better = w < best
-        if np.count_nonzero(better):
-            best = np.where(better, w, best)
-            arg = np.where(better, flat[at + 1], arg)
-        lo, hi = flat[at], flat[at + 2]
-    return _SIGN * best, arg
 
 
 def _diverging(values: np.ndarray) -> np.ndarray:
@@ -163,13 +107,12 @@ def scan_extrema(
 ) -> Scan:
     """One grid scan of each row of h over [t_min, 1]: an (inf, sup) lane pair per row.
 
-    h is row-batched: it maps a 1-d t of length L to a (rows, L) array, and
-    a (rows, L) t to (rows, L) values with row i taken at t[i].
+    h is row-batched: it maps a 1-d t of length L to a (rows, L) array.
 
-    Log-spaced coarse grid, a vectorized bracket zoom over the two cells
-    around every row's grid extremum, then limit diagnostics on a geometric
-    ladder t = 2^-k (k <= 40) and on any caller-declared probe points, each
-    family judged separately per row.
+    Log-spaced coarse grid, whose extremes and their grid points are the
+    reported value and arg, then limit diagnostics on a geometric ladder
+    t = 2^-k (k <= 40) and on any caller-declared probe points, each family
+    judged separately per row.
 
     NaN and +-inf never win: a row's grid extremes are its first finite
     minimum and maximum, and a row without a finite value keeps index 0.
@@ -178,8 +121,8 @@ def scan_extrema(
     finite.  Only otherwise is the grid masked, picked again and checked for
     blow-ups.  A lane's error is the larger gap to a finite grid neighbour
     (inf without one); the t_min edge widens it only where the lane's value
-    is finite.  Every evaluation of h, grid, zoom and probes, runs inside
-    this function's floating-point state, so none of it raises a warning.
+    is finite.  Every evaluation of h, grid and probes, runs inside this
+    function's floating-point state, so none of it raises a warning.
     """
     if grid_n < 256:
         raise ValueError("grid_n must be >= 256")
@@ -187,7 +130,6 @@ def scan_extrema(
         raise ValueError("t_min must lie in (0, 1)")
     ts = _log_grid(float(t_min), int(grid_n))
     vs = np.asarray(h(ts), dtype=np.float64)
-    rows = vs.shape[0]
     # lanes (row, mode), mode 0 the infimum and 1 the supremum
     idx = np.array([vs.argmin(axis=1), vs.argmax(axis=1)]).T
     near, near_vals = _neighbourhood(vs, idx)
@@ -209,11 +151,7 @@ def scan_extrema(
         gap = np.abs(value[..., None] - near_vals)  # inf - inf is NaN where no value is finite
         est_error = np.where(ok, gap, -np.inf).max(axis=-1)
         est_error[est_error == -np.inf] = np.inf
-    bracket = ts[near]
-    arg = bracket[..., 1]
-
-    if rows:  # an empty batch has no lanes to zoom in on
-        value, arg = _zoom(h, bracket[..., 0], bracket[..., 2], value, arg)
+    arg = ts[idx]
 
     # probe families: geometric ladder toward 0, then declared points
     families = [_LADDER]

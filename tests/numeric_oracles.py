@@ -27,8 +27,6 @@ from extenso.extensivity import _require_sandwich_flags
 from extenso.numerics import (
     _LADDER_K,
     _TREND_WINDOW,
-    _ZOOM_POINTS,
-    _ZOOM_ROUNDS,
     Scan,
     _log_grid,
     scan_extrema,
@@ -309,35 +307,6 @@ def global_extremum(
 # ---------------------------------------------------------------------------
 
 
-def _reference_zoom(h, lo: np.ndarray, hi: np.ndarray, best: np.ndarray):
-    """Minimize each lane's signed h inside its bracket [lo, hi], all at once.
-
-    lo, hi and best have shape (rows, 2): column 0 holds the infimum lanes,
-    column 1 the supremum lanes, and best each lane's grid value with the
-    sign applied (negated for the supremum).  h maps a (rows, L) array of t
-    to (rows, L) values.  Returns (arg, best) of the same shape; arg is nan
-    in lanes where no finite sample beat the grid value.
-    """
-    shape = lo.shape
-    frac = np.arange(1, _ZOOM_POINTS + 1, dtype=np.float64) / (_ZOOM_POINTS + 1)
-    sign = np.tile([1.0, -1.0], shape[0])[:, None]
-    lanes = np.arange(lo.size)
-    lo, hi, best = lo.ravel(), hi.ravel(), best.ravel()
-    arg = np.full(lo.shape, np.nan)
-    for _ in range(_ZOOM_ROUNDS):
-        xs = lo[:, None] + (hi - lo)[:, None] * frac
-        vals = h(xs.reshape(shape[0], -1)).reshape(xs.shape)
-        work = np.where(np.isfinite(vals), sign * vals, np.inf)
-        j = np.argmin(work, axis=1)
-        w = work[lanes, j]
-        better = w < best
-        best = np.where(better, w, best)
-        arg = np.where(better, xs[lanes, j], arg)
-        edges = np.concatenate([lo[:, None], xs, hi[:, None]], axis=1)
-        lo, hi = edges[lanes, j], edges[lanes, j + 2]
-    return arg.reshape(shape), best.reshape(shape)
-
-
 def reference_trend_labels(values: np.ndarray) -> tuple[str, str]:
     """Trend of h along a probe family ordered by decreasing t, judged for
     the infimum and for the supremum.
@@ -369,20 +338,19 @@ def reference_scan_extrema(
     grid_n: int = 2048,
     probe_points: tuple[float, ...] = (),
 ) -> Scan:
-    """scan_extrema as it was before its zoom rounds and grid reduction were
-    rewritten with fewer numpy calls; the rewrite must match it bit for bit.
-    Its divergence flags come from the per-row trend labels that the scan's
+    """scan_extrema as it was before its grid reduction was rewritten with
+    fewer numpy calls; the rewrite must match it bit for bit.  Its
+    divergence flags come from the per-row trend labels that the scan's
     block judge replaced.
 
     One grid scan of each row of h over [t_min, 1]: an (inf, sup) pair per row.
 
-    h is row-batched: it maps a 1-d t of length L to a (rows, L) array, and
-    a (rows, L) t to (rows, L) values with row i taken at t[i].
+    h is row-batched: it maps a 1-d t of length L to a (rows, L) array.
 
-    Log-spaced coarse grid, a vectorized bracket zoom over the two cells
-    around every row's grid extremum, then limit diagnostics on a geometric
-    ladder t = 2^-k (k <= 40) and on any caller-declared probe points, each
-    family judged separately per row.
+    Log-spaced coarse grid, whose extremes and their grid points are the
+    reported value and arg, then limit diagnostics on a geometric ladder
+    t = 2^-k (k <= 40) and on any caller-declared probe points, each family
+    judged separately per row.
     """
     if grid_n < 256:
         raise ValueError("grid_n must be >= 256")
@@ -407,13 +375,6 @@ def reference_scan_extrema(
         gap = np.abs(value - vs[rix, nb])
         est_error = np.maximum(est_error, np.where(ok, gap, -np.inf))
     est_error[est_error == -np.inf] = np.inf
-
-    lo = ts[np.maximum(idx - 1, 0)]
-    hi = ts[np.minimum(idx + 1, grid_n - 1)]
-    z_arg, z_best = _reference_zoom(h, lo, hi, sign * value)
-    moved = ~np.isnan(z_arg)
-    value = np.where(moved, sign * z_best, value)
-    arg = np.where(moved, z_arg, arg)
 
     # probe families: geometric ladder toward 0, then declared points
     families = [2.0 ** -np.arange(1, _LADDER_K + 1, dtype=np.float64)]

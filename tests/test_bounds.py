@@ -244,6 +244,38 @@ class TestColumnBounds:
         assert [repr(cb) for cb in columns(column_bounds(d, rs))] == [repr(cb) for cb in singles]
 
 
+def closed_form_envelope(label, r):
+    """(lower, upper) = r^2 (inf, sup) over t in (0, 1] of s''(rt)/s''(t)."""
+    if label == "bg":
+        return r, r
+    if label == "remark5":  # cot(pi r t/4)/cot(pi t/4) falls from 1/r at t -> 0 to cot(pi r/4) at t = 1
+        return r, r * r / np.tan(np.pi * r / 4.0)
+    q = float(label.removeprefix("tsallis(q=").removesuffix(")"))
+    return r**q, r**q
+
+
+log_uniform_r = st.floats(-6.0, 0.0).map(lambda e: 10.0**e)
+
+
+class TestClosedFormEnvelope:
+    """The grid bounds lie within their own error of the closed-form envelope."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(log_uniform_r, min_size=1, max_size=8))
+    @pytest.mark.parametrize("d", [
+        bg_density(), tsallis_density(0.1), tsallis_density(0.5), tsallis_density(2.0),
+        tsallis_density(3.0), remark5_density(),
+    ], ids=lambda d: d.label)
+    def test_within_est_error(self, d, rs):
+        cb = column_bounds(d, rs)
+        r = cb.r
+        want_lower, want_upper = closed_form_envelope(d.label, r)
+        # est_error does not model the rounding of s'': 1e-14 relative covers it
+        assert (np.abs(cb.lower - want_lower) <= r * r * cb.err_inf + 1e-14 * want_lower).all()
+        assert (np.abs(cb.upper - want_upper) <= r * r * cb.err_sup + 1e-14 * want_upper).all()
+        assert not cb.divergent.any()
+
+
 class TestPhi:
     def test_remark5_closed_form(self):
         phi = phi_from_density(remark5_density())

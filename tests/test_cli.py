@@ -789,15 +789,28 @@ class TestNonFiniteFlags:
         # the scan keeps the density's overflow at r = 1e-300 quiet, so a
         # run that turns RuntimeWarning into an error prints the same payload
         args = ["bounds", "--density", "tsallis", "--q", "0.1", "--r", "1e-300"]
-        src = str(Path(extenso.__file__).resolve().parents[1])
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-        proc = subprocess.run(
-            [sys.executable, "-W", "error::RuntimeWarning", "-m", "extenso.cli", *args],
-            env=env, capture_output=True, text=True,
-        )
-        assert (proc.returncode, proc.stderr) == (0, "")
-        code, out = run_cli(args, capsys)
-        assert code == 0 and proc.stdout == out
+        assert_quiet_under_warnings_as_errors(args, capsys)
+
+    @pytest.mark.parametrize("command", ["axioms", "residual"])
+    def test_huge_tsallis_q_under_warnings_as_errors(self, command, capsys):
+        # (q - 1) log r overflows to -inf in tsallis s and s' at tiny r; the
+        # density ignores that overflow, and expm1(-inf) = -1 is the limit
+        args = [command, "--density", "tsallis", "--q", "1e308", "--instances", "3"]
+        assert_quiet_under_warnings_as_errors(args, capsys)
+
+
+def assert_quiet_under_warnings_as_errors(args: list[str], capsys) -> None:
+    """The command exits 0 with an empty stderr in a fresh interpreter that
+    turns RuntimeWarning into an error, and prints what it prints in process."""
+    src = str(Path(extenso.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run(
+        [sys.executable, "-W", "error::RuntimeWarning", "-m", "extenso.cli", *args],
+        env=env, capture_output=True, text=True,
+    )
+    assert (proc.returncode, proc.stderr) == (0, "")
+    code, out = run_cli(args, capsys)
+    assert code == 0 and proc.stdout == out
 
 
 # Run one CLI command, its payload written to the path in argv[1], then print

@@ -144,6 +144,16 @@ class TestSandwich:
         rep = sandwich_check(d, random_joint(3, 3, seed=2), tolerance=1e-3)
         assert rep.tolerance == 1e-3
 
+    def test_report_is_packed(self):
+        # 4 float64 and a verdict code, no instance dict; bytes.lower and
+        # bytes.upper are shadowed by the fields
+        rep = sandwich_check(remark5_density(), random_joint(3, 3, seed=2))
+        assert isinstance(rep, bytes) and len(rep) == 33 and not hasattr(rep, "__dict__")
+        assert list(rep.to_dict()) == list(SandwichReport._fields)
+        assert [type(v) for v in rep.to_dict().values()] == [float] * 6 + [str, bool]
+        assert (rep.slack_lower, rep.slack_upper) == (rep.diff - rep.lower, rep.upper - rep.diff)
+        assert rep.verdict == "pass" and rep.divergent is False
+
 
 class TestIff:
     @pytest.mark.parametrize("x", [0.02, 0.01, 0.005])
@@ -515,8 +525,8 @@ class TestSandwichBlock:
         grids = random_grids(4, 4, list(range(40)), concentration=0.05)
         block = sandwich_block(d, grids, *factor_grids(grids))
         assert isinstance(block, SandwichReport) and all(v.shape == (40,) for v in block)
-        rows = [SandwichReport._make(row) for row in zip(*(v.tolist() for v in block))]
-        assert [repr(rep) for rep in rows] == [repr(sandwich_check(d, JointMatrix(g))) for g in grids]
+        rows = [dict(zip(SandwichReport._fields, row)) for row in zip(*(v.tolist() for v in block))]
+        assert [repr(row) for row in rows] == [repr(sandwich_check(d, JointMatrix(g)).to_dict()) for g in grids]
 
     def test_tolerance_overrides_every_row(self):
         grids = random_grids(3, 3, list(range(6)))
@@ -540,7 +550,8 @@ class TestSandwichBlock:
         assert block.verdict.tolist() == ["divergent"] * 20 and block.divergent.all()
         for g, got in zip(grids, zip(*(v.tolist() for v in block))):
             P = JointMatrix(g)
-            assert repr(SandwichReport._make(got)) == repr(sandwich_check(d, P, tolerance=tolerance))
+            row = dict(zip(SandwichReport._fields, got))
+            assert repr(row) == repr(sandwich_check(d, P, tolerance=tolerance).to_dict())
             if tolerance is None:
                 assert repr(sandwich_check(d, P).to_dict()) == repr(reference_sandwich(d, P))
 
