@@ -2,7 +2,7 @@
 
 Probability types and factorization (`simplex`), the density catalog and
 entropy evaluation (`densities`), the extremum scan (`numerics`),
-curvature-ratio coefficient bounds and the phi profile (`bounds`), and the
+curvature-ratio coefficient bounds and the growth index theta (`bounds`), and the
 verification layer: extensivity residuals, the two-sided sandwich check,
 power-law coefficient recovery, and the axiom suite (`extensivity`).
 `extenso.cli` is the command-line front end.

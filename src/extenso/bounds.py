@@ -1,4 +1,4 @@
-"""Curvature-ratio coefficient bounds, the phi correspondence, and theta.
+"""Curvature-ratio coefficient bounds, and the growth index theta of phi = -1/s''.
 
 For a density with negative curvature, the coefficient envelope at r is
 r^2 times the inf/sup over t in (0,1] of s''(rt)/s''(t).  The scan truncates
@@ -11,11 +11,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
-from .densities import Density, canonical_grid
+from .densities import Density
 from .numerics import Scan, scan_extrema
 
 __all__ = [
@@ -23,15 +23,13 @@ __all__ = [
     "CoefficientBounds",
     "coefficient_bounds",
     "column_bounds",
-    "phi_from_density",
     "theta_phi",
 ]
 
 # A column whose coefficient r^2 * ratio passes this on any probe is divergent.
 DIVERGENCE_THRESHOLD = 1e12
-# Rows per envelope scan: a scan holds several (rows x grid_n) blocks.  On a
-# 2000-joint 4 x 4 verify-sandwich, 128 rows peak at 46.6 MB against 41.8 MB
-# for one scan per joint and 79.7 MB for 800 rows; 32 to 512 rows run at one speed.
+# Rows per envelope scan; a scan holds several (rows x grid_n) blocks.  A 2000-joint 4 x 4
+# verify-sandwich peaks at 44.2 MB, against 42.7 at one joint a scan and 74.6 at 800 rows.
 SCAN_ROWS = 128
 
 
@@ -110,44 +108,8 @@ def coefficient_bounds(d: Density, r: float, cfg: BoundsConfig | None = None) ->
 
 
 # ---------------------------------------------------------------------------
-# phi = -1/s'' and the growth index theta
+# the growth index theta of phi = -1/s''
 # ---------------------------------------------------------------------------
-
-
-def phi_from_density(d: Density) -> Callable:
-    """Deformation profile phi, vectorized: -1/s'' on (0, 1], continued
-    linearly beyond 1 with the one-sided slope at 1.  Rejects curvature that
-    is not negative or a profile that is not positive and nondecreasing on
-    the sample grid."""
-    s2 = d.eval_s2
-    grid = canonical_grid()
-    vals = np.asarray(s2(grid), dtype=np.float64)
-    if not np.all(vals < 0.0):
-        t_bad = float(grid[np.argmax(vals >= 0.0)])
-        raise ValueError(f"s'' >= 0 at t={t_bad}; phi undefined")
-
-    phi_at_1 = float(-1.0 / np.asarray(s2(1.0)))
-    h = 1e-5
-    # one-sided O(h^2) slope of phi at 1 for the linear continuation
-    p0 = phi_at_1
-    p1 = float(-1.0 / np.asarray(s2(1.0 - h)))
-    p2 = float(-1.0 / np.asarray(s2(1.0 - 2 * h)))
-    slope = (3.0 * p0 - 4.0 * p1 + p2) / (2.0 * h)
-
-    def eval_phi(r):
-        r = np.asarray(r, dtype=np.float64)
-        inner = -1.0 / np.asarray(s2(np.minimum(r, 1.0)))
-        outer = phi_at_1 + slope * (r - 1.0)
-        out = np.where(r <= 1.0, inner, outer)
-        return float(out) if out.ndim == 0 else out
-
-    sample = np.concatenate([grid, 1.0 + np.linspace(0.01, 9.0, 64)])
-    pv = eval_phi(sample)
-    if not np.all(pv > 0.0):
-        raise ValueError("phi not positive on the sample grid")
-    if np.any(np.diff(pv) < -1e-10):
-        raise ValueError("phi not nondecreasing on the sample grid")
-    return eval_phi
 
 
 # theta's log grid over r; the odd count keeps r = 1 exactly on it
@@ -156,25 +118,43 @@ THETA_GRID_N = 2001
 THETA_EPS = (1e-4, 1e-5, 1e-6)  # forward steps relative to r
 
 
-def theta_phi(phi: Callable) -> float:
-    """Growth index: sup over r of (r/phi(r)) times the upper forward
-    difference quotient of phi, the quotient maximized over an eps-ladder
-    of steps eps*r (equals r phi'/phi for differentiable phi).
+def theta_phi(d: Density) -> float:
+    """Growth index of phi = -1/s'' on (0, 1], continued linearly beyond 1
+    with the one-sided slope at 1: sup over r of (r/phi(r)) times phi's upper
+    forward difference quotient over steps eps*r, eps in THETA_EPS (r phi'/phi
+    for differentiable phi); an absolute step would inflate convex profiles.
 
-    Steps must scale with r: an absolute step is not small against the low
-    end of the r grid and would inflate the quotient for convex profiles.
-    Returns math.inf on overflow or non-finite quotients.
+    Raises ValueError unless s'' < 0 on {k/2048} and phi is positive and
+    nondecreasing there and on 64 continuation points.  Returns math.inf on
+    overflow or non-finite quotients.
     """
+    s2 = d.eval_s2
+    grid = np.arange(1, 2049, dtype=np.float64) / 2048
+    vals = np.asarray(s2(grid), dtype=np.float64)
+    if not np.all(vals < 0.0):
+        raise ValueError(f"s'' >= 0 at t={float(grid[np.argmax(vals >= 0.0)])}; phi undefined")
+    # one-sided O(h^2) slope of phi at 1, h = 1e-5, for the linear continuation
+    p0, p1, p2 = (float(-1.0 / np.asarray(s2(t))) for t in (1.0, 1.0 - 1e-5, 1.0 - 2e-5))
+    slope = (3.0 * p0 - 4.0 * p1 + p2) / 2e-5
+
+    def phi(r):
+        inner = -1.0 / np.asarray(s2(np.minimum(r, 1.0)))
+        return np.where(r <= 1.0, inner, p0 + slope * (r - 1.0))
+
+    pv = phi(np.concatenate([grid, 1.0 + np.linspace(0.01, 9.0, 64)]))
+    if not np.all(pv > 0.0):
+        raise ValueError("phi not positive on the sample grid")
+    if np.any(np.diff(pv) < -1e-10):
+        raise ValueError("phi not nondecreasing on the sample grid")
     rs = np.geomspace(*THETA_R_RANGE, THETA_GRID_N)
-    base = np.asarray(phi(rs), dtype=np.float64)
+    base = phi(rs)
     if not np.all(base > 0.0):
         return math.inf
     best = np.full(rs.shape, -np.inf)
     for eps in THETA_EPS:
         shifted = rs * (1.0 + eps)
         h_eff = shifted - rs  # exactly representable step
-        quot = (np.asarray(phi(shifted)) - base) / h_eff
-        best = np.maximum(best, quot)
+        best = np.maximum(best, (phi(shifted) - base) / h_eff)
     theta = (rs / base) * best
     if not np.all(np.isfinite(theta)):
         return math.inf

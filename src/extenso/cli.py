@@ -21,7 +21,7 @@ import sys
 import numpy as np
 
 from . import __version__
-from .bounds import BoundsConfig, coefficient_bounds, column_bounds, phi_from_density, theta_phi
+from .bounds import BoundsConfig, coefficient_bounds, column_bounds, theta_phi
 from .densities import bg_density, remark2_density, remark5_density, tsallis_density
 from .extensivity import (
     axiom_suite,
@@ -346,12 +346,10 @@ def _cmd_axioms(args, parser) -> tuple[dict, int]:
 def _cmd_theta_phi(args, parser) -> tuple[dict, int]:
     d = _resolve_density(args, parser)
     try:
-        phi = phi_from_density(d)
+        value = theta_phi(d)
     except ValueError as e:
         parser.error(f"density {d.label} has no deformation profile: {e}")
-    value = theta_phi(phi)
-    payload = {"density": d.label, "check": "theta-phi", "theta": value}
-    return payload, 0
+    return {"density": d.label, "check": "theta-phi", "theta": value}, 0
 
 
 _COMMANDS = {

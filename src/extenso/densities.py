@@ -38,7 +38,6 @@ __all__ = [
     "remark5_density",
     "entropy",
     "joint_entropies",
-    "canonical_grid",
 ]
 
 QUARTER_PI = _kernels.QUARTER_PI
@@ -73,11 +72,6 @@ def EntropyFunctional(d: Density) -> Density:
     returns d itself: every function here takes the density.  The name stays
     for the benchmark harness, which builds one per density."""
     return d
-
-
-def canonical_grid() -> np.ndarray:
-    """The sampling grid {k/2048 : 1 <= k <= 2048} over (0, 1]."""
-    return np.arange(1, 2049, dtype=np.float64) / 2048
 
 
 # joint_entropies hands eval_s whole joints, up to this many points a call

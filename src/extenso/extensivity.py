@@ -24,7 +24,7 @@ from ._kernels import fsum_rows
 from .bounds import BoundsConfig, CoefficientBounds, coefficient_bounds, column_bounds  # noqa: F401
 # entropy, marginal and conditional stay importable from here: perfbench/tracer.py patches them
 from .densities import Density, entropy, joint_entropies  # noqa: F401
-from .simplex import InvalidDistributionError, JointMatrix, check_rows, conditional, marginal  # noqa: F401
+from .simplex import InvalidDistributionError, JointMatrix, conditional, marginal  # noqa: F401
 
 __all__ = [
     "extensivity_residual",
@@ -127,6 +127,12 @@ class SandwichCheck(bytes):
         """SandwichReport's fields in order."""
         return {name: getattr(self, name) for name in SandwichReport._fields}
 
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{k}={getattr(self, k)!r}" for k in ("diff", "lower", "upper", "tolerance", "verdict"))
+        return f"SandwichCheck({fields})"
+
+    __str__ = __repr__  # bytes.__str__ would show the raw bytes
+
 
 # the last entry of the gap, lower, upper and tolerance sums: the tolerance's floor
 _SUM_PAD = np.array([-0.0, -0.0, -0.0, 1e-9])
@@ -200,7 +206,7 @@ def iff_lhs(d: Density, P: JointMatrix, cfg: BoundsConfig | None = None) -> floa
     The two-sided estimate only sharpens the trivial monotonicity bound when
     this is nonnegative; it can go negative (see iff_counterexample_matrix).
     """
-    return sandwich_check(d, P, cfg).lower
+    return sandwich_block(d, *P.stack, cfg).lower.item()
 
 
 def iff_counterexample_matrix(x: float) -> JointMatrix:
@@ -394,7 +400,8 @@ def axiom_suite(
     S(p) <= S(uniform) + 1e-12.  Expandability: appending a zero coordinate
     changes nothing, exactly.  Without trials both would hold vacuously.
     Each entropy is a row sum (math.fsum, by ``_kernels.fsum_rows``) of one
-    zero-padded block of s values.
+    zero-padded block of s values.  The rows are built here and sum to 1
+    within (n + 4) u, u = 2**-53, so none is checked.
     """
     if not d.s0_zero:
         raise ValueError("axiom suite needs the s(0) = 0 convention")
@@ -431,8 +438,6 @@ def axiom_suite(
     # each p toward its q (eps-major) and every p with a zero appended.
     rows = np.concatenate([uniform, p, mixed, p], axis=1)
     n_rows = rows.shape[1]
-    # the appended-zero rows are p rows, already in the block
-    check_rows(np.concatenate([rows[:, : n_rows - trials], q], axis=1).reshape(-1, width))
     # true lengths: n, or n + 1 where s is evaluated at the appended zero too
     lengths = ns + (np.arange(n_rows) >= n_rows - trials)
     cells = col < lengths[..., None]

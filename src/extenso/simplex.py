@@ -44,9 +44,9 @@ class RandomGenerationError(RuntimeError):
 def check_rows(block: np.ndarray) -> None:
     """Raise InvalidDistributionError unless every row of a 2-d float block
     is a point of the simplex: nonempty, no negative or NaN entry, and a
-    math.fsum within SUM_TOL of 1.  densities.entropy runs exactly these
-    checks on its vector as a one-row block; factor_grids, and so
-    JointMatrix, on the flattened grids, the marginals and the conditionals.
+    math.fsum within SUM_TOL of 1.  It runs where outside input enters:
+    densities.entropy on its vector as a one-row block, and factor_grids (so
+    JointMatrix) on the flattened grids.
 
     Only rows near the tolerance edge need fsum.  Any summation order of n
     nonnegative entries with exact sum S errs by at most (n-1)*u*S, with
@@ -77,7 +77,7 @@ class JointMatrix:
 
     Construction factors the grid as the one-grid case of factor_grids:
     column_marginals (n,) and conditionals (n, m), whose row j is column
-    j + 1 over its marginal, are read-only and checked by check_rows.
+    j + 1 over its marginal, are read-only and valid by construction.
     """
 
     entries: np.ndarray
@@ -111,12 +111,12 @@ class JointMatrix:
 
 def factor_grids(grids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Marginals (N, n) and conditional blocks (N, n, m) of N stacked m x n
-    grids, checked as three check_rows blocks: the flattened grids, the
-    marginals and every conditional.
-
-    A column whose marginal falls below MIN_MARGINAL raises
-    ZeroMarginalError.  A marginal's float dust above 1 (an n = 1 grid that
-    sums one ulp high) is read as 1, as column_bounds reads it.
+    grids, after check_rows on the flattened grids.  A column whose marginal
+    falls below MIN_MARGINAL raises ZeroMarginalError; a marginal one ulp
+    above 1 (an n = 1 grid) is read as 1.  Derived rows are valid by
+    construction, so none is checked again: a conditional row sums to 1
+    within (m + 1) u, u = 2**-53, and the marginals within the grid's own
+    tolerance plus (m + 1) u; SUM_TOL dwarfs (m + 1) u at <= 1e4 entries.
     """
     N, m, n = grids.shape
     check_rows(grids.reshape(N, m * n))
@@ -125,10 +125,8 @@ def factor_grids(grids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         k, j = np.unravel_index(np.argmin(cols), cols.shape)
         raise ZeroMarginalError(f"column {j + 1} has marginal {cols[k, j]!r} < {MIN_MARGINAL}")
     np.minimum(cols, 1.0, out=cols)
-    check_rows(cols)
-    # written in (N, n, m) order, so the row check reads it without a copy
+    # written in (N, n, m) order, so joint_entropies reads it without a copy
     conds = np.divide(grids.transpose(0, 2, 1), cols[:, :, None], out=np.empty((N, n, m)))
-    check_rows(conds.reshape(N * n, m))
     return cols, conds
 
 

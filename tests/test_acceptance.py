@@ -10,7 +10,7 @@ import time
 import numpy as np
 import pytest
 
-from extenso.bounds import coefficient_bounds, phi_from_density, theta_phi
+from extenso.bounds import coefficient_bounds, theta_phi
 from extenso.cli import main as cli_main
 from extenso.densities import (
     bg_density,
@@ -126,7 +126,7 @@ def test_criterion_05_logsin_extremes():
     # dividing by r^2 = 1/4, a power of two, recovers the ratio-scale extremes exactly
     inf_err = abs(cb.lower / 0.25 - 2.0)
     sup_err = abs(cb.upper / 0.25 - (1.0 + SQRT2))
-    theta = theta_phi(phi_from_density(d))
+    theta = theta_phi(d)
     theta_err = abs(theta - math.pi / 2.0)
     vals = {x: iff_lhs(d, iff_counterexample_matrix(x)) for x in (0.02, 0.01, 0.005)}
     all_negative = all(v < 0.0 for v in vals.values())

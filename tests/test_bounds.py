@@ -14,7 +14,6 @@ from extenso.bounds import (
     BoundsConfig,
     coefficient_bounds,
     column_bounds,
-    phi_from_density,
     theta_phi,
 )
 from extenso.densities import (
@@ -25,6 +24,7 @@ from extenso.densities import (
     tsallis_density,
 )
 from extenso.simplex import marginal, random_joint
+from numeric_oracles import reference_phi, reference_theta
 
 SQRT2 = math.sqrt(2.0)
 
@@ -277,8 +277,12 @@ class TestClosedFormEnvelope:
 
 
 class TestPhi:
+    """theta_phi builds phi = -1/s'' itself and refuses a density without one.
+    It matches theta over reference_phi bit for bit, so reference_phi's
+    closed forms are phi's."""
+
     def test_remark5_closed_form(self):
-        phi = phi_from_density(remark5_density())
+        phi = reference_phi(remark5_density())
         r = np.linspace(0.05, 1.0, 64)
         np.testing.assert_allclose(
             phi(r), (4.0 / math.pi) * np.tan(np.pi * r / 4.0), rtol=1e-12
@@ -286,53 +290,72 @@ class TestPhi:
         assert phi(1.0) == pytest.approx(4.0 / math.pi, rel=1e-12)
 
     def test_remark5_linear_continuation(self):
-        phi = phi_from_density(remark5_density())
+        phi = reference_phi(remark5_density())
         # slope 2 continuation: 2(r-1) + 4/pi
         for r in (1.5, 2.0, 5.0):
             assert phi(r) == pytest.approx(2.0 * (r - 1.0) + 4.0 / math.pi, abs=1e-8)
 
     def test_bg_identity(self):
-        phi = phi_from_density(bg_density())
+        phi = reference_phi(bg_density())
         r = np.linspace(0.1, 1.0, 16)
         np.testing.assert_allclose(phi(r), r, rtol=1e-12)
 
     def test_tsallis_closed_form(self):
         q = 0.5
-        phi = phi_from_density(tsallis_density(q))
+        phi = reference_phi(tsallis_density(q))
         r = np.linspace(0.1, 1.0, 16)
         np.testing.assert_allclose(phi(r), r ** (2.0 - q) / q, rtol=1e-12)
 
+    CONVEX = Density(
+        label="convex",
+        eval_s=lambda r: np.asarray(r) ** 2,
+        eval_s1=lambda r: 2.0 * np.asarray(r),
+        eval_s2=lambda r: np.full_like(np.asarray(r, dtype=float), 2.0),
+        concave=False,
+    )
+
     def test_rejects_nonconcave(self):
-        convex = Density(
-            label="convex",
-            eval_s=lambda r: np.asarray(r) ** 2,
-            eval_s1=lambda r: 2.0 * np.asarray(r),
-            eval_s2=lambda r: np.full_like(np.asarray(r, dtype=float), 2.0),
-            concave=False,
-        )
         with pytest.raises(ValueError):
-            phi_from_density(convex)
+            theta_phi(self.CONVEX)
 
     def test_rejects_decreasing_profile(self):
         # q > 2 makes -1/s'' decreasing
         with pytest.raises(ValueError):
-            phi_from_density(tsallis_density(3.0))
+            theta_phi(tsallis_density(3.0))
+
+    @pytest.mark.parametrize(
+        "d", [bg_density(), remark5_density(), *(tsallis_density(q) for q in (0.05, 0.5, 1.5, 2.0))],
+        ids=lambda d: d.label,
+    )
+    def test_matches_closure_composition(self, d):
+        # bit for bit the growth index over a separately built profile closure
+        assert repr(theta_phi(d)) == repr(reference_theta(d))
+
+    @pytest.mark.parametrize(
+        "d", [tsallis_density(3.0), remark2_density(), CONVEX], ids=lambda d: d.label,
+    )
+    def test_same_refusal_as_closure(self, d):
+        with pytest.raises(ValueError) as want:
+            reference_theta(d)
+        with pytest.raises(ValueError) as got:
+            theta_phi(d)
+        assert str(got.value) == str(want.value)
 
 
 class TestTheta:
     def test_remark5(self):
-        theta = theta_phi(phi_from_density(remark5_density()))
+        theta = theta_phi(remark5_density())
         assert abs(theta - math.pi / 2.0) <= 1e-3
         assert theta < 2.0
 
     def test_bg(self):
-        theta = theta_phi(phi_from_density(bg_density()))
+        theta = theta_phi(bg_density())
         assert abs(theta - 1.0) <= 1e-6
 
     @pytest.mark.parametrize("q", [0.5, 2.0])
     def test_tsallis_branch(self, q):
         # hand oracle: r phi'/phi = 2 - q on the (0, 1] branch
-        theta = theta_phi(phi_from_density(tsallis_density(q)))
+        theta = theta_phi(tsallis_density(q))
         assert abs(theta - (2.0 - q)) <= 1e-3
 
     def test_config_grid_contains_one(self):

@@ -13,7 +13,7 @@ from extenso.densities import (
     remark5_density,
     tsallis_density,
 )
-from extenso import densities, extensivity, simplex
+from extenso import densities, simplex
 from extenso.cli import batch_report
 from extenso.extensivity import (
     SandwichReport,
@@ -154,8 +154,21 @@ class TestSandwich:
         assert (rep.slack_lower, rep.slack_upper) == (rep.diff - rep.lower, rep.upper - rep.diff)
         assert rep.verdict == "pass" and rep.divergent is False
 
+    @pytest.mark.parametrize("d", [remark5_density(), shifted_density(remark2_density())], ids=lambda d: d.label)
+    def test_repr_names_every_stored_field(self, d):
+        rep = sandwich_check(d, random_joint(4, 4, seed=2, concentration=0.05))
+        stored = ("diff", "lower", "upper", "tolerance", "verdict")
+        want = ", ".join(f"{k}={rep.to_dict()[k]!r}" for k in stored)
+        assert repr(rep) == str(rep) == f"SandwichCheck({want})"
+        assert len(rep) == 33
+
 
 class TestIff:
+    @pytest.mark.parametrize("x", [0.3, 0.01])
+    def test_is_the_sandwich_lower_line(self, x):
+        d, P = remark5_density(), iff_counterexample_matrix(x)
+        assert repr(iff_lhs(d, P)) == repr(sandwich_check(d, P).lower)
+
     @pytest.mark.parametrize("x", [0.02, 0.01, 0.005])
     def test_negative_for_small_x(self, x):
         d = remark5_density()
@@ -603,8 +616,7 @@ def watch_validation(monkeypatch):
     """Row counts of the blocks passed to check_rows.
 
     entropy checks a lone vector as a one-row block; a JointMatrix checks
-    factor_grids' three blocks: its flattened grid, its marginal and its n
-    conditionals."""
+    its flattened grid, and nothing derived from it."""
     rows = []
     check_rows = simplex.check_rows
 
@@ -612,37 +624,36 @@ def watch_validation(monkeypatch):
         check_rows(block)
         rows.append(block.shape[0])
 
-    for mod in (extensivity, simplex, densities):
+    for mod in (simplex, densities):
         monkeypatch.setattr(mod, "check_rows", counted_check_rows)
     return rows
 
 
 class TestBlockValidation:
-    """Rows derived inside a suite or a joint are validated as blocks: every
-    row is checked, and no vector is checked on its own."""
+    """Outside input is checked once, where it enters; rows derived from it
+    inside a suite or a joint are not checked again."""
 
     @pytest.mark.parametrize("trials", [1, 40])
     def test_suite(self, monkeypatch, trials):
         rows = watch_validation(monkeypatch)
-        sizes = (2, 3, 8)
-        axiom_suite(remark5_density(), sizes=sizes, seed=0, trials=trials)
-        # one padded block: per size the uniform vector and, per trial, p, q
-        # and the 3 eps-mixtures (each p row doubles as p with a zero appended)
-        assert rows == [len(sizes) * (1 + (2 + 3) * trials)]
+        # every row is drawn and normalized inside the suite
+        axiom_suite(remark5_density(), sizes=(2, 3, 8), seed=0, trials=trials)
+        assert rows == []
 
     @pytest.mark.parametrize("m, n", [(2, 2), (9, 7)])
     def test_joint_checks(self, monkeypatch, m, n):
         entries = random_joint(m, n, seed=1).entries
         rows = watch_validation(monkeypatch)
         P = JointMatrix(entries)
-        # the flattened grid, the marginal and the conditional block
-        assert rows == [1, 1, n]
+        # the flattened grid only: its marginal and conditionals are derived
+        assert rows == [1]
         # checks of the joint read its stack and validate nothing more
         d = remark5_density()
         extensivity_residual(d, P, power_coefficient(1.0))
         monotonicity_check(d, P)
         sandwich_check(d, P)
-        assert rows == [1, 1, n]
+        iff_lhs(d, P)
+        assert rows == [1]
 
     def test_sandwich_op_validates_once(self, monkeypatch):
         # the benchmark's sandwich op: one joint, checked under two functionals
@@ -651,8 +662,8 @@ class TestBlockValidation:
         rows = watch_validation(monkeypatch)
         P = JointMatrix(entries)
         reports = [sandwich_check(d, P) for d in pair]
-        # the flattened grid, the marginal and the conditional block
-        assert rows == [1, 1, 4]
+        # the flattened grid only
+        assert rows == [1]
         for d, rep in zip(pair, reports):
             assert repr(rep) == repr(sandwich_check(d, JointMatrix(entries)))
             assert rep.to_dict() == reference_sandwich(d, JointMatrix(entries))

@@ -6,8 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from extenso.densities import bg_density, entropy
+from extenso.densities import bg_density, entropy, remark5_density
+from extenso.extensivity import sandwich_check
 from extenso.simplex import (
+    MIN_MARGINAL,
     SUM_TOL,
     InvalidDistributionError,
     JointMatrix,
@@ -191,6 +193,43 @@ class TestFactorGrids:
     def test_empty_stack(self):
         cols, conds = factor_grids(np.empty((0, 3, 4)))
         assert cols.shape == (0, 4) and conds.shape == (0, 4, 3)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(1, 12), st.integers(1, 12), st.floats(0.01, 5.0), st.integers(0, 2**32 - 1))
+    def test_derived_rows_of_an_accepted_grid_are_valid(self, m, n, concentration, seed):
+        # factor_grids checks only the grid: every row it derives from a grid
+        # check_rows accepts must pass the check on its own.  Every other grid
+        # is scaled so its fsum lands within 64 ulps of a SUM_TOL edge.
+        rng = np.random.default_rng(seed)
+        for k in range(32):
+            g = rng.gamma(concentration, size=(m, n))
+            total = math.fsum(g.ravel().tolist())
+            if total <= 0.0:
+                continue
+            target = 1.0 + rng.choice([-1.0, 1.0]) * (SUM_TOL - int(rng.integers(64)) * 2.0**-53) if k % 2 else 1.0
+            g *= target / total
+            if _outcome(check_rows, g.reshape(1, -1)) is not None:
+                continue
+            try:
+                cols, conds = factor_grids(g[None])
+            except ZeroMarginalError:
+                assert g.sum(axis=0).min() < MIN_MARGINAL
+                continue
+            reference_check_rows(conds[0])
+            assert MIN_MARGINAL <= cols.min() and cols.max() <= 1.0
+            # a marginal entry rounds in m - 1 additions, each fsum once more
+            assert abs(math.fsum(cols[0].tolist()) - 1.0) <= SUM_TOL + (m + 1) * 2.0**-52
+
+    def test_grid_at_the_edge_whose_marginals_round_past_it(self):
+        grid = [[0.2633963895155728, 0.12464101424276561], [0.31007628986316216, 0.3018863063794993]]
+        flat = np.array(grid).ravel().tolist()
+        assert 0.0 < math.fsum(flat) - 1.0 <= SUM_TOL
+        cols, _ = factor_grids(np.array([grid]))
+        # a check of the marginals would refuse the grid the grid check accepts
+        assert math.fsum(cols[0].tolist()) - 1.0 > SUM_TOL
+        P = JointMatrix(grid)
+        assert P.column_marginals.tobytes() == cols[0].tobytes()
+        assert sandwich_check(remark5_density(), P).verdict == "pass"
 
 
 class TestRebuild:
