@@ -21,7 +21,7 @@ import sys
 import numpy as np
 
 from . import __version__
-from .bounds import BoundsConfig, coefficient_bounds, column_bounds, theta_phi
+from .bounds import coefficient_bounds, column_bounds, theta_phi
 from .densities import bg_density, remark2_density, remark5_density, tsallis_density
 from .extensivity import (
     axiom_suite,
@@ -58,11 +58,6 @@ def _add_batch_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--concentration", type=float, default=1.0)
 
 
-def _add_numeric_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--t-min", type=float, default=BoundsConfig.t_min)
-    p.add_argument("--grid-n", type=int, default=BoundsConfig.grid_n)
-
-
 def _add_output_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--output", default=None, help="output path (default stdout)")
     p.add_argument("--format", choices=["json", "csv"], default="json")
@@ -79,8 +74,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify-sandwich", help="two-sided envelope check on random joints")
     _add_density_args(p)
     _add_batch_args(p)
-    _add_numeric_args(p)
-    p.add_argument("--tolerance", type=float, default=None, help="overrides the propagated tolerance")
     _add_output_args(p)
 
     p = sub.add_parser("residual", help="chain-rule residual with a power coefficient")
@@ -96,7 +89,6 @@ def build_parser() -> argparse.ArgumentParser:
         epilog="CSV columns: r,lower,upper,arg_inf,arg_sup,divergent",
     )
     _add_density_args(p)
-    _add_numeric_args(p)
     p.add_argument("--r", type=float, action="append", help="r value (repeatable)")
     p.add_argument("--r-grid", help="START:STOP:COUNT evenly spaced r values")
     _add_output_args(p)
@@ -116,7 +108,6 @@ def build_parser() -> argparse.ArgumentParser:
     kind = kinds.add_parser("remark2", help="the curvature half-ratio ladder")
     kind.add_argument("--k-max", type=int, default=20, help="ladder depth")
     for kind in kinds.choices.values():
-        _add_numeric_args(kind)
         _add_output_args(kind)
 
     p = sub.add_parser("axioms", help="continuity/maximality/expandability suite")
@@ -147,10 +138,6 @@ def _resolve_density(args, parser: argparse.ArgumentParser):
         parser.error(f"bad density: {e}")
 
 
-def _bounds_cfg(args) -> BoundsConfig:
-    return BoundsConfig(t_min=args.t_min, grid_n=args.grid_n)
-
-
 def _validate(args, parser: argparse.ArgumentParser) -> None:
     """Reject out-of-range numeric arguments as usage errors (exit 2)."""
     if getattr(args, "q", None) is not None and args.density != "tsallis":
@@ -166,8 +153,6 @@ def _validate(args, parser: argparse.ArgumentParser) -> None:
         ("instances", lambda v: v >= 0, ">= 0"),
         ("concentration", lambda v: v > 0.0, "> 0"),
         ("power", lambda v: v > 0.0, "> 0"),
-        ("grid_n", lambda v: v >= 256, ">= 256"),
-        ("t_min", lambda v: 0.0 < v < 1.0, "in (0, 1)"),
         ("k_max", lambda v: 1 <= v <= K_MAX_LIMIT, f"in [1, {K_MAX_LIMIT}]"),
         ("max_size", lambda v: v >= 2, ">= 2"),
         ("tolerance", lambda v: v >= 0.0, ">= 0"),
@@ -220,7 +205,7 @@ def _cmd_verify_sandwich(args, parser) -> tuple[dict, int]:
     if not (d.s0_zero and d.s1_zero and d.concave):
         parser.error(f"density {d.label} lacks s(0) = 0, s(1) = 0 or concavity, which the envelope needs")
     grids = _random_grids(args, parser)
-    block = sandwich_block(d, grids, *factor_grids(grids), _bounds_cfg(args), args.tolerance)
+    block = sandwich_block(d, grids, *factor_grids(grids))
     cols = {"instance": range(args.instances), **{k: v.tolist() for k, v in block._asdict().items()}}
     details = [dict(zip(cols, row)) for row in zip(*cols.values())]
     slacks = list(map(min, cols["slack_lower"], cols["slack_upper"]))
@@ -274,7 +259,7 @@ def _parse_r_values(args, parser) -> list[float]:
 
 def _cmd_bounds(args, parser) -> tuple[dict, int]:
     d = _resolve_density(args, parser)
-    cb = column_bounds(d, _parse_r_values(args, parser), _bounds_cfg(args))
+    cb = column_bounds(d, _parse_r_values(args, parser))
     # a column without a finite ratio has no finite bound (null) and is divergent
     cols = {"r": cb.r, "lower": cb.lower, "upper": cb.upper,
             "arg_inf": cb.arg_inf, "arg_sup": cb.arg_sup, "divergent": cb.divergent}
@@ -295,7 +280,7 @@ def _cmd_counterexample(args, parser) -> tuple[dict, int]:
         if not 0.0 < args.x < 1.0:
             parser.error("--x must lie in (0, 1)")
         d = remark5_density()
-        value = iff_lhs(d, iff_counterexample_matrix(args.x), _bounds_cfg(args))
+        value = iff_lhs(d, iff_counterexample_matrix(args.x))
         limit = float(np.asarray(d.eval_s1(1.0))) * _IFF_LIMIT_FACTOR
         payload = {
             "density": d.label,
@@ -316,7 +301,7 @@ def _cmd_counterexample(args, parser) -> tuple[dict, int]:
     cols = {"k": k, "t_k": t_k, "ratio": ratio, "closed_form": closed, "abs_err": np.abs(ratio - closed)}
     rows = [dict(zip(cols, row)) for row in zip(*(v.tolist() for v in cols.values()))]
     monotone = bool(np.all(np.diff(ratio, prepend=-math.inf) > 0.0))
-    cb = coefficient_bounds(d, 0.5, _bounds_cfg(args))
+    cb = coefficient_bounds(d, 0.5)
     payload = {
         "density": d.label,
         "check": "counterexample-remark2",

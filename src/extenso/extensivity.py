@@ -21,7 +21,7 @@ import numpy as np
 
 from ._kernels import fsum_rows
 # coefficient_bounds stays importable from here: perfbench/tracer.py patches it
-from .bounds import BoundsConfig, CoefficientBounds, coefficient_bounds, column_bounds  # noqa: F401
+from .bounds import CoefficientBounds, coefficient_bounds, column_bounds  # noqa: F401
 # entropy, marginal and conditional stay importable from here: perfbench/tracer.py patches them
 from .densities import Density, entropy, joint_entropies  # noqa: F401
 from .simplex import InvalidDistributionError, JointMatrix, conditional, marginal  # noqa: F401
@@ -35,7 +35,6 @@ __all__ = [
     "recover_f",
     "iff_counterexample_matrix",
     "axiom_suite",
-    "monotonicity_check",
     "power_coefficient",
 ]
 
@@ -146,7 +145,6 @@ def _require_sandwich_flags(d: Density) -> None:
 
 def sandwich_block(
     d: Density, grids: np.ndarray, marginals: np.ndarray, conditionals: np.ndarray,
-    cfg: BoundsConfig | None = None, tolerance: float | None = None,
 ) -> SandwichReport:
     """sandwich_check of N joints in one pass: a SandwichReport whose row k
     is bit-equal to sandwich_check(d, JointMatrix(grids[k])).
@@ -160,7 +158,7 @@ def sandwich_block(
     s1_at_1 = float(np.asarray(d.eval_s1(1.0)))
     N, n = marginals.shape
     S_joint, S_marg, cond = joint_entropies(d, grids, marginals, conditionals)
-    cb: CoefficientBounds = column_bounds(d, marginals, cfg)
+    cb: CoefficientBounds = column_bounds(d, marginals)
     lo, up = cb.lower.reshape(N, n), cb.upper.reshape(N, n)
     # one-sided grid errors, propagated linearly on the f scale
     err = (cb.r * cb.r * (cb.err_inf + cb.err_sup)).reshape(N, n)
@@ -176,37 +174,30 @@ def sandwich_block(
     diff = S_joint - S_marg
     # a propagated tolerance that is not finite would pass any slack: skip the joint
     divergent = cb.divergent.reshape(N, n).any(axis=1) | ~np.isfinite(tol)
-    if tolerance is not None:
-        tol = np.full(N, float(tolerance))
     slack_lower, slack_upper = diff - lower, upper - diff
     verdict = _VERDICTS[np.where(divergent, 2, (slack_lower >= -tol) & (slack_upper >= -tol))]
     return SandwichReport(diff, lower, upper, slack_lower, slack_upper, tol, verdict, divergent)
 
 
-def sandwich_check(
-    d: Density,
-    P: JointMatrix,
-    cfg: BoundsConfig | None = None,
-    tolerance: float | None = None,
-) -> SandwichCheck:
+def sandwich_check(d: Density, P: JointMatrix) -> SandwichCheck:
     """Verify lower <= S(P) - S(marginal) <= upper within propagated slack.
 
     Requires s(0) = 0, s(1) = 0 and negative curvature (the envelope's
-    hypotheses).  An explicit tolerance overrides the propagated one.  The
-    one-joint case of sandwich_block, on P's own checked stack.
+    hypotheses).  The one-joint case of sandwich_block, on P's own checked
+    stack.
     """
-    b = sandwich_block(d, *P.stack, cfg, tolerance)
+    b = sandwich_block(d, *P.stack)
     code = _VERDICT_NAMES.index(b.verdict[0])
     return SandwichCheck(_SANDWICH_NUMBERS.pack(b.diff[0], b.lower[0], b.upper[0], b.tolerance[0], code))
 
 
-def iff_lhs(d: Density, P: JointMatrix, cfg: BoundsConfig | None = None) -> float:
+def iff_lhs(d: Density, P: JointMatrix) -> float:
     """The envelope's lower line: sum_j lower_j S_j + s'(1) sum_j (upper_j - lower_j).
 
     The two-sided estimate only sharpens the trivial monotonicity bound when
     this is nonnegative; it can go negative (see iff_counterexample_matrix).
     """
-    return sandwich_block(d, *P.stack, cfg).lower.item()
+    return sandwich_block(d, *P.stack).lower.item()
 
 
 def iff_counterexample_matrix(x: float) -> JointMatrix:
@@ -330,7 +321,7 @@ def recover_f(d: Density) -> PowerRecovery:
 
 
 # ---------------------------------------------------------------------------
-# axiom property suite and monotonicity
+# axiom property suite
 # ---------------------------------------------------------------------------
 
 
@@ -466,11 +457,3 @@ def axiom_suite(
         expandability=expandability_ok,
         numbers=_AXIOM_NUMBERS.pack(*levels, worst_gap),
     )
-
-
-def monotonicity_check(d: Density, P: JointMatrix) -> bool:
-    """S(P) >= S(marginal) - 1e-10 (holds for concave densities with s(0)=0)."""
-    if not (d.s0_zero and d.concave):
-        raise ValueError("monotonicity check needs s(0) = 0 and concavity")
-    S_joint, S_marg, _ = joint_entropies(d, *P.stack)
-    return bool(S_joint[0] - S_marg[0] >= -1e-10)

@@ -1,7 +1,7 @@
 """The extremum scan: inf and sup of row-batched functions over (0, 1].
 
-The scan works on (0, 1] truncated at a configurable t_min.  Grid minima
-overestimate the true infimum and grid maxima underestimate the true
+The scan works on (0, 1] truncated at T_MIN, on one fixed log grid.  Grid
+minima overestimate the true infimum and grid maxima underestimate the true
 supremum; consumers receive est_error and must apply it as slack, which keeps
 one-sided-error reasoning sound.  Limit behavior toward 0 is probed on a
 geometric ladder (plus caller-declared points) and only reported as a trend,
@@ -12,7 +12,6 @@ it that those never win.
 """
 from __future__ import annotations
 
-import functools
 import math
 from typing import NamedTuple
 
@@ -26,7 +25,7 @@ class Scan(NamedTuple):
 
     value and arg are a lane's grid extremum and its grid point.  est_error
     is the neighbour-cell value gap there, to be applied as slack; at the
-    t_min edge it also covers how far the probes below t_min pass the value.
+    T_MIN edge it also covers how far the probes below T_MIN pass the value.
     diverging: a probe family trends away, or the grid meets an infinity in
     the unbounded direction.  probe_max, (rows,), is a row's largest finite
     probe value (NaN without one), for the caller's magnitude thresholds.
@@ -39,6 +38,12 @@ class Scan(NamedTuple):
     probe_max: np.ndarray
 
 
+# The scan's grid: GRID_N log-spaced points over [T_MIN, 1], ends exact.
+T_MIN = 1e-6
+GRID_N = 2048
+_GRID = np.geomspace(T_MIN, 1.0, GRID_N)
+_GRID[0], _GRID[-1] = T_MIN, 1.0
+_GRID.flags.writeable = False
 # Lane signs: the infimum lanes as they are, the supremum lanes negated, so
 # every lane minimizes.  _LANE_SIGN broadcasts over (rows, 2, points).
 _SIGN = np.array([1.0, -1.0])
@@ -81,31 +86,17 @@ def _diverging(values: np.ndarray) -> np.ndarray:
     return np.array([down, away & (step > 0).all(axis=1)]).T
 
 
-@functools.lru_cache(maxsize=8)
-def _log_grid(t_min: float, grid_n: int) -> np.ndarray:
-    """Read-only log-spaced grid over [t_min, 1] with exact end points."""
-    ts = np.geomspace(t_min, 1.0, grid_n)
-    ts[0], ts[-1] = t_min, 1.0
-    ts.flags.writeable = False
-    return ts
-
-
 def _neighbourhood(vs: np.ndarray, idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Grid indices and values of each lane's left neighbour, the lane itself
     and its right neighbour, clamped to the grid: two (rows, 2, 3) arrays."""
-    rows, grid_n = vs.shape
-    near = np.minimum(np.maximum(idx[..., None] + _NEIGHBOURS, 0), grid_n - 1)
-    return near, vs.ravel()[np.arange(0, rows * grid_n, grid_n)[:, None, None] + near]
+    rows, n = vs.shape
+    near = np.minimum(np.maximum(idx[..., None] + _NEIGHBOURS, 0), n - 1)
+    return near, vs.ravel()[np.arange(0, rows * n, n)[:, None, None] + near]
 
 
 @np.errstate(over="ignore", invalid="ignore", divide="ignore")
-def scan_extrema(
-    h,
-    t_min: float,
-    grid_n: int,
-    probe_points: tuple[float, ...] = (),
-) -> Scan:
-    """One grid scan of each row of h over [t_min, 1]: an (inf, sup) lane pair per row.
+def scan_extrema(h, probe_points: tuple[float, ...] = ()) -> Scan:
+    """One grid scan of each row of h over [T_MIN, 1]: an (inf, sup) lane pair per row.
 
     h is row-batched: it maps a 1-d t of length L to a (rows, L) array.
 
@@ -120,16 +111,11 @@ def scan_extrema(
     first -inf and argmax its first +inf, so finite picks prove every row
     finite.  Only otherwise is the grid masked, picked again and checked for
     blow-ups.  A lane's error is the larger gap to a finite grid neighbour
-    (inf without one); the t_min edge widens it only where the lane's value
+    (inf without one); the T_MIN edge widens it only where the lane's value
     is finite.  Every evaluation of h, grid and probes, runs inside this
     function's floating-point state, so none of it raises a warning.
     """
-    if grid_n < 256:
-        raise ValueError("grid_n must be >= 256")
-    if not 0.0 < t_min < 1.0:
-        raise ValueError("t_min must lie in (0, 1)")
-    ts = _log_grid(float(t_min), int(grid_n))
-    vs = np.asarray(h(ts), dtype=np.float64)
+    vs = np.asarray(h(_GRID), dtype=np.float64)
     # lanes (row, mode), mode 0 the infimum and 1 the supremum
     idx = np.array([vs.argmin(axis=1), vs.argmax(axis=1)]).T
     near, near_vals = _neighbourhood(vs, idx)
@@ -151,7 +137,7 @@ def scan_extrema(
         gap = np.abs(value[..., None] - near_vals)  # inf - inf is NaN where no value is finite
         est_error = np.where(ok, gap, -np.inf).max(axis=-1)
         est_error[est_error == -np.inf] = np.inf
-    arg = ts[idx]
+    arg = _GRID[idx]
 
     # probe families: geometric ladder toward 0, then declared points
     families = [_LADDER]
@@ -160,15 +146,15 @@ def scan_extrema(
         families.append(pts[pts > 0.0])
     probe_vals = [np.asarray(h(fam), dtype=np.float64) for fam in families]
     allv = probe_vals[0] if len(families) == 1 else np.concatenate(probe_vals, axis=1)
-    # the t_min edge truncates the scan: widen an edge lane's error by how
-    # far the probes below t_min pass its value in the lane's direction.  A
+    # the T_MIN edge truncates the scan: widen an edge lane's error by how
+    # far the probes below T_MIN pass its value in the lane's direction.  A
     # lane without a finite value has no finite neighbour: its error is inf.
     edge = idx == 0
     if finite is not None:
         edge &= np.isfinite(value)
     if np.count_nonzero(edge):
         probe_ts = families[0] if len(families) == 1 else np.concatenate(families)
-        signed = _LANE_SIGN * allv[:, None, probe_ts < t_min]
+        signed = _LANE_SIGN * allv[:, None, probe_ts < T_MIN]
         reach = np.where(np.isfinite(signed), signed, np.inf).min(axis=-1, initial=np.inf)
         past = _SIGN * np.where(edge, value, 0.0) - reach
         est_error = est_error + np.where(edge & (past > 0), past, 0.0)

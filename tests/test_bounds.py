@@ -1,4 +1,3 @@
-import dataclasses
 import math
 import warnings
 
@@ -11,7 +10,6 @@ from extenso.bounds import (
     DIVERGENCE_THRESHOLD,
     THETA_GRID_N,
     THETA_R_RANGE,
-    BoundsConfig,
     coefficient_bounds,
     column_bounds,
     theta_phi,
@@ -23,6 +21,7 @@ from extenso.densities import (
     remark5_density,
     tsallis_density,
 )
+from extenso.numerics import _GRID, T_MIN
 from extenso.simplex import marginal, random_joint
 from numeric_oracles import reference_phi, reference_theta
 
@@ -77,7 +76,7 @@ class TestCoefficientBounds:
     @pytest.mark.parametrize("r", [0.5, 0.1, 1e-3])
     def test_remark5_lower_error_covers_t_min_truncation(self, r):
         # the ratio falls toward its infimum 1/r as t -> 0, so the grid
-        # minimum sits at the t_min edge; est_error must reach the true r
+        # minimum sits at the T_MIN edge; est_error must reach the true r
         cb = coefficient_bounds(remark5_density(), r)
         assert cb.lower - r * r * cb.err_inf <= r + 4 * np.spacing(r)
 
@@ -134,23 +133,16 @@ class TestCoefficientBounds:
         ([0.5, 0.0, 1.5], "0.0"),
         ([0.2, math.nan, -1.0], "nan"),
         ([1.0 + 2e-12], "1.000000000002"),
+        ([1.0 + 2.0**-52], "1.0000000000000002"),
         ([0.3, -math.inf], "-inf"),
     ])
     def test_names_the_first_bad_r(self, rs, bad):
         with pytest.raises(ValueError, match=rf"^r must lie in \(0, 1\], got {bad}$"):
             column_bounds(bg_density(), rs)
 
-    def test_config_holds_the_grid_only(self):
-        assert [f.name for f in dataclasses.fields(BoundsConfig)] == ["t_min", "grid_n"]
-
     def test_no_columns(self):
         cb = column_bounds(remark5_density(), [])
         assert [field.shape for field in cb] == [(0,)] * len(cb)
-
-    def test_accepts_float_dust_above_one(self):
-        dust = 1.0 + 2.0**-52
-        [cb] = columns(column_bounds(bg_density(), [dust]))
-        assert cb.r == 1.0 and cb.lower == cb.upper == 1.0
 
     def test_no_finite_ratio_is_divergent_and_quiet(self):
         # s''(r t) overflows to -inf for every t: the scan evaluates the
@@ -175,12 +167,11 @@ class TestCoefficientBounds:
         assert math.isfinite(cb.lower) and math.isfinite(cb.upper)
 
     def test_config_respected(self):
-        # the ratio falls toward t = 0, so its inf sits at the t_min edge, on
-        # the configured grid's first point
-        cfg = BoundsConfig(grid_n=256, t_min=1e-4)
-        cb = coefficient_bounds(remark5_density(), 0.5, cfg)
-        ratio = curvature_ratio(remark5_density(), 0.5, np.geomspace(1e-4, 1.0, 256))
-        assert cb.arg_inf == 1e-4
+        # the ratio falls toward t = 0, so its inf sits at the T_MIN edge, on
+        # the fixed grid's first point
+        cb = coefficient_bounds(remark5_density(), 0.5)
+        ratio = curvature_ratio(remark5_density(), 0.5, _GRID)
+        assert cb.arg_inf == T_MIN
         assert cb.lower == 0.25 * ratio[0] == 0.25 * ratio.min()
 
     def test_half_ratio_closed_form_envelope(self):
@@ -218,18 +209,16 @@ class TestColumnBounds:
     @given(density_and_marginals())
     def test_batch_matches_columns_and_grid(self, case):
         d, rs = case
-        cfg = BoundsConfig()
-        batch = column_bounds(d, rs, cfg)
-        ts = np.geomspace(cfg.t_min, 1.0, cfg.grid_n)
-        ts[0], ts[-1] = cfg.t_min, 1.0
+        batch = column_bounds(d, rs)
+        ts = _GRID
         for r, cb in zip(rs.tolist(), columns(batch)):
             # repr compares every float bit for bit, nan included
-            assert repr(cb) == repr(coefficient_bounds(d, r, cfg))
-            vs = curvature_ratio(d, min(r, 1.0), ts)
+            assert repr(cb) == repr(coefficient_bounds(d, r))
+            vs = curvature_ratio(d, r, ts)
             work = np.where(np.isfinite(vs), vs, np.nan)
             for arg, i in ((cb.arg_inf, np.nanargmin(work)), (cb.arg_sup, np.nanargmax(work))):
-                assert ts[max(i - 1, 0)] <= arg <= ts[min(i + 1, cfg.grid_n - 1)]
-            f_scale = min(r, 1.0) * min(r, 1.0)
+                assert ts[max(i - 1, 0)] <= arg <= ts[min(i + 1, ts.size - 1)]
+            f_scale = r * r
             assert cb.lower <= f_scale * np.nanmin(work)
             assert cb.upper >= f_scale * np.nanmax(work)
 

@@ -93,14 +93,13 @@ def reference_sandwich_payload(argv: list[str]) -> dict:
     random_joint(m, n, seeds[i]), one report dict per row."""
     args = cli.build_parser().parse_args(argv)
     d = cli._resolve_density(args, args._parser)
-    cfg = cli._bounds_cfg(args)
     seeds = [int(s) for s in np.random.SeedSequence(args.seed).generate_state(args.instances)]
     details = []
     for i, seed in enumerate(seeds):
         P = random_joint(args.m, args.n, seed=seed, concentration=args.concentration)
-        rep = sandwich_check(d, P, cfg, tolerance=args.tolerance)
-        if args.tolerance is None:  # an independent per-vector build of the same report
-            assert rep.to_dict() == reference_sandwich(d, P, cfg)
+        rep = sandwich_check(d, P)
+        # an independent per-vector build of the same report
+        assert rep.to_dict() == reference_sandwich(d, P)
         details.append({"instance": i, **rep.to_dict()})
     outcomes = [row["verdict"] for row in details]
     slacks = [min(row["slack_lower"], row["slack_upper"]) for row in details]
@@ -126,7 +125,7 @@ class TestStackedSandwich:
         ["--density", "tsallis", "--q", "0.1", *DIRICHLET_4X4, "--instances", "40"],
         ["--density", "bg", *DIRICHLET_4X4, "--instances", "40"],
         ["--density", "remark5", *DIRICHLET_4X4, "--instances", "0"],
-        ["--density", "tsallis", "--q", "0.1", *DIRICHLET_4X4, "--instances", "12", "--tolerance", "0"],
+        ["--density", "tsallis", "--q", "0.1", *DIRICHLET_4X4, "--instances", "12"],
         ["--density", "remark5", "--m", "3", "--n", "7", "--concentration", "0.2",
          "--instances", "20", "--seed", "11"],
         # 280 columns: three scans
@@ -569,10 +568,6 @@ class TestUsageErrors:
             ["residual", "--density", "bg", "--power=-50", "--m", "2", "--n", "2",
              "--concentration", "0.01", "--seed", "3", "--instances", "2"],
             ["residual", "--density", "remark5", "--power", "0"],
-            ["verify-sandwich", "--density", "remark5", "--grid-n", "100"],
-            ["bounds", "--density", "bg", "--grid-n", "255"],
-            ["bounds", "--density", "bg", "--t-min", "0"],
-            ["counterexample", "remark2", "--t-min", "1.0"],
             ["bounds", "--density", "bg", "--r", "1.5"],
             ["bounds", "--density", "bg", "--r", "0"],
             ["bounds", "--density", "bg", "--r-grid", "0:1:5"],
@@ -593,7 +588,13 @@ class TestUsageErrors:
             ["verify-sandwich", "--density", "remark5", "--seed", "-1"],
             ["residual", "--density", "bg", "--seed", "-1"],
             ["axioms", "--density", "remark5", "--seed", "-1"],
-            # flags a subcommand does not read
+            # flags a subcommand does not read; the scan's grid and the
+            # sandwich tolerance are fixed, so no subcommand reads those
+            ["verify-sandwich", "--density", "remark5", "--grid-n", "512"],
+            ["bounds", "--density", "bg", "--t-min", "1e-4"],
+            ["counterexample", "remark5", "--grid-n", "512"],
+            ["counterexample", "remark2", "--t-min", "1e-3"],
+            ["verify-sandwich", "--density", "remark5", "--tolerance", "0"],
             ["bounds", "--density", "bg", "--tolerance", "1e-9"],
             ["counterexample", "remark5", "--tolerance", "0"],
             ["counterexample", "remark2", "--tolerance", "0"],
@@ -745,9 +746,10 @@ class TestUsageErrors:
 
 
 NON_FINITE_CASES = [
-    (["verify-sandwich", "--density", "remark5", "--tolerance", "nan"], "--tolerance must be finite, got nan"),
-    (["verify-sandwich", "--density", "remark5", "--tolerance", "inf"], "--tolerance must be finite, got inf"),
-    (["verify-sandwich", "--density", "remark5", "--tolerance=-1e-9"], "--tolerance must be >= 0, got -1e-09"),
+    (["residual", "--density", "remark5", "--power", "1", "--tolerance", "nan"], "--tolerance must be finite, got nan"),
+    (["residual", "--density", "remark5", "--power", "1", "--tolerance", "inf"], "--tolerance must be finite, got inf"),
+    (["residual", "--density", "remark5", "--power", "1", "--tolerance=-1e-9"], "--tolerance must be >= 0, got -1e-09"),
+    (["residual", "--density", "bg", "--tolerance=-5e-324"], "--tolerance must be >= 0, got -5e-324"),
     (["residual", "--density", "bg", "--tolerance", "nan"], "--tolerance must be finite, got nan"),
     (["residual", "--density", "bg", "--tolerance", "inf"], "--tolerance must be finite, got inf"),
     (["residual", "--density", "bg", "--tolerance", "-1"], "--tolerance must be >= 0, got -1.0"),
@@ -864,6 +866,7 @@ class TestImportSurface:
     def test_names_the_benchmark_uses(self):
         import extenso
         from extenso import _kernels, bounds, extensivity
+        from extenso.bounds import BoundsConfig  # noqa: F401
         from extenso import (  # noqa: F401
             EntropyFunctional,
             coefficient_bounds,

@@ -9,6 +9,7 @@ from extenso.densities import (
     Density,
     DensityDomainError,
     bg_density,
+    joint_entropies,
     remark2_density,
     remark5_density,
     tsallis_density,
@@ -21,7 +22,6 @@ from extenso.extensivity import (
     extensivity_residual,
     iff_counterexample_matrix,
     iff_lhs,
-    monotonicity_check,
     power_coefficient,
     recover_f,
     residual_block,
@@ -59,6 +59,12 @@ IFF_LIMIT = R5_S1_AT_1 * (math.sqrt(2.0) - 1.0) / 2.0  # -0.192546221434476
 def sizes_from_seed(seed):
     rng = np.random.default_rng(seed + 987)
     return int(rng.integers(1, 9)), int(rng.integers(1, 9))
+
+
+def monotone(d, P) -> bool:
+    """S(P) >= S(marginal) - 1e-10, which holds for concave densities with s(0) = 0."""
+    S_joint, S_marg, _ = joint_entropies(d, *P.stack)
+    return bool(S_joint[0] - S_marg[0] >= -1e-10)
 
 
 class TestResidual:
@@ -138,11 +144,6 @@ class TestSandwich:
     def test_flag_requirements(self):
         with pytest.raises(ValueError):
             sandwich_check(remark2_density(), random_joint(2, 2, seed=0))
-
-    def test_explicit_tolerance_override(self):
-        d = tsallis_density(2.0)
-        rep = sandwich_check(d, random_joint(3, 3, seed=2), tolerance=1e-3)
-        assert rep.tolerance == 1e-3
 
     def test_report_is_packed(self):
         # 4 float64 and a verdict code, no instance dict; bytes.lower and
@@ -367,11 +368,11 @@ class TestMonotonicity:
     def test_random_joints(self, d):
         for seed in range(60):
             m, n = sizes_from_seed(seed)
-            assert monotonicity_check(d, random_joint(m, n, seed=seed))
+            assert monotone(d, random_joint(m, n, seed=seed))
 
     def test_counterexample_matrix_still_monotone(self):
         d = remark5_density()
-        assert monotonicity_check(d, iff_counterexample_matrix(0.3))
+        assert monotone(d, iff_counterexample_matrix(0.3))
 
 
 class TestBatchReport:
@@ -423,7 +424,7 @@ class TestProperties:
     @settings(max_examples=100, deadline=None)
     @given(st.sampled_from(CONCAVE_DENSITIES), joints())
     def test_monotonicity(self, d, P):
-        assert monotonicity_check(d, P)
+        assert monotone(d, P)
 
 
 BATCH_DENSITIES = [bg_density(), tsallis_density(0.5), remark2_density(), remark5_density()]
@@ -447,7 +448,7 @@ class TestBatchedEvaluation:
     def test_joint_checks_match_per_vector(self, d, P):
         f = power_coefficient(0.5)
         assert extensivity_residual(d, P, f) == reference_residual(d, P, f)
-        assert monotonicity_check(d, P) == reference_monotonicity(d, P)
+        assert monotone(d, P) == reference_monotonicity(d, P)
         ready = sandwich_ready(d)
         assert sandwich_check(ready, P).to_dict() == reference_sandwich(ready, P)
 
@@ -541,32 +542,18 @@ class TestSandwichBlock:
         rows = [dict(zip(SandwichReport._fields, row)) for row in zip(*(v.tolist() for v in block))]
         assert [repr(row) for row in rows] == [repr(sandwich_check(d, JointMatrix(g)).to_dict()) for g in grids]
 
-    def test_tolerance_overrides_every_row(self):
-        grids = random_grids(3, 3, list(range(6)))
-        d = remark5_density()
-        block = sandwich_block(d, grids, *factor_grids(grids), tolerance=0.0)
-        assert block.tolerance.tolist() == [0.0] * 6
-        assert block.verdict.tolist() == [
-            sandwich_check(d, JointMatrix(g), tolerance=0.0).verdict for g in grids
-        ]
-
-    @pytest.mark.parametrize("tolerance", [None, 0.0, 1e-3])
-    def test_infinite_propagated_tolerance_is_divergent(self, tolerance):
+    def test_infinite_propagated_tolerance_is_divergent(self):
         # from about q = 1e6 the scan's grid errors are +inf: the propagated
-        # tolerance would pass any slack, so each joint is skipped, whatever
-        # tolerance overrides it
+        # tolerance would pass any slack, so each joint is skipped
         grids = random_grids(4, 4, list(range(20)))
         d = tsallis_density(1e6)
-        block = sandwich_block(d, grids, *factor_grids(grids), tolerance=tolerance)
-        propagated = sandwich_block(d, grids, *factor_grids(grids)).tolerance
-        assert np.isinf(propagated).all()
+        block = sandwich_block(d, grids, *factor_grids(grids))
+        assert np.isinf(block.tolerance).all()
         assert block.verdict.tolist() == ["divergent"] * 20 and block.divergent.all()
         for g, got in zip(grids, zip(*(v.tolist() for v in block))):
             P = JointMatrix(g)
             row = dict(zip(SandwichReport._fields, got))
-            assert repr(row) == repr(sandwich_check(d, P, tolerance=tolerance).to_dict())
-            if tolerance is None:
-                assert repr(sandwich_check(d, P).to_dict()) == repr(reference_sandwich(d, P))
+            assert repr(row) == repr(sandwich_check(d, P).to_dict()) == repr(reference_sandwich(d, P))
 
     def test_finite_propagated_tolerance_still_checks(self):
         grids = random_grids(4, 4, list(range(20)))
@@ -590,7 +577,7 @@ class TestEvalCount:
 
     def test_monotonicity(self):
         d, calls = count_eval_s(remark2_density())
-        monotonicity_check(d, random_joint(5, 4, seed=0))
+        joint_entropies(d, *random_joint(5, 4, seed=0).stack)
         # joint_entropies forms every part of a joint, conditionals included
         assert calls == [20 + 4 + 20]
 
@@ -650,7 +637,7 @@ class TestBlockValidation:
         # checks of the joint read its stack and validate nothing more
         d = remark5_density()
         extensivity_residual(d, P, power_coefficient(1.0))
-        monotonicity_check(d, P)
+        joint_entropies(d, *P.stack)
         sandwich_check(d, P)
         iff_lhs(d, P)
         assert rows == [1]

@@ -12,7 +12,7 @@ from extenso.densities import (
     remark5_density,
     tsallis_density,
 )
-from extenso.numerics import _TREND_WINDOW, _diverging, _log_grid, scan_extrema
+from extenso.numerics import _GRID, _TREND_WINDOW, GRID_N, T_MIN, _diverging, scan_extrema
 from numeric_oracles import (
     NoConvergenceError,
     adaptive_quadrature,
@@ -125,7 +125,7 @@ class TestFiniteDifference:
 
 class TestGlobalExtremum:
     def test_identity_inf_at_truncation_edge(self):
-        res = global_extremum(lambda t: t, "inf", t_min=1e-6)
+        res = global_extremum(lambda t: t, "inf")
         assert abs(res.value - 1e-6) <= 1e-9
         assert res.arg == pytest.approx(1e-6)  # extremum at the artificial boundary
 
@@ -158,30 +158,35 @@ class TestGlobalExtremum:
         # the true maximum, 0 at t = 0.37, lies inside a grid cell (2.5e-3 wide)
         h = lambda t: -((np.asarray(t) - 0.37) ** 2)
         res = global_extremum(h, "sup")
-        ts = _log_grid(1e-6, 2048)
+        ts = _GRID
         cell = np.searchsorted(ts, 0.37)
         assert ts[cell - 1] <= res.arg <= ts[cell]
         assert 0.0 < -res.value <= res.est_error
 
     def test_inf_never_exceeds_grid_minimum(self):
         h = lambda t: np.sin(13.0 * np.asarray(t)) + np.asarray(t)
-        res = global_extremum(h, "inf", grid_n=512)
-        ts = np.geomspace(1e-6, 1.0, 512)
+        res = global_extremum(h, "inf")
+        ts = np.geomspace(1e-6, 1.0, 2048)
         assert res.value <= float(np.min(h(ts))) + 1e-15
 
     def test_sup_never_below_grid_maximum(self):
         h = lambda t: np.sin(13.0 * np.asarray(t)) + np.asarray(t)
-        res = global_extremum(h, "sup", grid_n=512)
-        ts = np.geomspace(1e-6, 1.0, 512)
+        res = global_extremum(h, "sup")
+        ts = np.geomspace(1e-6, 1.0, 2048)
         assert res.value >= float(np.max(h(ts))) - 1e-15
 
     def test_validation(self):
         with pytest.raises(ValueError):
             global_extremum(lambda t: t, "min")
+
+    def test_grid_is_pinned_and_read_only(self):
+        want = np.geomspace(1e-6, 1.0, 2048)
+        want[0], want[-1] = 1e-6, 1.0
+        assert (T_MIN, GRID_N) == (1e-6, 2048)
+        assert _GRID.tobytes() == want.tobytes()
+        assert not _GRID.flags.writeable
         with pytest.raises(ValueError):
-            global_extremum(lambda t: t, "inf", grid_n=100)
-        with pytest.raises(ValueError):
-            global_extremum(lambda t: t, "inf", t_min=2.0)
+            _GRID[1] = 0.5
 
 
 # ---------------------------------------------------------------------------
@@ -246,10 +251,7 @@ def scan_cases(draw):
     else:
         d = {"bg": bg_density, "remark5": remark5_density, "remark2": remark2_density}[kind]()
     r = st.one_of(st.floats(1e-9, 1.0), st.sampled_from([1.0, 1e-9] + DUST))
-    rs = draw(st.lists(r, min_size=1, max_size=5))
-    t_min = draw(st.sampled_from([1e-6, 1e-8, 1e-3, 0.05]))
-    grid_n = draw(st.sampled_from([2048, 256, 300]))
-    return d, rs, t_min, grid_n
+    return d, draw(st.lists(r, min_size=1, max_size=5))
 
 
 class TestScanMatchesReference:
@@ -259,19 +261,16 @@ class TestScanMatchesReference:
     @settings(max_examples=60, deadline=None)
     @given(scan_cases())
     def test_curvature_ratios(self, case):
-        d, rs, t_min, grid_n = case
+        d, rs = case
         h = curvature_ratio(d, rs)
-        args = (t_min, grid_n, d.probe_points)
-        assert exact(scan_extrema(h, *args)) == exact(reference(h, *args))
+        assert exact(scan_extrema(h, d.probe_points)) == exact(reference(h, d.probe_points))
 
     @pytest.mark.parametrize("probes", [(), (0.5, 1e-7, 0.01), (2e-8,)])
-    @pytest.mark.parametrize("t_min, grid_n", [(1e-6, 512), (1e-3, 256)])
-    def test_nan_and_infinite_regions(self, probes, t_min, grid_n):
+    def test_nan_and_infinite_regions(self, probes):
         # warnings are errors in this suite: the scan stays quiet on rows
         # without a finite value
-        args = (t_min, grid_n, probes)
-        got = scan_extrema(patchy, *args)
-        assert exact(got) == exact(reference(patchy, *args))
+        got = scan_extrema(patchy, probes)
+        assert exact(got) == exact(reference(patchy, probes))
         assert (got.est_error[6:10] == math.inf).all()  # rows without a finite value
 
     @pytest.mark.parametrize("probes", [(), (0.25, 1e-9)])
@@ -283,7 +282,7 @@ class TestScanMatchesReference:
             calls.append(np.shape(t))
             return ratio(t)
 
-        scan_extrema(h, 1e-6, 2048, probe_points=probes)
+        scan_extrema(h, probe_points=probes)
         assert calls == [(2048,), (40,)] + [(len(probes),)] * bool(probes)
 
 
