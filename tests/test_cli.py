@@ -591,9 +591,13 @@ class TestUsageErrors:
             # flags a subcommand does not read; the scan's grid and the
             # sandwich tolerance are fixed, so no subcommand reads those
             ["verify-sandwich", "--density", "remark5", "--grid-n", "512"],
+            ["verify-sandwich", "--density", "remark5", "--t-min", "1e-6"],
             ["bounds", "--density", "bg", "--t-min", "1e-4"],
+            ["bounds", "--density", "bg", "--grid-n", "2048"],
             ["counterexample", "remark5", "--grid-n", "512"],
+            ["counterexample", "remark5", "--t-min", "1e-6"],
             ["counterexample", "remark2", "--t-min", "1e-3"],
+            ["counterexample", "remark2", "--grid-n", "2048"],
             ["verify-sandwich", "--density", "remark5", "--tolerance", "0"],
             ["bounds", "--density", "bg", "--tolerance", "1e-9"],
             ["counterexample", "remark5", "--tolerance", "0"],

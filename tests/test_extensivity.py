@@ -542,11 +542,12 @@ class TestSandwichBlock:
         rows = [dict(zip(SandwichReport._fields, row)) for row in zip(*(v.tolist() for v in block))]
         assert [repr(row) for row in rows] == [repr(sandwich_check(d, JointMatrix(g)).to_dict()) for g in grids]
 
-    def test_infinite_propagated_tolerance_is_divergent(self):
+    @pytest.mark.parametrize("q", [1e6, 1e9])
+    def test_infinite_propagated_tolerance_is_divergent(self, q):
         # from about q = 1e6 the scan's grid errors are +inf: the propagated
         # tolerance would pass any slack, so each joint is skipped
         grids = random_grids(4, 4, list(range(20)))
-        d = tsallis_density(1e6)
+        d = tsallis_density(q)
         block = sandwich_block(d, grids, *factor_grids(grids))
         assert np.isinf(block.tolerance).all()
         assert block.verdict.tolist() == ["divergent"] * 20 and block.divergent.all()
