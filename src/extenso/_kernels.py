@@ -88,8 +88,8 @@ def osc_panel_moments(lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, ...]:
 
     Panels must not straddle a zero or extremum of cos(1/u); the ladder
     construction in ``densities`` guarantees that, which keeps the fixed
-    Gauss rule spectrally accurate.  Returns (g, h, g_nodes, h_nodes), the
-    last two the (panels, 12) integrand values at the nodes, which
+    Gauss rule spectrally accurate.  Returns (g, h, g_nodes), the last the
+    (panels, 12) values of u*|cos(1/u)| at the nodes, which
     ``gl12_antiderivative_matrix`` turns into antiderivatives.
     """
     lo = np.asarray(lo, dtype=np.float64)
@@ -107,7 +107,7 @@ def osc_panel_moments(lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, ...]:
     terms = f * _GL12_W
     g = terms.sum(axis=1) * half
     h = np.multiply(fu, _GL12_W, out=terms).sum(axis=1) * half
-    return g, h, f, fu
+    return g, h, f
 
 
 def gl12_antiderivative_matrix() -> np.ndarray:
@@ -149,15 +149,20 @@ def horner_rows(coef: np.ndarray, x: np.ndarray) -> np.ndarray:
 def logsinc_integral(r: np.ndarray) -> np.ndarray:
     """Integral over [0, r_i] of log(sin(a t) / (a t)) with a = pi/4.
 
-    Evaluates LOGSINC_SERIES in Horner form in r^2 for r in [0, 1]; the
-    result is within a few ulps of the exact integral.
+    Evaluates LOGSINC_SERIES in Horner form in r^2 for r in [0, 1], in
+    place on one array; the result is within a few ulps of the exact
+    integral.
     """
     r = np.asarray(r, dtype=np.float64)
     r2 = r * r
-    acc = LOGSINC_SERIES[-1]
-    for c in LOGSINC_SERIES[-2::-1]:
-        acc = acc * r2 + c
-    return acc * r2 * r
+    acc = LOGSINC_SERIES[-1] * r2
+    acc += LOGSINC_SERIES[-2]
+    for c in LOGSINC_SERIES[-3::-1]:
+        acc *= r2
+        acc += c
+    acc *= r2
+    acc *= r
+    return acc
 
 
 # math.fsum row by row beats the tree's fixed cost up to _FSUM_TREE_MIN

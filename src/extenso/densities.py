@@ -12,10 +12,12 @@ half-ratio blows up along t_k = 1/((k+1/2)pi); remark5 integrates
 [2, 1+sqrt(2)].
 
 remark2's s and s' read a panel table built on first use: a ladder of
-prefix integrals and, per panel, the antiderivative polynomial of the Gauss
-rule's node interpolant, with the ten widest panels cut into sub-panels.
-A point's panel comes from the ladder's closed form, and its partial panel
-from one Horner pass, so evaluation runs no trig at all.
+prefix integrals and, per panel, the polynomial of G = int u|cos(1/u)| (the
+antiderivative of the Gauss rule's node interpolant), that polynomial's own
+antiderivative and one constant, with the ten widest panels cut into
+sub-panels.  A point's panel comes from the ladder's closed form, and s' or
+s from one Horner pass over the panel's polynomial, so evaluation runs no
+trig at all.
 """
 from __future__ import annotations
 
@@ -301,9 +303,12 @@ class _Remark2Tables(NamedTuple):
 
     breaks holds each panel's left end, ascending, with +inf appended: the
     top panel ends at 1.0.  prefix_g[i] and prefix_h[i] hold the integrals
-    from 0 to breaks[i], and the integral from breaks[i] to r is a degree-12
-    polynomial in r - center[i]: coef[:, 0, i] holds its ascending
-    coefficients for G and coef[:, 1, i] those for H.
+    from 0 to breaks[i].  With x = r - center[i], G(r) is prefix_g[i] plus
+    the degree-12 polynomial with ascending coefficients coef[:, i].  Its
+    antiderivative R_i(x) is x times the polynomial with coefficients
+    anti[k, i] = coef[k, i] / (k + 1), and since (H - rG)' = -G,
+    H(r) - r G(r) = const[i] - prefix_g[i] r - R_i(x), with
+    const[i] = prefix_h[i] + R_i(breaks[i] - center[i]).
     """
 
     breaks: np.ndarray
@@ -312,6 +317,8 @@ class _Remark2Tables(NamedTuple):
     j_max: int
     center: np.ndarray
     coef: np.ndarray
+    anti: np.ndarray
+    const: np.ndarray
 
 
 @functools.cache
@@ -319,9 +326,10 @@ def _remark2_tables() -> _Remark2Tables:
     """The ladder, built on first use from one Gauss-rule pass over its panels.
 
     The rule's node values give both the prefix sums and, through the
-    interpolant at those nodes, each panel's antiderivative polynomial:
-    6 356 narrow panels and 174 sub-panels of the ten widest, (13, 2, 6 530)
-    coefficients, about 1.36 MB.
+    interpolant at G's nodes, each panel's polynomial for G; H enters only
+    through its prefix sums, in const.  6 356 narrow panels and 174
+    sub-panels of the ten widest: coef and anti hold (13, 6 530)
+    coefficients each, about 1.36 MB together.
     """
     j_max = int(math.floor(2.0 / (math.pi * _LADDER_CUTOFF)))
     # steps y down to the last break below r = 1; their x are exact, as every
@@ -330,7 +338,7 @@ def _remark2_tables() -> _Remark2Tables:
     x = np.interp(y, _LADDER_Y, _LADDER_X)
     edges = np.concatenate([2.0 / (x * math.pi), [1.0]])
     lo, hi = edges[:-1], edges[1:]
-    g_panels, h_panels, g_nodes, h_nodes = _kernels.osc_panel_moments(lo, hi)
+    g_panels, h_panels, g_nodes = _kernels.osc_panel_moments(lo, hi)
     b0 = edges[0]
     g_prefix = np.concatenate([[0.0], np.cumsum(g_panels[:-1])]) + _MEAN_ABS_COS * b0 * b0 / 2.0
     h_prefix = np.concatenate([[0.0], np.cumsum(h_panels[:-1])]) + _MEAN_ABS_COS * b0**3 / 3.0
@@ -340,10 +348,7 @@ def _remark2_tables() -> _Remark2Tables:
     # r - center directly
     half = 0.5 * (hi - lo)
     center = 0.5 * (hi + lo)
-    anti = _kernels.gl12_antiderivative_matrix()
-    coef = np.empty((len(anti), 2, len(lo)))
-    np.matmul(anti, g_nodes.T, out=coef[:, 0])
-    np.matmul(anti, h_nodes.T, out=coef[:, 1])
+    coef = _kernels.gl12_antiderivative_matrix() @ g_nodes.T
     coef[0] *= half
     inv = 1.0 / half
     power = inv.copy()
@@ -353,11 +358,14 @@ def _remark2_tables() -> _Remark2Tables:
     # fl(lo - center) is not -half, which costs up to 4e-17 on a sub-panel:
     # there the constant is solved to make the polynomial vanish at lo
     wide = j_max - _WIDE_PANELS
-    sub = coef[..., wide:]
+    sub = coef[:, wide:]
     sub[0] = 0.0
     sub[0] = -_kernels.horner_rows(sub, lo[wide:] - center[wide:])
+    anti = coef / np.arange(1.0, len(coef) + 1.0)[:, None]
+    x_lo = lo - center
+    const = h_prefix + x_lo * _kernels.horner_rows(anti, x_lo)
     breaks = np.append(lo, math.inf)
-    return _Remark2Tables(breaks, g_prefix, h_prefix, j_max, center, coef)
+    return _Remark2Tables(breaks, g_prefix, h_prefix, j_max, center, coef, anti, const)
 
 
 def _remark2_panel(r: np.ndarray) -> np.ndarray:
@@ -377,35 +385,43 @@ def _remark2_panel(r: np.ndarray) -> np.ndarray:
     return idx
 
 
-def _remark2_moments(r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """G(r), H(r) for array r in [0, 1]: ladder prefix plus a partial panel,
-    and the mean tail below b0.  The partial panels run _REMARK2_CHUNK points
-    at a time, which bounds the gathered coefficients (26 floats a point)."""
+def _remark2_moments(r: np.ndarray, of_s: bool) -> np.ndarray:
+    """G(r) for array r in [0, 1], or with of_s H(r) - r G(r): a ladder
+    prefix plus one Horner pass over the point's partial panel, and the mean
+    tail below b0.  The partial panels run _REMARK2_CHUNK points at a time,
+    which bounds the gathered coefficients (13 floats a point)."""
     t = _remark2_tables()
     r = np.asarray(r, dtype=np.float64)
     flat = np.atleast_1d(r).ravel()
     ra = np.maximum(flat, t.breaks[0])
     idx = _remark2_panel(ra)
-    G, H = t.prefix_g[idx], t.prefix_h[idx]
+    coef = t.anti if of_s else t.coef
+    out = np.empty_like(ra)
     for a in range(0, ra.size, _REMARK2_CHUNK):
         c = slice(a, a + _REMARK2_CHUNK)
-        part = _kernels.horner_rows(np.take(t.coef, idx[c], axis=2), ra[c] - t.center[idx[c]])
-        G[c] += part[0]
-        H[c] += part[1]
+        i, rc = idx[c], ra[c]
+        x = rc - t.center[i]
+        part = _kernels.horner_rows(np.take(coef, i, axis=1), x)
+        if of_s:
+            part *= x
+            out[c] = t.const[i] - t.prefix_g[i] * rc - part
+        else:
+            out[c] = t.prefix_g[i] + part
     below = flat < t.breaks[0]
     if below.any():
         rb = flat[below]
-        G[below] = _MEAN_ABS_COS * rb * rb / 2.0
-        H[below] = _MEAN_ABS_COS * rb**3 / 3.0
-    return G.reshape(r.shape), H.reshape(r.shape)
+        out[below] = -_MEAN_ABS_COS * rb**3 / 6.0 if of_s else _MEAN_ABS_COS * rb * rb / 2.0
+    return out.reshape(r.shape)
 
 
 def remark2_density() -> Density:
     """Catalog density with curvature s''(r) = -r(|cos(1/r)| + r).
 
     s' and s come from the panel-ladder quadrature of s'' (absolute error
-    <= 1e-9; in practice ~1e-12), using s(r) = r s'(r) - int_0^r u s''(u) du;
-    see ``_remark2_tables`` for how a point's partial panel is evaluated.
+    <= 1e-9; in practice ~1e-12): s'(r) = -(G + r^3/3) and
+    s(r) = r s'(r) + H + r^4/4 = (H - r G) - r^4/12, with G and H the
+    integrals of u|cos(1/u)| and u^2|cos(1/u)| from 0 to r; see
+    ``_Remark2Tables`` for how a point's partial panel is evaluated.
     The curvature half-ratio grows without bound along t_k = 1/((k+1/2) pi),
     which the probe_points expose to extremum scans.
     """
@@ -417,15 +433,11 @@ def remark2_density() -> Density:
 
     def eval_s1(r):
         r = np.asarray(r, dtype=np.float64)
-        G, _ = _remark2_moments(r)
-        return -(G + r**3 / 3.0)
+        return -(_remark2_moments(r, of_s=False) + r**3 / 3.0)
 
     def eval_s(r):
         r = np.asarray(r, dtype=np.float64)
-        G, H = _remark2_moments(r)
-        s1 = -(G + r**3 / 3.0)
-        M = -(H + r**4 / 4.0)
-        return r * s1 - M
+        return _remark2_moments(r, of_s=True) - r**4 / 12.0
 
     k = np.arange(1, 65, dtype=np.float64)
     probes = tuple((1.0 / ((k + 0.5) * math.pi)).tolist())

@@ -1,6 +1,7 @@
 """Reference numerics for the tests: quadrature, finite differences, a
 one-function view of the extremum scan, the plain extremum scan and its
-per-row trend labels, remark2's panel ladder by the Gauss rule alone and
+per-row trend labels, remark5's log-sinc series by allocating Horner
+steps, remark2's panel ladder by the Gauss rule alone and
 its moments in closed form at 30 digits, per-vector entropy loops, theta
 over a separate profile closure, and the test-only constructions: a joint
 rebuilt from its factors, the shifted density and the 3x2 family behind
@@ -386,6 +387,24 @@ def reference_scan_extrema(h, probe_points: tuple[float, ...] = ()) -> Scan:
         for row, values in enumerate(pv):
             diverging[row] |= [label == "diverging" for label in reference_trend_labels(values)]
     return Scan(value, arg, est_error, diverging, probe_max)
+
+
+# ---------------------------------------------------------------------------
+# remark5's log-sinc series, one fresh array per Horner step
+# ---------------------------------------------------------------------------
+
+
+def allocating_logsinc_integral(r):
+    """The log-sinc integral by plain Horner steps, each into a new array:
+    the operations of _kernels.logsinc_integral in the same order."""
+    from extenso._kernels import LOGSINC_SERIES
+
+    r = np.asarray(r, dtype=np.float64)
+    r2 = r * r
+    acc = LOGSINC_SERIES[-1]
+    for c in LOGSINC_SERIES[-2::-1]:
+        acc = acc * r2 + c
+    return acc * r2 * r
 
 
 # ---------------------------------------------------------------------------

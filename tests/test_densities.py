@@ -227,6 +227,19 @@ def table_breaks() -> np.ndarray:
     return densities._remark2_tables().breaks[:-1]
 
 
+def s_of_moments(r, G, H):
+    """remark2's s = r s'(r) + H + r^4/4 with s'(r) = -(G + r^3/3)."""
+    return -r * (G + r**3 / 3.0) + H + r**4 / 4.0
+
+
+def mp_remark2_s(r) -> list:
+    """remark2's s at 30 digits from the closed-form moments."""
+    mp = pytest.importorskip("mpmath")
+    G, H = mp_remark2_moments(r)
+    with mp.workdps(30):
+        return [s_of_moments(mp.mpf(x), g, h) for x, g, h in zip(np.asarray(r).tolist(), G, H)]
+
+
 class TestRemark2Ladder:
     """The table-driven partial panels against the Gauss rule alone on the
     narrow panels, and against the closed form on the sub-panels."""
@@ -261,25 +274,24 @@ class TestRemark2Ladder:
     def test_moments_near_every_break(self):
         r = break_neighbours(gl12_remark2_ladder()[0])
         r = r[(r >= B0) & (r < WIDE_CUT)]
-        G, H = densities._remark2_moments(r)
         G_ref, H_ref = gl12_remark2_moments(r)
-        assert np.abs(G - G_ref).max() <= 1e-17
-        assert np.abs(H - H_ref).max() <= 1e-17
+        assert np.abs(densities._remark2_moments(r, of_s=False) - G_ref).max() <= 1e-17
+        assert np.abs(remark2_density().eval_s(r) - s_of_moments(r, G_ref, H_ref)).max() <= 1e-17
 
     @settings(max_examples=200, deadline=None)
     @given(st.floats(min_value=B0, max_value=WIDE_CUT, exclude_max=True))
     def test_moments_against_gauss_rule(self, r):
-        (G,), (H,) = densities._remark2_moments(np.array([r]))
+        (G,) = densities._remark2_moments(np.array([r]), of_s=False)
+        (s,) = remark2_density().eval_s(np.array([r]))
         (G_ref,), (H_ref,) = gl12_remark2_moments(np.array([r]))
         assert abs(G - G_ref) <= 1e-17
-        assert abs(H - H_ref) <= 1e-17
+        assert abs(s - s_of_moments(r, G_ref, H_ref)) <= 1e-17
 
     def test_log_uniform_sample_against_gauss_rule(self):
         r = np.geomspace(B0, WIDE_CUT, 100_001)[:-1]
-        G, H = densities._remark2_moments(r)
         G_ref, H_ref = gl12_remark2_moments(r)
-        assert np.abs(G - G_ref).max() <= 1e-17
-        assert np.abs(H - H_ref).max() <= 1e-17
+        assert np.abs(densities._remark2_moments(r, of_s=False) - G_ref).max() <= 1e-17
+        assert np.abs(remark2_density().eval_s(r) - s_of_moments(r, G_ref, H_ref)).max() <= 1e-17
 
     def test_wide_moments_against_closed_form(self):
         # a bound the per-point Gauss rule on the ten wide panels also meets
@@ -292,11 +304,12 @@ class TestRemark2Ladder:
             [1.0],
         ])
         r = r[(r >= WIDE_CUT) & (r <= 1.0)]
-        G, H = densities._remark2_moments(r)
-        G_ref, H_ref = mp_remark2_moments(r)
-        for g, h, g_ref, h_ref in zip(G.tolist(), H.tolist(), G_ref, H_ref):
+        G = densities._remark2_moments(r, of_s=False)
+        s = remark2_density().eval_s(r)
+        G_ref, _ = mp_remark2_moments(r)
+        for g, g_ref, v, v_ref in zip(G.tolist(), G_ref, s.tolist(), mp_remark2_s(r)):
             assert abs(g - g_ref) <= 1.2e-16
-            assert abs(h - h_ref) <= 1.2e-16
+            assert abs(v - v_ref) <= 1.2e-16
 
     def test_closed_form_against_quadrature(self):
         mp = pytest.importorskip("mpmath")
@@ -309,10 +322,11 @@ class TestRemark2Ladder:
             assert abs(H_hi - H_lo - h) <= 1e-25
 
     def test_below_cutoff_is_the_mean_tail(self):
+        # G = (2/pi) r^2/2 and H = (2/pi) r^3/3, so H - r G = -(2/pi) r^3/6
         r = np.array([0.0, 1e-12, 3e-5, np.nextafter(B0, 0.0)])
-        G, H = densities._remark2_moments(r)
+        G = densities._remark2_moments(r, of_s=False)
         assert G.tolist() == (2.0 / math.pi * r * r / 2.0).tolist()
-        assert H.tolist() == (2.0 / math.pi * r**3 / 3.0).tolist()
+        assert remark2_density().eval_s(r).tolist() == (-2.0 / math.pi * r**3 / 6.0 - r**4 / 12.0).tolist()
 
     @settings(max_examples=50, deadline=None)
     @given(st.lists(st.floats(min_value=0.0, max_value=1.0), min_size=1, max_size=40))

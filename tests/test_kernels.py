@@ -1,4 +1,5 @@
-"""_kernels.fsum_rows against math.fsum, row by row and bit for bit."""
+"""_kernels.fsum_rows against math.fsum, row by row and bit for bit, and
+_kernels.logsinc_integral against its allocating Horner pass."""
 import contextlib
 import math
 
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 
 from extenso import _kernels
 from extenso._kernels import fsum_rows
+from numeric_oracles import allocating_logsinc_integral
 
 
 def fsum_reprs(rows):
@@ -162,3 +164,22 @@ class TestFsumRows:
         block = 1.0 + rng.random(shape)
         assert fsum_rows(block).tolist() == [fsum(row) for row in block.tolist()]
         assert len(calls) == (shape[0] if loop else 0)
+
+
+class TestLogsincIntegral:
+    """The in-place Horner pass runs the allocating one's operations in the
+    same order, so every value matches bit for bit."""
+
+    @pytest.mark.parametrize(
+        "r",
+        [
+            np.array(0.7),
+            np.concatenate([[0.0, 1e-300, 5e-324, 1.0], np.linspace(1e-9, 1.0, 32)]),
+            np.random.default_rng(26).random(400_000),
+        ],
+        ids=["0-d", "36 points", "400 000 points"],
+    )
+    def test_matches_allocating_horner(self, r):
+        got, want = _kernels.logsinc_integral(r), allocating_logsinc_integral(r)
+        assert np.shape(got) == np.shape(want)
+        assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
