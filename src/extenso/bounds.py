@@ -6,6 +6,9 @@ at numerics.T_MIN and carries one-sided grid error; divergence (ratios growing
 without bound toward 0) is evidenced via probe trends and a magnitude threshold
 on the coefficient r^2 * ratio, not proved.  column_bounds scans all the r of a joint's
 columns in one (r x t) grid; coefficient_bounds is its one-column case.
+
+theta_phi reads theta off the same scan, on eval_s2's domain (0, 1], as the
+envelope's slope at r -> 1-: upper(r) <= r^(2-theta), tsallis' r^q at 2 - q.
 """
 from __future__ import annotations
 
@@ -15,7 +18,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .densities import Density
-from .numerics import Scan, scan_extrema
+from .numerics import _GRID, Scan, scan_extrema
 
 __all__ = [
     "CoefficientBounds",
@@ -103,55 +106,33 @@ def coefficient_bounds(d: Density, r: float) -> CoefficientBounds:
     return CoefficientBounds._make(v.item() for v in column_bounds(d, [r]))
 
 
-# ---------------------------------------------------------------------------
-# the growth index theta of phi = -1/s''
-# ---------------------------------------------------------------------------
-
-
-# theta's log grid over r; the odd count keeps r = 1 exactly on it
-THETA_R_RANGE = (1e-4, 1e4)
-THETA_GRID_N = 2001
-THETA_EPS = (1e-4, 1e-5, 1e-6)  # forward steps relative to r
+THETA_EPS = (1e-4, 1e-5, 1e-6)  # theta's forward steps, relative to t
 
 
 def theta_phi(d: Density) -> float:
-    """Growth index of phi = -1/s'' on (0, 1], continued linearly beyond 1
-    with the one-sided slope at 1: sup over r of (r/phi(r)) times phi's upper
-    forward difference quotient over steps eps*r, eps in THETA_EPS (r phi'/phi
-    for differentiable phi); an absolute step would inflate convex profiles.
+    """Growth index theta of phi = -1/s'' on (0, 1]: the sup over t and eps in
+    THETA_EPS of (phi(t(1+eps))/phi(t) - 1)/eps, t phi'/phi for a smooth phi.
 
-    Raises ValueError unless s'' < 0 on {k/2048} and phi is positive and
-    nondecreasing there and on 64 continuation points.  Returns math.inf on
-    overflow or non-finite quotients.
+    With rho = 1/(1+eps) that quotient is (s''(rho t)/s''(t) - 1)/eps at t/(1+eps),
+    so its sup over the envelope scan's grid is (upper(rho)/rho^2 - 1)/eps.  For
+    rt <= t in (0, 1], log phi(t) - log phi(rt) = int_rt^t phi'/phi <= theta log(1/r),
+    so s''(rt)/s''(t) = phi(t)/phi(rt) <= r^-theta, and upper(r) <= r^(2-theta).
+
+    Raises ValueError unless s'' is negative and normal on the scan's grid and
+    phi nondecreasing there (lower(rho) >= rho^2 up to rounding); math.inf
+    where a quotient is not finite.
     """
-    s2 = d.eval_s2
-    grid = np.arange(1, 2049, dtype=np.float64) / 2048
-    vals = np.asarray(s2(grid), dtype=np.float64)
-    if not np.all(vals < 0.0):
-        raise ValueError(f"s'' >= 0 at t={float(grid[np.argmax(vals >= 0.0)])}; phi undefined")
-    # one-sided O(h^2) slope of phi at 1, h = 1e-5, for the linear continuation
-    p0, p1, p2 = (float(-1.0 / np.asarray(s2(t))) for t in (1.0, 1.0 - 1e-5, 1.0 - 2e-5))
-    slope = (3.0 * p0 - 4.0 * p1 + p2) / 2e-5
-
-    def phi(r):
-        inner = -1.0 / np.asarray(s2(np.minimum(r, 1.0)))
-        return np.where(r <= 1.0, inner, p0 + slope * (r - 1.0))
-
-    pv = phi(np.concatenate([grid, 1.0 + np.linspace(0.01, 9.0, 64)]))
-    if not np.all(pv > 0.0):
-        raise ValueError("phi not positive on the sample grid")
-    if np.any(np.diff(pv) < -1e-10):
-        raise ValueError("phi not nondecreasing on the sample grid")
-    rs = np.geomspace(*THETA_R_RANGE, THETA_GRID_N)
-    base = phi(rs)
-    if not np.all(base > 0.0):
+    bad = ~(np.asarray(d.eval_s2(_GRID)) <= -np.finfo(np.float64).tiny)  # NaN too
+    if bad.any():
+        raise ValueError(f"phi undefined: s'' not negative and normal at t={float(_GRID[np.argmax(bad)])}")
+    rho = 1.0 / (1.0 + np.array(THETA_EPS))
+    cb = column_bounds(d, rho)
+    drop = cb.lower < rho * rho * (1.0 - 1e-12)  # past rounding
+    if drop.any():
+        k = np.argmax(drop)
+        raise ValueError(f"phi not nondecreasing: phi({float(rho[k])} t) > phi(t) at t={float(cb.arg_inf[k])}")
+    # rho/(1 - rho) is 1/eps for the rounded rho; 1 - rho is exact
+    quotient = (cb.upper / (rho * rho) - 1.0) * (rho / (1.0 - rho))
+    if not np.all(np.isfinite(quotient)):
         return math.inf
-    best = np.full(rs.shape, -np.inf)
-    for eps in THETA_EPS:
-        shifted = rs * (1.0 + eps)
-        h_eff = shifted - rs  # exactly representable step
-        best = np.maximum(best, (phi(shifted) - base) / h_eff)
-    theta = (rs / base) * best
-    if not np.all(np.isfinite(theta)):
-        return math.inf
-    return float(theta.max())
+    return float(quotient.max())

@@ -204,10 +204,9 @@ def iff_counterexample_matrix(x: float) -> JointMatrix:
     """The 2x2 family (column 1 fixed at (1/2, 0), column 2 = (x, 1-x)/2).
 
     As x drops to 0 the envelope's lower line tends to s'(1)(sqrt(2)-1)/2,
-    which is negative for the remark5 density.
+    which is negative for the remark5 density.  An x outside [0, 1], or NaN,
+    makes an entry negative or NaN, which JointMatrix refuses.
     """
-    if not 0.0 < x < 1.0:
-        raise ValueError(f"x must lie in (0, 1), got {x!r}")
     return JointMatrix([[0.5, 0.5 * x], [0.0, 0.5 * (1.0 - x)]])
 
 

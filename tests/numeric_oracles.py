@@ -3,7 +3,8 @@ one-function view of the extremum scan, the plain extremum scan and its
 per-row trend labels, remark5's log-sinc series by allocating Horner
 steps, remark2's panel ladder by the Gauss rule alone and
 its moments in closed form at 30 digits, per-vector entropy loops, theta
-over a separate profile closure, and the test-only constructions: a joint
+by forward quotients of a profile closure on a grid of its own, and the
+test-only constructions: a joint
 rebuilt from its factors, the shifted density and the 3x2 family behind
 the twice-differentiated curvature relation.
 
@@ -11,8 +12,9 @@ None of this runs in the package.  The two quadrature rules share no code
 path beyond the integrand, so the tests use them as independent oracles for
 the densities' closed forms and integral identities.  The plain scan and
 the per-vector loops (each entropy from its own eval_s call) are what the
-package's scan and batched evaluation must reproduce bit for bit, as
-theta_phi must the closure-based theta.
+package's scan and batched evaluation must reproduce bit for bit.
+theta_phi reads theta off the envelope scan, so it matches the closure-based
+theta to rounding, not bit for bit.
 """
 from __future__ import annotations
 
@@ -23,7 +25,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from extenso.bounds import THETA_EPS, THETA_GRID_N, THETA_R_RANGE, column_bounds
+from extenso.bounds import THETA_EPS, column_bounds
 from extenso.densities import Density, DensityDomainError
 from extenso.extensivity import _require_sandwich_flags
 from extenso.numerics import (
@@ -670,61 +672,49 @@ def reference_axiom_suite(d, sizes, seed, trials, eps_seq=(1e-3, 1e-5, 1e-7)) ->
 # ---------------------------------------------------------------------------
 
 
-def reference_phi(d: Density) -> Callable:
-    """Deformation profile phi, vectorized: -1/s'' on (0, 1], continued
-    linearly beyond 1 with the one-sided slope at 1.  Rejects curvature that
-    is not negative or a profile that is not positive and nondecreasing on
-    the sample grid."""
-    s2 = d.eval_s2
-    grid = np.arange(1, 2049, dtype=np.float64) / 2048
-    vals = np.asarray(s2(grid), dtype=np.float64)
-    if not np.all(vals < 0.0):
-        t_bad = float(grid[np.argmax(vals >= 0.0)])
-        raise ValueError(f"s'' >= 0 at t={t_bad}; phi undefined")
+# the reference's own grid over (0, 1]: wider and finer than the scan's, and
+# not the scan's points
+_THETA_REF_GRID = np.geomspace(1e-8, 1.0, 4001)
+_THETA_REF_GRID[-1] = 1.0
 
-    phi_at_1 = float(-1.0 / np.asarray(s2(1.0)))
-    h = 1e-5
-    # one-sided O(h^2) slope of phi at 1 for the linear continuation
-    p0 = phi_at_1
-    p1 = float(-1.0 / np.asarray(s2(1.0 - h)))
-    p2 = float(-1.0 / np.asarray(s2(1.0 - 2 * h)))
-    slope = (3.0 * p0 - 4.0 * p1 + p2) / (2.0 * h)
+
+def reference_phi(d: Density) -> Callable:
+    """Deformation profile phi = -1/s'' on (0, 1], vectorized, with no
+    continuation past 1.  Rejects curvature that is not negative and normal
+    on _THETA_REF_GRID."""
+    s2 = d.eval_s2
+    vals = np.asarray(s2(_THETA_REF_GRID), dtype=np.float64)
+    normal = vals <= -np.finfo(np.float64).tiny
+    if not np.all(normal):
+        t_bad = float(_THETA_REF_GRID[np.argmin(normal)])
+        raise ValueError(f"phi undefined: s'' not negative and normal at t={t_bad}")
 
     def eval_phi(r):
-        r = np.asarray(r, dtype=np.float64)
-        inner = -1.0 / np.asarray(s2(np.minimum(r, 1.0)))
-        outer = phi_at_1 + slope * (r - 1.0)
-        out = np.where(r <= 1.0, inner, outer)
+        out = -1.0 / np.asarray(s2(np.asarray(r, dtype=np.float64)), dtype=np.float64)
         return float(out) if out.ndim == 0 else out
 
-    sample = np.concatenate([grid, 1.0 + np.linspace(0.01, 9.0, 64)])
-    pv = eval_phi(sample)
-    if not np.all(pv > 0.0):
-        raise ValueError("phi not positive on the sample grid")
-    if np.any(np.diff(pv) < -1e-10):
-        raise ValueError("phi not nondecreasing on the sample grid")
     return eval_phi
 
 
 def reference_theta(d: Density) -> float:
-    """theta_phi(d) as a growth index over the closure reference_phi(d):
-    sup over r of (r/phi(r)) times the upper forward difference quotient
-    of phi over the eps-ladder of steps eps*r."""
+    """theta_phi(d) by plain forward quotients of reference_phi(d): the sup
+    over r and eps in THETA_EPS of (r/phi(r)) (phi(r + h) - phi(r))/h, with
+    h = eps*r and r + h on _THETA_REF_GRID.  A negative quotient refuses phi
+    as not nondecreasing, past rounding."""
     phi = reference_phi(d)
-    rs = np.geomspace(*THETA_R_RANGE, THETA_GRID_N)
-    base = np.asarray(phi(rs), dtype=np.float64)
-    if not np.all(base > 0.0):
-        return math.inf
-    best = np.full(rs.shape, -np.inf)
+    quots = []
     for eps in THETA_EPS:
-        shifted = rs * (1.0 + eps)
+        rs = _THETA_REF_GRID / (1.0 + eps)
+        shifted = np.minimum(rs * (1.0 + eps), 1.0)
         h_eff = shifted - rs  # exactly representable step
-        quot = (np.asarray(phi(shifted)) - base) / h_eff
-        best = np.maximum(best, quot)
-    theta = (rs / base) * best
-    if not np.all(np.isfinite(theta)):
-        return math.inf
-    return float(theta.max())
+        base = np.asarray(phi(rs))
+        quot = (rs / base) * (np.asarray(phi(shifted)) - base) / h_eff
+        if np.any(quot < -1e-12 / eps):
+            t_bad = float(shifted[np.argmax(quot < -1e-12 / eps)])
+            raise ValueError(f"phi not nondecreasing: phi(r) > phi(r(1+eps)) at r(1+eps)={t_bad}")
+        quots.append(quot)
+    quots = np.concatenate(quots)
+    return float(quots.max()) if np.all(np.isfinite(quots)) else math.inf
 
 
 # ---------------------------------------------------------------------------

@@ -441,6 +441,20 @@ class TestThetaPhi:
         assert code == 0
         assert abs(payload["theta"] - math.pi / 2.0) <= 1e-3
 
+    @pytest.mark.parametrize("args, prop", [
+        (["--density", "tsallis", "--q", "2.5"], "phi not nondecreasing"),
+        (["--density", "tsallis", "--q", "3"], "phi not nondecreasing"),
+        (["--density", "tsallis", "--q", "1e6"], "phi undefined: s'' not negative and normal"),
+        (["--density", "remark2"], "phi not nondecreasing"),
+    ], ids=["tsallis 2.5", "tsallis 3", "tsallis 1e6", "remark2"])
+    def test_refusal_names_the_property(self, args, prop, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["theta-phi", *args])
+        err = capsys.readouterr().err.strip().splitlines()
+        assert exc.value.code == 2
+        assert err[-1].startswith("extenso theta-phi: error: density ")
+        assert f"has no deformation profile: {prop}" in err[-1]
+
 
 class TestCsvProjection:
     @pytest.mark.parametrize("args", [
@@ -577,6 +591,9 @@ class TestUsageErrors:
             ["recover-f", "--density", "tsallis", "--q", "1"],
             ["verify-sandwich", "--density", "remark2"],
             ["theta-phi", "--density", "remark2"],
+            ["theta-phi", "--density", "tsallis", "--q", "2.5"],
+            ["theta-phi", "--density", "tsallis", "--q", "3"],
+            ["theta-phi", "--density", "tsallis", "--q", "1e6"],
             ["verify-sandwich", "--density", "remark5", "--concentration", "0.001", "--instances", "5"],
             ["residual", "--density", "bg", "--concentration", "0.001", "--instances", "5"],
             ["bounds", "--density", "bg", "--r-grid", "0.1:0.9:0"],

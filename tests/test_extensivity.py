@@ -197,6 +197,13 @@ class TestIff:
         d = remark5_density()
         assert iff_lhs(d, iff_counterexample_matrix(0.8)) > 0.0
 
+    @pytest.mark.parametrize("x", [1.5, math.nan])
+    def test_joint_refuses_x_outside_the_family(self, x):
+        # the family has no range check of its own: such an x makes an entry
+        # negative or NaN, and JointMatrix refuses it
+        with pytest.raises(InvalidDistributionError):
+            iff_counterexample_matrix(x)
+
 
 class TestRecovery:
     @pytest.mark.parametrize("q", [0.5, 2.0])
