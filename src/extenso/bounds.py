@@ -7,12 +7,11 @@ without bound toward 0) is evidenced via probe trends and a magnitude threshold
 on the coefficient r^2 * ratio, not proved.  column_bounds scans all the r of a joint's
 columns in one (r x t) grid; coefficient_bounds is its one-column case.
 
-theta_phi reads theta off the same scan, on eval_s2's domain (0, 1], as the
-envelope's slope at r -> 1-: upper(r) <= r^(2-theta), tsallis' r^q at 2 - q.
+theta_phi is the max of the index psi = -t s'''/s'' on the scan's grid, so
+upper(r) <= r^(2-theta), tsallis' r^q at theta = 2 - q.
 """
 from __future__ import annotations
 
-import math
 from typing import NamedTuple
 
 import numpy as np
@@ -24,6 +23,7 @@ __all__ = [
     "CoefficientBounds",
     "coefficient_bounds",
     "column_bounds",
+    "psi_on_grid",
     "theta_phi",
 ]
 
@@ -32,6 +32,7 @@ DIVERGENCE_THRESHOLD = 1e12
 # Rows per envelope scan; a scan holds several (rows x GRID_N) blocks.  A 2000-joint 4 x 4
 # verify-sandwich peaks at 44.2 MB, against 42.7 at one joint a scan and 74.6 at 800 rows.
 SCAN_ROWS = 128
+_NORMAL_MIN = float(np.finfo(np.float64).tiny)  # smallest normal float64
 
 
 class BoundsConfig:
@@ -106,33 +107,38 @@ def coefficient_bounds(d: Density, r: float) -> CoefficientBounds:
     return CoefficientBounds._make(v.item() for v in column_bounds(d, [r]))
 
 
-THETA_EPS = (1e-4, 1e-5, 1e-6)  # theta's forward steps, relative to t
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")
+def psi_on_grid(d: Density) -> np.ndarray:
+    """psi = -t s'''/s'' = t phi'/phi, phi = -1/s'', on the scan's grid: constant
+    exactly where a coefficient function, r^(2 - psi), exists.  Raises
+    ValueError, naming the failed property and a witness t, unless d declares
+    s''', s'' is negative and normal, s''' zero (tsallis, q = 2) or normal, and
+    psi finite at every grid point: no psi rests on an infinite or underflowed
+    value.  Runs with floating-point warnings off."""
+    if d.eval_s3 is None:
+        raise ValueError(f"phi' undefined: density {d.label!r} declares no s'''")
+    s2, s3 = (np.asarray(f(_GRID), dtype=np.float64) for f in (d.eval_s2, d.eval_s3))
+    psi = -_GRID * s3 / s2
+    # every test is false for NaN, so NaN fails it
+    for ok, what in (
+        ((s2 <= -_NORMAL_MIN) & (s2 > -np.inf), "phi undefined: s'' not negative and normal"),
+        ((s3 == 0.0) | (np.abs(s3) >= _NORMAL_MIN) & np.isfinite(s3), "phi' undefined: s''' not zero or normal"),
+        (np.isfinite(psi), "psi not finite"),
+    ):
+        if not ok.all():
+            raise ValueError(f"{what} at t={float(_GRID[np.argmin(ok)])}")
+    return psi
 
 
 def theta_phi(d: Density) -> float:
-    """Growth index theta of phi = -1/s'' on (0, 1]: the sup over t and eps in
-    THETA_EPS of (phi(t(1+eps))/phi(t) - 1)/eps, t phi'/phi for a smooth phi.
-
-    With rho = 1/(1+eps) that quotient is (s''(rho t)/s''(t) - 1)/eps at t/(1+eps),
-    so its sup over the envelope scan's grid is (upper(rho)/rho^2 - 1)/eps.  For
-    rt <= t in (0, 1], log phi(t) - log phi(rt) = int_rt^t phi'/phi <= theta log(1/r),
-    so s''(rt)/s''(t) = phi(t)/phi(rt) <= r^-theta, and upper(r) <= r^(2-theta).
-
-    Raises ValueError unless s'' is negative and normal on the scan's grid and
-    phi nondecreasing there (lower(rho) >= rho^2 up to rounding); math.inf
-    where a quotient is not finite.
-    """
-    bad = ~(np.asarray(d.eval_s2(_GRID)) <= -np.finfo(np.float64).tiny)  # NaN too
-    if bad.any():
-        raise ValueError(f"phi undefined: s'' not negative and normal at t={float(_GRID[np.argmax(bad)])}")
-    rho = 1.0 / (1.0 + np.array(THETA_EPS))
-    cb = column_bounds(d, rho)
-    drop = cb.lower < rho * rho * (1.0 - 1e-12)  # past rounding
-    if drop.any():
-        k = np.argmax(drop)
-        raise ValueError(f"phi not nondecreasing: phi({float(rho[k])} t) > phi(t) at t={float(cb.arg_inf[k])}")
-    # rho/(1 - rho) is 1/eps for the rounded rho; 1 - rho is exact
-    quotient = (cb.upper / (rho * rho) - 1.0) * (rho / (1.0 - rho))
-    if not np.all(np.isfinite(quotient)):
-        return math.inf
-    return float(quotient.max())
+    """Growth index theta of phi = -1/s'' on (0, 1]: the max of psi_on_grid, 0.0
+    for -0.0.  As log(s''(rt)/s''(t)) = int_rt^t psi(u) du/u <= theta log(1/r),
+    upper(r) <= r^(2-theta).  The grid max is the sup where psi is monotone, as
+    for bg (1), tsallis (2 - q) and remark5 ((pi t/2)/sin(pi t/2), up to pi/2).
+    Raises ValueError where psi_on_grid does, and where psi < 0 (phi decreasing),
+    naming a witness t."""
+    psi = psi_on_grid(d)
+    if (psi < 0.0).any():
+        k = np.argmax(psi < 0.0)
+        raise ValueError(f"phi not nondecreasing: psi = {float(psi[k])!r} < 0 at t={float(_GRID[k])}")
+    return float(psi.max()) + 0.0

@@ -86,7 +86,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser(
         "bounds",
         help="coefficient bounds over an r grid",
-        epilog="CSV columns: r,lower,upper,arg_inf,arg_sup,divergent",
+        epilog="CSV columns: r,lower,upper,arg_inf,arg_sup,err_inf,err_sup,divergent",
     )
     _add_density_args(p)
     p.add_argument("--r", type=float, action="append", help="r value (repeatable)")
@@ -259,20 +259,15 @@ def _parse_r_values(args, parser) -> list[float]:
 
 def _cmd_bounds(args, parser) -> tuple[dict, int]:
     d = _resolve_density(args, parser)
-    cb = column_bounds(d, _parse_r_values(args, parser))
     # a column without a finite ratio has no finite bound (null) and is divergent
-    cols = {"r": cb.r, "lower": cb.lower, "upper": cb.upper,
-            "arg_inf": cb.arg_inf, "arg_sup": cb.arg_sup, "divergent": cb.divergent}
-    rows = [dict(zip(cols, row)) for row in zip(*(v.tolist() for v in cols.values()))]
-    payload = {"density": d.label, "check": "bounds", "rows": rows}
-    return payload, 0
+    cb = column_bounds(d, _parse_r_values(args, parser))
+    rows = [dict(zip(cb._fields, row)) for row in zip(*(v.tolist() for v in cb))]
+    return {"density": d.label, "check": "bounds", "rows": rows}, 0
 
 
 def _cmd_recover_f(args, parser) -> tuple[dict, int]:
     d = _resolve_density(args, parser)
-    rec = recover_f(d)
-    payload = {"density": d.label, "check": "recover-f", **rec.to_dict()}
-    return payload, 0
+    return {"density": d.label, "check": "recover-f", **recover_f(d).to_dict()}, 0
 
 
 def _cmd_counterexample(args, parser) -> tuple[dict, int]:

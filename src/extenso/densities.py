@@ -53,15 +53,16 @@ class DensityDomainError(ValueError):
 class Density:
     """Scalar density with derivatives and regularity flags.
 
-    eval_s covers [0,1]; eval_s1/eval_s2 cover (0,1].  Evaluators must be
-    pure and reentrant; instances are immutable and safe to share across
-    threads.
+    eval_s covers [0,1]; eval_s1/eval_s2/eval_s3 cover (0,1], eval_s3 (s''')
+    optional: bounds.psi_on_grid needs it.  Evaluators must be pure and
+    reentrant; instances are immutable and safe to share across threads.
     """
 
     label: str
     eval_s: Callable
     eval_s1: Callable
     eval_s2: Callable
+    eval_s3: Callable | None = None
     s0_zero: bool = False
     s1_zero: bool = False
     concave: bool = False
@@ -138,7 +139,7 @@ def joint_entropies(
 
 
 def bg_density() -> Density:
-    """s(r) = -r log r with s(0) = 0; s'(r) = -log r - 1; s''(r) = -1/r."""
+    """s(r) = -r log r with s(0) = 0; s'(r) = -log r - 1; s''(r) = -1/r; s'''(r) = 1/r^2."""
 
     def eval_s(r):
         r = np.asarray(r, dtype=np.float64)
@@ -153,11 +154,15 @@ def bg_density() -> Density:
         r = np.asarray(r, dtype=np.float64)
         return -1.0 / r
 
+    def eval_s3(r):
+        return 1.0 / np.square(np.asarray(r, dtype=np.float64))
+
     return Density(
         label="bg",
         eval_s=eval_s,
         eval_s1=eval_s1,
         eval_s2=eval_s2,
+        eval_s3=eval_s3,
         s0_zero=True,
         s1_zero=True,
         concave=True,
@@ -170,7 +175,7 @@ def tsallis_density(q: float) -> Density:
     Summed over a probability vector this equals (1 - sum p_j^q)/(q - 1)
     because the entries sum to 1, and it satisfies s(0) = s(1) = 0.
     s''(r) = -q r^(q-2), as numpy gives it: -inf where r^(q-2) overflows
-    (q < 2, tiny r), 0 or subnormal where it underflows (large q).
+    (q < 2, tiny r), 0 or subnormal where it underflows (large q); s''' too.
 
     s and s' use expm1 of a multiple of log r, exact to rounding as q nears
     1, where r - r^q cancels.  For s that argument is never positive:
@@ -205,11 +210,15 @@ def tsallis_density(q: float) -> Density:
         r = np.asarray(r, dtype=np.float64)
         return -q * r ** (q - 2.0)
 
+    def eval_s3(r):
+        return -q * (q - 2.0) * np.asarray(r, dtype=np.float64) ** (q - 3.0)
+
     return Density(
         label=f"tsallis(q={q:g})",
         eval_s=eval_s,
         eval_s1=eval_s1,
         eval_s2=eval_s2,
+        eval_s3=eval_s3,
         s0_zero=True,
         s1_zero=True,
         concave=True,
@@ -242,7 +251,7 @@ def _remark5_constant() -> float:
 
 
 def remark5_density() -> Density:
-    """Catalog density with curvature s''(r) = -(pi/4) cot((pi/4) r).
+    """Catalog density with s''(r) = -(pi/4) cot((pi/4) r), s'''(r) = ((pi/4)/sin((pi/4) r))^2.
 
     s(0) = s(1) = 0 and s'(1) < 0; the curvature half-ratio s''(t/2)/s''(t)
     spans exactly [2, 1 + sqrt(2)] over t in (0, 1].
@@ -261,11 +270,15 @@ def remark5_density() -> Density:
         r = np.asarray(r, dtype=np.float64)
         return -QUARTER_PI / np.tan(QUARTER_PI * r)
 
+    def eval_s3(r):
+        return (QUARTER_PI / np.sin(QUARTER_PI * np.asarray(r, dtype=np.float64))) ** 2
+
     return Density(
         label="remark5",
         eval_s=eval_s,
         eval_s1=eval_s1,
         eval_s2=eval_s2,
+        eval_s3=eval_s3,
         s0_zero=True,
         s1_zero=True,
         concave=True,
@@ -348,7 +361,9 @@ def _remark2_tables() -> _Remark2Tables:
     # r - center directly
     half = 0.5 * (hi - lo)
     center = 0.5 * (hi + lo)
-    coef = _kernels.gl12_antiderivative_matrix() @ g_nodes.T
+    # node by node: a BLAS matmul's summation order depends on its thread count
+    nodes = np.ascontiguousarray(g_nodes.T)  # a row per node: strided rows take twice as long
+    coef = sum(a[:, None] * g for a, g in zip(_kernels.gl12_antiderivative_matrix().T, nodes))
     coef[0] *= half
     inv = 1.0 / half
     power = inv.copy()
@@ -415,7 +430,8 @@ def _remark2_moments(r: np.ndarray, of_s: bool) -> np.ndarray:
 
 
 def remark2_density() -> Density:
-    """Catalog density with curvature s''(r) = -r(|cos(1/r)| + r).
+    """Catalog density with s''(r) = -r(|cos(1/r)| + r), and away from its kinks,
+    the zeros of cos(1/r), s'''(r) = -|cos(1/r)| - sgn(cos(1/r)) sin(1/r)/r - 2r.
 
     s' and s come from the panel-ladder quadrature of s'' (absolute error
     <= 1e-9; in practice ~1e-12): s'(r) = -(G + r^3/3) and
@@ -430,6 +446,11 @@ def remark2_density() -> Density:
         r = np.asarray(r, dtype=np.float64)
         safe = np.where(r > 0.0, r, 1.0)
         return np.where(r > 0.0, -safe * (np.abs(np.cos(1.0 / safe)) + safe), 0.0)
+
+    def eval_s3(r):
+        r = np.asarray(r, dtype=np.float64)
+        c = np.cos(1.0 / r)
+        return -np.abs(c) - np.sign(c) * np.sin(1.0 / r) / r - 2.0 * r
 
     def eval_s1(r):
         r = np.asarray(r, dtype=np.float64)
@@ -447,6 +468,7 @@ def remark2_density() -> Density:
         eval_s=eval_s,
         eval_s1=eval_s1,
         eval_s2=eval_s2,
+        eval_s3=eval_s3,
         s0_zero=True,
         s1_zero=False,
         concave=True,

@@ -6,9 +6,9 @@ chain rule S(joint) = S(marginal) + sum_j f(p_j) S(conditional_j).  The
 sandwich verifier checks the curvature-ratio envelope against the measured
 joint-minus-marginal difference, widening the verdict by the scan's one-sided
 grid error so a pass stays sound.  Coefficient recovery probes whether the
-chain rule can hold for any f at all: consistency of the candidate
-f(r; x) = r^2 s''(rx)/s''(x) across base points x forces a power law, whose
-exponent and closed-form reconstruction are then reported.
+chain rule can hold for any f at all: the candidate r^2 s''(rt)/s''(t) is
+free of t exactly when psi = -t s'''/s'' is constant, which forces a power
+law, whose exponent and closed-form reconstruction are then reported.
 """
 from __future__ import annotations
 
@@ -21,9 +21,10 @@ import numpy as np
 
 from ._kernels import fsum_rows
 # coefficient_bounds stays importable from here: perfbench/tracer.py patches it
-from .bounds import CoefficientBounds, coefficient_bounds, column_bounds  # noqa: F401
+from .bounds import CoefficientBounds, coefficient_bounds, column_bounds, psi_on_grid  # noqa: F401
 # entropy, marginal and conditional stay importable from here: perfbench/tracer.py patches them
 from .densities import Density, entropy, joint_entropies  # noqa: F401
+from .numerics import _GRID, T_MIN
 from .simplex import InvalidDistributionError, JointMatrix, conditional, marginal  # noqa: F401
 
 __all__ = [
@@ -215,17 +216,15 @@ def iff_counterexample_matrix(x: float) -> JointMatrix:
 # ---------------------------------------------------------------------------
 
 
-# recover_f samples the candidate f(r; x) at r in _R_GRID and x in _X_PROBES.
-# A power law needs both defects within their tolerances; q within rounding
-# of 1 (_Q_ONE_WINDOW) takes the log branch; the rebuilt density is compared
-# with eval_s on _RECON_GRID_N points.
-_R_GRID = tuple(np.linspace(0.1, 0.9, 17).tolist())
-_X_PROBES = (0.125, 0.25, 0.375, 0.5)
-_CONSISTENCY_TOL = 1e-4
-_MULTIPLICATIVITY_TOL = 1e-6
+# s'' and s''' are taken to err by u (5 + |e log t|) relative, as a power t^e of
+# a rounded exponent does (tsallis: e = -psi, -psi - 1), so psi errs by
+# u (10 + |log T_MIN| (2|psi| + 1)), and an exact power's spread by twice that
+# times max |psi|.  q within rounding of 1 takes the log branch; the rebuilt
+# density must match eval_s within _RECON_TOL on _RECON_GRID_N points.
+_U, _LOG_T_MIN = 2.0**-53, -math.log(T_MIN)
 _Q_ONE_WINDOW = 8 * 2.0**-52
 _RECON_GRID_N = 256
-_NORMAL_MIN = float(np.finfo(np.float64).tiny)  # smallest normal float64
+_RECON_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -246,9 +245,12 @@ class Reconstruction:
 
 @dataclass(frozen=True)
 class PowerRecovery:
+    """q_est = 2 - mean psi; psi_spread = max - min of psi, at grid points t_psi_max, t_psi_min."""
+
     q_est: float
-    consistency: float
-    multiplicativity_defect: float
+    psi_spread: float
+    t_psi_max: float
+    t_psi_min: float
     verdict: str
     reconstruction: Reconstruction | None
 
@@ -261,62 +263,36 @@ class PowerRecovery:
 
 
 def recover_f(d: Density) -> PowerRecovery:
-    """Probe whether any coefficient function can satisfy the chain rule.
+    """Probe whether any coefficient function can satisfy the chain rule: one
+    exists exactly when s''(rt)/s''(t) is free of t, that is when psi =
+    -t s'''/s'' is constant, and then f(r) = r^q with q = 2 - psi > 0.  The
+    verdict is 'power' when psi's spread is within its rounding and the
+    density rebuilt in closed form from s(1), s'(1), s''(1) and q_est
+    matches eval_s; 'not_power' otherwise, with the reconstruction if only
+    that failed; 'inconclusive' where bounds.psi_on_grid refuses."""
+    try:
+        psi = psi_on_grid(d)
+    except ValueError:
+        return PowerRecovery(math.nan, math.nan, math.nan, math.nan, "inconclusive", None)
+    spread = float(psi.max() - psi.min())
+    witness = (float(_GRID[psi.argmax()]), float(_GRID[psi.argmin()]))
+    q_est = 2.0 - float(psi.mean())
+    top = float(np.abs(psi).max())
+    if spread > 2.0 * top * _U * (10.0 + _LOG_T_MIN * (2.0 * top + 1.0)) or q_est <= 0.0:
+        return PowerRecovery(q_est, spread, *witness, "not_power", None)
 
-    Candidates f(r; x) = r^2 s''(rx)/s''(x) must agree across base points x;
-    agreement plus multiplicativity f(r1) f(r2) = f(r1 r2) forces f(r) = r^q
-    with q > 0, in which case the density itself is rebuilt in closed form
-    from s(1), s'(1), s''(1) and compared to eval_s.  Where an s'' it reads is
-    not finite or not normal, the verdict is 'inconclusive'.
-    """
-    if not d.concave:
-        raise ValueError(f"density {d.label!r} lacks the concave flag")
-    s2 = d.eval_s2
-    rs = np.asarray(_R_GRID)
-    xs = np.asarray(_X_PROBES)
-    pair_rs = rs[::3]
-    r1, r2 = np.meshgrid(pair_rs, pair_rs)
-    # every s'' value the verdict reads: at the base points x, on the
-    # candidate grid r x and at multiplicativity's r1 r2 x
-    s2_x = np.asarray(s2(xs))
-    s2_rx = np.asarray(s2(rs[:, None] * xs))
-    s2_pairs = np.asarray(s2((r1 * r2)[..., None] * xs))
-    # a non-finite s'' has no ratio, and a zero or subnormal one has lost
-    # its digits to underflow (tsallis, large q): no verdict rests on either
-    if not all((np.isfinite(v) & (np.abs(v) >= _NORMAL_MIN)).all() for v in (s2_x, s2_rx, s2_pairs)):
-        return PowerRecovery(math.nan, math.nan, math.nan, "inconclusive", None)
-    cand = rs[:, None] ** 2 * s2_rx / s2_x
-    consistency = float((cand.max(axis=1) - cand.min(axis=1)).max())
-    # f_hat: the candidates' mean over x, on the grid and at the pairs' products
-    f_on_grid = cand.mean(axis=1)
-    f_products = ((r1 * r2)[..., None] ** 2 * s2_pairs / s2_x).mean(axis=-1)
-    defect = float(np.abs(f_on_grid[::3] * f_on_grid[::3, None] - f_products).max())
-    if np.any(f_on_grid <= 0.0):
-        return PowerRecovery(math.nan, consistency, defect, "not_power", None)
-    q_est = float(np.mean(np.log(f_on_grid) / np.log(rs)))
-
-    if consistency > _CONSISTENCY_TOL or defect > _MULTIPLICATIVITY_TOL or q_est <= 0.0:
-        return PowerRecovery(q_est, consistency, defect, "not_power", None)
-
-    s_1 = float(np.asarray(d.eval_s(1.0)))
-    s1_1 = float(np.asarray(d.eval_s1(1.0)))
-    s2_1 = float(np.asarray(s2(1.0)))
+    k = float(np.asarray(d.eval_s2(1.0))) / q_est
+    a = float(np.asarray(d.eval_s1(1.0))) - k
+    b = float(np.asarray(d.eval_s(1.0))) - a
     grid = np.arange(1, _RECON_GRID_N + 1, dtype=np.float64) / _RECON_GRID_N
-    if abs(q_est - 1.0) <= _Q_ONE_WINDOW:
-        k = s2_1
-        a = -s2_1 + s1_1
-        b = s2_1 - s1_1 + s_1
+    branch = "log" if abs(q_est - 1.0) <= _Q_ONE_WINDOW else "power"
+    if branch == "log":
         rebuilt = k * grid * np.log(grid) + a * grid + b
-        branch = "log"
     else:
-        k = s2_1 / q_est
-        a = -s2_1 / q_est + s1_1
-        b = s2_1 / q_est - s1_1 + s_1
         rebuilt = k * grid * np.expm1((q_est - 1.0) * np.log(grid)) / (q_est - 1.0) + a * grid + b
-        branch = "power"
     max_err = float(np.abs(rebuilt - np.asarray(d.eval_s(grid))).max())
     recon = Reconstruction(k_q=k, a_q=a, b_q=b, branch=branch, max_abs_err=max_err)
-    return PowerRecovery(q_est, consistency, defect, "power", recon)
+    return PowerRecovery(q_est, spread, *witness, "power" if max_err <= _RECON_TOL else "not_power", recon)
 
 
 # ---------------------------------------------------------------------------

@@ -2,10 +2,10 @@
 one-function view of the extremum scan, the plain extremum scan and its
 per-row trend labels, remark5's log-sinc series by allocating Horner
 steps, remark2's panel ladder by the Gauss rule alone and
-its moments in closed form at 30 digits, per-vector entropy loops, theta
-by forward quotients of a profile closure on a grid of its own, and the
-test-only constructions: a joint
-rebuilt from its factors, the shifted density and the 3x2 family behind
+its moments in closed form at 30 digits, per-vector entropy loops, psi and
+theta point by point on a grid of their own, the catalog's s'' in mpmath,
+and the test-only constructions: a joint rebuilt from its factors, the
+shifted density, the mixture of two densities and the 3x2 family behind
 the twice-differentiated curvature relation.
 
 None of this runs in the package.  The two quadrature rules share no code
@@ -13,8 +13,8 @@ path beyond the integrand, so the tests use them as independent oracles for
 the densities' closed forms and integral identities.  The plain scan and
 the per-vector loops (each entropy from its own eval_s call) are what the
 package's scan and batched evaluation must reproduce bit for bit.
-theta_phi reads theta off the envelope scan, so it matches the closure-based
-theta to rounding, not bit for bit.
+theta_phi reads theta on the scan's grid, so it matches the point-by-point
+theta to rounding where psi is monotone, not bit for bit.
 """
 from __future__ import annotations
 
@@ -25,7 +25,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from extenso.bounds import THETA_EPS, column_bounds
+from extenso.bounds import column_bounds
 from extenso.densities import Density, DensityDomainError
 from extenso.extensivity import _require_sandwich_flags
 from extenso.numerics import (
@@ -668,7 +668,7 @@ def reference_axiom_suite(d, sizes, seed, trials, eps_seq=(1e-3, 1e-5, 1e-7)) ->
 
 
 # ---------------------------------------------------------------------------
-# theta as a profile closure and a growth index over it
+# psi = -t s'''/s'' point by point, theta as its max, and s'' in mpmath
 # ---------------------------------------------------------------------------
 
 
@@ -678,43 +678,74 @@ _THETA_REF_GRID = np.geomspace(1e-8, 1.0, 4001)
 _THETA_REF_GRID[-1] = 1.0
 
 
-def reference_phi(d: Density) -> Callable:
-    """Deformation profile phi = -1/s'' on (0, 1], vectorized, with no
-    continuation past 1.  Rejects curvature that is not negative and normal
-    on _THETA_REF_GRID."""
-    s2 = d.eval_s2
-    vals = np.asarray(s2(_THETA_REF_GRID), dtype=np.float64)
-    normal = vals <= -np.finfo(np.float64).tiny
-    if not np.all(normal):
-        t_bad = float(_THETA_REF_GRID[np.argmin(normal)])
-        raise ValueError(f"phi undefined: s'' not negative and normal at t={t_bad}")
+def reference_psi(d: Density) -> Callable[[float], float]:
+    """psi(t) = -t s'''(t)/s''(t) at one float t, in Python floats, from one
+    eval_s2 and one eval_s3 call each."""
 
-    def eval_phi(r):
-        out = -1.0 / np.asarray(s2(np.asarray(r, dtype=np.float64)), dtype=np.float64)
-        return float(out) if out.ndim == 0 else out
+    def psi(t: float) -> float:
+        return -t * float(np.asarray(d.eval_s3(t))) / float(np.asarray(d.eval_s2(t)))
 
-    return eval_phi
+    return psi
 
 
 def reference_theta(d: Density) -> float:
-    """theta_phi(d) by plain forward quotients of reference_phi(d): the sup
-    over r and eps in THETA_EPS of (r/phi(r)) (phi(r + h) - phi(r))/h, with
-    h = eps*r and r + h on _THETA_REF_GRID.  A negative quotient refuses phi
-    as not nondecreasing, past rounding."""
-    phi = reference_phi(d)
-    quots = []
-    for eps in THETA_EPS:
-        rs = _THETA_REF_GRID / (1.0 + eps)
-        shifted = np.minimum(rs * (1.0 + eps), 1.0)
-        h_eff = shifted - rs  # exactly representable step
-        base = np.asarray(phi(rs))
-        quot = (rs / base) * (np.asarray(phi(shifted)) - base) / h_eff
-        if np.any(quot < -1e-12 / eps):
-            t_bad = float(shifted[np.argmax(quot < -1e-12 / eps)])
-            raise ValueError(f"phi not nondecreasing: phi(r) > phi(r(1+eps)) at r(1+eps)={t_bad}")
-        quots.append(quot)
-    quots = np.concatenate(quots)
-    return float(quots.max()) if np.all(np.isfinite(quots)) else math.inf
+    """theta_phi(d) as the max of psi over _THETA_REF_GRID, one point at a
+    time.  Refuses, property by property as theta_phi does: s'' not negative
+    and normal, s''' not zero or normal, psi not finite, psi < 0 (phi not
+    nondecreasing); -0.0 reads 0.0."""
+    if d.eval_s3 is None:
+        raise ValueError(f"phi' undefined: density {d.label!r} declares no s'''")
+    tiny = float(np.finfo(np.float64).tiny)
+    s2 = [float(np.asarray(d.eval_s2(t))) for t in _THETA_REF_GRID.tolist()]
+    s3 = [float(np.asarray(d.eval_s3(t))) for t in _THETA_REF_GRID.tolist()]
+    with np.errstate(all="ignore"):
+        psi = [float(np.float64(-t) * c / b) for t, b, c in zip(_THETA_REF_GRID.tolist(), s2, s3)]
+    for ok, what in (
+        ([-math.inf < b <= -tiny for b in s2], "phi undefined: s'' not negative and normal"),
+        ([c == 0.0 or tiny <= abs(c) < math.inf for c in s3], "phi' undefined: s''' not zero or normal"),
+        ([math.isfinite(p) for p in psi], "psi not finite"),
+        ([p >= 0.0 for p in psi], "phi not nondecreasing: psi < 0"),
+    ):
+        if not all(ok):
+            raise ValueError(f"{what} at t={float(_THETA_REF_GRID[ok.index(False)])}")
+    return max(psi) + 0.0
+
+
+def mp_curvature(kind: str, q: float | None = None) -> Callable:
+    """s'' of a catalog density as an mpmath function, exact to the working
+    precision: mpmath.diff of it is the oracle for eval_s3."""
+    import mpmath as mp
+
+    if kind == "bg":
+        return lambda t: -1 / t
+    if kind == "tsallis":
+        qq = mp.mpf(q)
+        return lambda t: -qq * t ** (qq - 2)
+    if kind == "remark5":
+        return lambda t: -(mp.pi / 4) * mp.cot(mp.pi * t / 4)
+    if kind == "remark2":
+        return lambda t: -t * (abs(mp.cos(1 / t)) + t)
+    raise ValueError(f"no catalog density {kind!r}")
+
+
+def mixed_density(d1: Density, d2: Density) -> Density:
+    """(d1 + d2)/2, evaluator by evaluator, s''' included.  Of two tsallis
+    densities with q1 != q2 it is concave with a psi that falls in t, so no
+    coefficient function exists: recover_f must say not_power."""
+
+    def half_sum(f1, f2):
+        return lambda r: 0.5 * (np.asarray(f1(r)) + np.asarray(f2(r)))
+
+    return Density(
+        label=f"mix({d1.label}, {d2.label})",
+        eval_s=half_sum(d1.eval_s, d2.eval_s),
+        eval_s1=half_sum(d1.eval_s1, d2.eval_s1),
+        eval_s2=half_sum(d1.eval_s2, d2.eval_s2),
+        eval_s3=half_sum(d1.eval_s3, d2.eval_s3),
+        s0_zero=d1.s0_zero and d2.s0_zero,
+        s1_zero=d1.s1_zero and d2.s1_zero,
+        concave=d1.concave and d2.concave,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -747,6 +778,7 @@ def shifted_density(d: Density) -> Density:
         eval_s=eval_s,
         eval_s1=eval_s1,
         eval_s2=d.eval_s2,
+        eval_s3=d.eval_s3,
         s0_zero=d.s0_zero,
         s1_zero=True,
         concave=d.concave,

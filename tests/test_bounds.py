@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import warnings
 
@@ -21,7 +22,7 @@ from extenso.densities import (
 )
 from extenso.numerics import _GRID, T_MIN
 from extenso.simplex import marginal, random_joint
-from numeric_oracles import reference_phi, reference_theta
+from numeric_oracles import reference_psi, reference_theta
 
 SQRT2 = math.sqrt(2.0)
 
@@ -264,59 +265,64 @@ class TestClosedFormEnvelope:
 
 
 class TestPhi:
-    """theta_phi reads phi = -1/s'' off the envelope scan and refuses a
-    density without one.  It matches theta over reference_phi, which has a
-    grid of its own, to rounding, so reference_phi's closed forms are phi's."""
+    """theta_phi reads psi = t phi'/phi = -t s'''/s'' on the scan's grid and
+    refuses a density without a nondecreasing phi.  It matches theta over
+    reference_psi, point by point on a grid of its own, to rounding, so
+    reference_psi's closed forms are psi's."""
 
     def test_remark5_closed_form(self):
-        phi = reference_phi(remark5_density())
-        r = np.linspace(0.05, 1.0, 64)
-        np.testing.assert_allclose(
-            phi(r), (4.0 / math.pi) * np.tan(np.pi * r / 4.0), rtol=1e-12
-        )
-        assert phi(1.0) == pytest.approx(4.0 / math.pi, rel=1e-12)
+        psi = reference_psi(remark5_density())
+        for t in np.linspace(0.05, 1.0, 64).tolist():
+            x = math.pi * t / 2.0
+            assert psi(t) == pytest.approx(x / math.sin(x), rel=1e-14)
+        assert psi(1.0) == pytest.approx(math.pi / 2.0, rel=1e-15)
 
     def test_bg_identity(self):
-        phi = reference_phi(bg_density())
-        r = np.linspace(0.1, 1.0, 16)
-        np.testing.assert_allclose(phi(r), r, rtol=1e-12)
+        psi = reference_psi(bg_density())
+        for t in np.geomspace(1e-8, 1.0, 16).tolist():
+            assert psi(t) == pytest.approx(1.0, rel=1e-15)
 
     def test_tsallis_closed_form(self):
         q = 0.5
-        phi = reference_phi(tsallis_density(q))
-        r = np.linspace(0.1, 1.0, 16)
-        np.testing.assert_allclose(phi(r), r ** (2.0 - q) / q, rtol=1e-12)
+        psi = reference_psi(tsallis_density(q))
+        for t in np.geomspace(1e-8, 1.0, 16).tolist():
+            assert psi(t) == pytest.approx(2.0 - q, rel=1e-14)
 
     CONVEX = Density(
         label="convex",
         eval_s=lambda r: np.asarray(r) ** 2,
         eval_s1=lambda r: 2.0 * np.asarray(r),
         eval_s2=lambda r: np.full_like(np.asarray(r, dtype=float), 2.0),
+        eval_s3=lambda r: np.zeros_like(np.asarray(r, dtype=float)),
         concave=False,
     )
 
     def test_rejects_nonconcave(self):
-        with pytest.raises(ValueError, match="^phi undefined: s'' not negative and normal at t="):
+        with pytest.raises(ValueError, match="^phi undefined: s'' not negative and normal at t=1e-06$"):
             theta_phi(self.CONVEX)
 
     def test_rejects_decreasing_profile(self):
-        # q > 2 makes -1/s'' = t^(2-q)/q decreasing
-        with pytest.raises(ValueError, match="^phi not nondecreasing: "):
+        # q > 2 makes -1/s'' = t^(2-q)/q decreasing: psi = 2 - q < 0
+        with pytest.raises(ValueError, match=r"^phi not nondecreasing: psi = -1\.0 < 0 at t=1e-06$"):
             theta_phi(tsallis_density(3.0))
 
     def test_rejects_remark2(self):
         # phi = 1/(t(|cos(1/t)| + t)) peaks wherever cos(1/t) = 0
-        with pytest.raises(ValueError, match=r"^phi not nondecreasing: phi\(.* t\) > phi\(t\) at t="):
+        with pytest.raises(ValueError, match=r"^phi not nondecreasing: psi = -.* < 0 at t="):
             theta_phi(remark2_density())
+
+    def test_rejects_density_without_s3(self):
+        d = dataclasses.replace(bg_density(), eval_s3=None)
+        with pytest.raises(ValueError, match="^phi' undefined: density 'bg' declares no s'''$"):
+            theta_phi(d)
 
     @pytest.mark.parametrize(
         "d", [bg_density(), remark5_density(), *(tsallis_density(q) for q in (0.05, 0.5, 1.5, 2.0))],
         ids=lambda d: d.label,
     )
     def test_matches_closure_composition(self, d):
-        # the growth index over a separately built profile closure, on a grid
-        # of its own; the two differ by the rounding of the quotients
-        assert abs(theta_phi(d) - reference_theta(d)) <= 1e-9
+        # psi is monotone for these, so both grids hold its sup to rounding
+        assert abs(theta_phi(d) - reference_theta(d)) <= 1e-14
 
     @pytest.mark.parametrize(
         "d", [tsallis_density(3.0), tsallis_density(1e6), tsallis_density(5e-324), remark2_density(), CONVEX],
@@ -342,32 +348,31 @@ NORMAL_MIN = float(np.finfo(np.float64).tiny)
 class TestTheta:
     def test_remark5(self):
         theta = theta_phi(remark5_density())
-        assert abs(theta - math.pi / 2.0) <= 1e-6
+        assert abs(theta - math.pi / 2.0) <= 1e-14
         assert theta < 2.0
 
     def test_bg(self):
         theta = theta_phi(bg_density())
-        assert abs(theta - 1.0) <= 1e-9
+        assert abs(theta - 1.0) <= 1e-14
 
     @pytest.mark.parametrize("q", [0.5, 2.0])
     def test_tsallis_branch(self, q):
-        # hand oracle: r phi'/phi = 2 - q on the (0, 1] branch
+        # hand oracle: t phi'/phi = 2 - q; at q = 2 psi is -0.0, read as 0.0
         theta = theta_phi(tsallis_density(q))
-        assert abs(theta - (2.0 - q)) <= 1e-3
+        assert abs(theta - (2.0 - q)) <= 1e-14
+        assert math.copysign(1.0, theta) == 1.0
 
     @settings(max_examples=60, deadline=None)
     @given(theta_q)
     def test_tsallis_closed_form(self, q):
-        # t phi'/phi = 2 - q.  For q < 1 the eps = 1e-4 quotient is the
-        # largest, with bias (2-q)(1-q) eps/2 <= 1e-4; for q >= 1 it is the
-        # eps = 1e-6 quotient, with bias below 1.3e-7.  A subnormal q makes
-        # s'' subnormal at t = 1, and no theta rests on that.
+        # t phi'/phi = 2 - q.  A subnormal q makes s'' subnormal at t = 1,
+        # and no theta rests on that.
         if q < NORMAL_MIN:
             with pytest.raises(ValueError, match="^phi undefined: "):
                 theta_phi(tsallis_density(q))
             return
         theta = theta_phi(tsallis_density(q))
-        assert abs(theta - (2.0 - q)) <= (2e-7 if q >= 1.0 else 1.1e-4)
+        assert abs(theta - (2.0 - q)) <= 1e-14
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -381,4 +386,4 @@ class TestTheta:
         cb = column_bounds(d, rs)
         r = cb.r
         assert (cb.lower >= r * r * (1.0 - 1e-12)).all()
-        assert (cb.upper <= r ** (2.0 - theta) * (1.0 + 1e-5)).all()
+        assert (cb.upper <= r ** (2.0 - theta) * (1.0 + 1e-14)).all()

@@ -334,8 +334,21 @@ class TestBounds:
         )
         assert code == 0
         lines = out.splitlines()
-        assert lines[0] == "r,lower,upper,arg_inf,arg_sup,divergent"
+        assert lines[0] == "r,lower,upper,arg_inf,arg_sup,err_inf,err_sup,divergent"
         assert len(lines) == 2
+
+    def test_rows_carry_the_scan_errors(self, capsys):
+        # every row holds CoefficientBounds' fields, and the subparser's
+        # epilog names the same columns in the same order
+        code, out = run_cli(["bounds", "--density", "remark5", "--r", "0.5", "--r", "0.9"], capsys)
+        payload = json.loads(out, parse_constant=_reject_constant)
+        assert code == 0
+        cb = bounds.column_bounds(remark5_density(), [0.5, 0.9])
+        want = [dict(zip(cb._fields, col)) for col in zip(*(v.tolist() for v in cb))]
+        assert payload["rows"] == want
+        assert all(row["err_sup"] > 0.0 for row in payload["rows"])
+        epilog = cli.build_parser()._subparsers._group_actions[0].choices["bounds"].epilog
+        assert epilog == "CSV columns: " + ",".join(cb._fields)
 
 
 class TestRecoverF:
@@ -348,20 +361,24 @@ class TestRecoverF:
     def test_remark5_not_power(self, capsys):
         _, payload = run_json(["recover-f", "--density", "remark5"], capsys)
         assert payload["verdict"] == "not_power"
+        # psi rises from 1 at the grid's T_MIN to pi/2 at t = 1
+        assert (payload["t_psi_max"], payload["t_psi_min"]) == (1.0, 1e-06)
+        assert sorted(payload) == ["check", "density", "psi_spread", "q_est", "t_psi_max", "t_psi_min", "verdict"]
 
-    @pytest.mark.parametrize("q", ["120", "150", "200", "300", "1000"])
+    @pytest.mark.parametrize("q", ["54", "100", "120", "150", "200", "300", "1000"])
     def test_underflowed_curvature_is_inconclusive(self, q, capsys):
-        # s'' underflows at some r1 r2 x (or on the candidate grid itself)
+        # from q = 53.5 or so s'' is subnormal at the scan grid's T_MIN
         code, out = run_cli(["recover-f", "--density", "tsallis", "--q", q], capsys)
         payload = json.loads(out, parse_constant=_reject_constant)
         assert code == 0 and payload["verdict"] == "inconclusive"
-        assert payload["q_est"] is None and payload["consistency"] is None
+        assert payload["q_est"] is None and payload["psi_spread"] is None
+        assert payload["t_psi_max"] is None and payload["t_psi_min"] is None
         assert "reconstruction" not in payload
 
     def test_largest_q_with_normal_curvature(self, capsys):
-        code, payload = run_json(["recover-f", "--density", "tsallis", "--q", "100"], capsys)
+        code, payload = run_json(["recover-f", "--density", "tsallis", "--q", "53"], capsys)
         assert code == 0 and payload["verdict"] == "power"
-        assert payload["q_est"] == 100.0
+        assert payload["q_est"] == 53.0
         assert payload["reconstruction"] == {
             "a_q": 0.0, "b_q": 0.0, "branch": "power", "k_q": -1.0, "max_abs_err": 0.0,
         }
@@ -439,7 +456,12 @@ class TestThetaPhi:
     def test_remark5(self, capsys):
         code, payload = run_json(["theta-phi", "--density", "remark5"], capsys)
         assert code == 0
-        assert abs(payload["theta"] - math.pi / 2.0) <= 1e-3
+        assert abs(payload["theta"] - math.pi / 2.0) <= 1e-14
+
+    def test_zero_theta_prints_without_a_sign(self, capsys):
+        # tsallis(2) has s''' = 0, so psi is -0.0 at every grid point
+        code, out = run_cli(["theta-phi", "--density", "tsallis", "--q", "2"], capsys)
+        assert code == 0 and '"theta": 0.0' in out
 
     @pytest.mark.parametrize("args, prop", [
         (["--density", "tsallis", "--q", "2.5"], "phi not nondecreasing"),
@@ -805,7 +827,7 @@ class TestNonFiniteFlags:
         assert code == 0
         lost, kept = payload["rows"]
         assert lost == {"r": 1e-300, "lower": None, "upper": None, "arg_inf": 1e-06,
-                        "arg_sup": 1e-06, "divergent": True}
+                        "arg_sup": 1e-06, "err_inf": None, "err_sup": None, "divergent": True}
         assert kept["divergent"] is False and kept["lower"] == pytest.approx(0.5 ** 0.1)
 
     def test_bounds_overflow_under_warnings_as_errors(self, capsys):

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, reject, settings
+from hypothesis import assume, given, reject, settings
 from hypothesis import strategies as st
 
 import extenso
@@ -39,6 +39,7 @@ from numeric_oracles import (
     entropy_one,
     gl12_remark2_ladder,
     gl12_remark2_moments,
+    mp_curvature,
     mp_remark2_moments,
     reference_residual,
     shifted_density,
@@ -350,6 +351,24 @@ class TestRemark2Ladder:
         monkeypatch.setattr(densities, "_REMARK2_CHUNK", chunk)
         assert list(zip(d.eval_s(x).tolist(), d.eval_s1(x).tolist())) == single
         assert d.eval_s(x.reshape(8, 8)).ravel().tolist() == [s for s, _ in single]
+
+    def test_remark2_table_bytes_do_not_depend_on_blas_threads(self):
+        # a BLAS product sums in an order that depends on its thread count
+        code = (
+            "import hashlib, numpy as np; from extenso.densities import _remark2_tables; "
+            "print(hashlib.sha256(b''.join(np.ascontiguousarray(a).tobytes() "
+            "for a in _remark2_tables() if isinstance(a, np.ndarray))).hexdigest())"
+        )
+        src = str(Path(extenso.__file__).resolve().parents[1])
+        digests = set()
+        for threads in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                       PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+            out = subprocess.run(
+                [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+            )
+            digests.add(out.stdout.strip())
+        assert len(digests) == 1
 
 
 class TestRemark5:
@@ -740,3 +759,53 @@ class TestDensityInvariants:
                 )
                 rhs = a * float(np.asarray(d.eval_s1(a))) * r - float(np.asarray(d.eval_s(a * r)))
                 assert abs(lhs - rhs) <= 1e-6
+
+
+U = 2.0**-53  # unit roundoff of float64
+
+
+def mp_derivatives(kind: str, t: float, q: float | None = None) -> tuple[float, float]:
+    """s''(t) and mpmath.diff of it at 50 digits, from mp_curvature."""
+    mp = pytest.importorskip("mpmath")
+    s2 = mp_curvature(kind, q)
+    with mp.workdps(50):
+        tt = mp.mpf(t)
+        return float(s2(tt)), float(mp.diff(s2, tt))
+
+
+class TestThirdDerivative:
+    """eval_s3 against mpmath.diff of the catalog's s'' (mp_curvature), which
+    eval_s2 matches too, at drawn t."""
+
+    @settings(max_examples=50, deadline=None)
+    @given(st.sampled_from(["bg", "remark5"]), st.floats(1e-6, 1.0))
+    def test_bg_and_remark5(self, kind, t):
+        d = {"bg": bg_density, "remark5": remark5_density}[kind]()
+        want2, want3 = mp_derivatives(kind, t)
+        assert float(d.eval_s2(t)) == pytest.approx(want2, rel=8 * U)
+        assert float(d.eval_s3(t)) == pytest.approx(want3, rel=8 * U)
+
+    @settings(max_examples=50, deadline=None)
+    @given(st.floats(0.05, 4.0).filter(lambda q: q != 1.0), st.floats(1e-6, 1.0))
+    def test_tsallis(self, q, t):
+        # the exponents q - 2 and q - 3 are rounded, which costs |e log t| u
+        d = tsallis_density(q)
+        want2, want3 = mp_derivatives("tsallis", t, q)
+        rel = U * (8.0 + 4.0 * abs(math.log(t)))
+        assert float(d.eval_s2(t)) == pytest.approx(want2, rel=rel)
+        assert float(d.eval_s3(t)) == pytest.approx(want3, rel=rel, abs=0.0)
+
+    def test_tsallis_2_third_derivative_is_negative_zero(self):
+        assert np.asarray(tsallis_density(2.0).eval_s3(np.geomspace(1e-6, 1.0, 7))).tolist() == [-0.0] * 7
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.floats(1e-4, 1.0))
+    def test_remark2_away_from_the_kinks(self, t):
+        # s'' has a kink wherever cos(1/t) = 0; 1/t is rounded, which costs
+        # up to (1/t)^2 u in s''' through sin(1/t)/t
+        assume(abs(math.cos(1.0 / t)) >= 1e-6)
+        d = remark2_density()
+        want2, want3 = mp_derivatives("remark2", t)
+        tol = 8.0 * U * (1.0 + 1.0 / t) ** 2
+        assert abs(float(d.eval_s2(t)) - want2) <= tol
+        assert abs(float(d.eval_s3(t)) - want3) <= tol

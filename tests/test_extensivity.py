@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -14,7 +15,7 @@ from extenso.densities import (
     remark5_density,
     tsallis_density,
 )
-from extenso import densities, simplex
+from extenso import densities, extensivity, simplex
 from extenso.cli import batch_report
 from extenso.extensivity import (
     SandwichReport,
@@ -28,6 +29,7 @@ from extenso.extensivity import (
     sandwich_block,
     sandwich_check,
 )
+from extenso.numerics import _GRID, T_MIN
 from extenso.simplex import (
     InvalidDistributionError,
     JointMatrix,
@@ -42,6 +44,7 @@ from numeric_oracles import (
     check_twice_equation,
     count_eval_s,
     finite_difference,
+    mixed_density,
     rebuild,
     reference_axiom_suite,
     reference_monotonicity,
@@ -210,9 +213,8 @@ class TestRecovery:
     def test_tsallis_power(self, q):
         rec = recover_f(tsallis_density(q))
         assert rec.verdict == "power"
-        assert abs(rec.q_est - q) <= 1e-6
-        assert rec.consistency <= 1e-4
-        assert rec.multiplicativity_defect <= 1e-6
+        assert abs(rec.q_est - q) <= 1e-12
+        assert rec.psi_spread <= 1e-14
         assert rec.reconstruction.branch == "power"
         assert rec.reconstruction.k_q < 0.0
         assert rec.reconstruction.max_abs_err <= 1e-8
@@ -233,23 +235,84 @@ class TestRecovery:
         assert rec.reconstruction.branch == "power"
         assert rec.reconstruction.max_abs_err <= 1e-12
 
-    @pytest.mark.parametrize("q", [120.0, 200.0, 1000.0])
+    @settings(max_examples=60, deadline=None)
+    @given(st.one_of(
+        st.floats(0.05, 4.0).filter(lambda q: q != 1.0),
+        st.floats(1e-12, 1e-3).flatmap(lambda dq: st.sampled_from([1.0 - dq, 1.0 + dq])),
+    ))
+    def test_every_tsallis_is_a_power(self, q):
+        rec = recover_f(tsallis_density(q))
+        assert rec.verdict == "power"
+        assert abs(rec.q_est - q) <= 1e-12
+        assert rec.reconstruction.max_abs_err <= 1e-8
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.floats(0.05, 4.0), st.floats(1e-6, 1.0), st.booleans())
+    def test_two_tsallis_mixture_is_not_a_power(self, q1, delta, down):
+        # psi of the mixture falls with t, by about 3.45 delta^2 over the
+        # scan's grid: far above the rounding of an exact power's psi
+        q2 = q1 - delta if down else q1 + delta
+        assume(q2 > 0.0 and 1.0 not in (q1, q2))
+        rec = recover_f(mixed_density(tsallis_density(q1), tsallis_density(q2)))
+        assert rec.verdict == "not_power" and rec.reconstruction is None
+        assert rec.psi_spread >= 3e-12
+        # the two witnesses are the grid's ends, psi largest at T_MIN
+        assert (rec.t_psi_max, rec.t_psi_min) == (T_MIN, 1.0)
+
+    def test_mixture_has_no_coefficient_function(self):
+        # the independent oracle: the f that fits the twice-differentiated
+        # relation at xi = 1 misses it at xi = 0.2
+        d = mixed_density(tsallis_density(0.5), tsallis_density(1.5))
+        r = 0.5
+        f = r * r * float(np.asarray(d.eval_s2(r * 0.5))) / float(np.asarray(d.eval_s2(0.5)))
+        assert abs(check_twice_equation(d, lambda _: f, r, 1.0, 0.5)) <= 1e-12
+        assert abs(check_twice_equation(d, lambda _: f, r, 0.2, 0.1)) > 1e-2
+        assert recover_f(d).verdict == "not_power"
+
+    def test_power_agrees_with_twice_equation(self):
+        for q in (0.05, 0.5, 1.0 + 1e-12, 2.0, 4.0):
+            d = tsallis_density(q)
+            f = power_coefficient(recover_f(d).q_est)
+            for r, xi, x in [(0.5, 0.8, 0.3), (0.2, 1.0, 0.4), (0.9, 0.6, 0.1)]:
+                scale = r * r * abs(float(np.asarray(d.eval_s2(r * x))))
+                assert abs(check_twice_equation(d, f, r, xi, x)) <= 1e-12 * scale
+
+    def test_reconstruction_gate(self):
+        # psi is that of tsallis(2), but s is off by 1e-6 r(1 - r): no power
+        d = tsallis_density(2.0)
+        off = dataclasses.replace(d, eval_s=lambda r: d.eval_s(r) + 1e-6 * np.asarray(r) * (1.0 - np.asarray(r)))
+        rec = recover_f(off)
+        assert rec.verdict == "not_power" and rec.psi_spread == 0.0
+        assert rec.reconstruction.max_abs_err == pytest.approx(2.5e-7, rel=1e-6)
+
+    @pytest.mark.parametrize("q", [54.0, 60.0, 108.0, 120.0, 200.0, 1000.0])
     def test_underflowed_curvature_is_inconclusive(self, q):
-        # at q = 200 two candidates used to underflow to 0 and still say power
+        # from q = 53.5 or so s'' is subnormal at T_MIN, and no psi rests on it
         rec = recover_f(tsallis_density(q))
         assert rec.verdict == "inconclusive" and rec.reconstruction is None
-        assert math.isnan(rec.q_est)
+        assert math.isnan(rec.q_est) and math.isnan(rec.psi_spread)
         assert rec.to_dict()["verdict"] == "inconclusive" and "reconstruction" not in rec.to_dict()
+
+    def test_largest_q_with_normal_curvature(self):
+        assert recover_f(tsallis_density(53.0)).verdict == "power"
+
+    def test_without_s3_is_inconclusive(self):
+        assert recover_f(dataclasses.replace(bg_density(), eval_s3=None)).verdict == "inconclusive"
 
     def test_remark5_rejected(self):
         rec = recover_f(remark5_density())
         assert rec.verdict == "not_power"
-        assert rec.consistency > 1e-2  # probe-table spread, frozen ~0.0199
+        # psi = (pi t/2)/sin(pi t/2) rises from 1 to pi/2
+        assert rec.psi_spread == pytest.approx(math.pi / 2.0 - 1.0, abs=1e-12)
+        assert (rec.t_psi_max, rec.t_psi_min) == (1.0, T_MIN)
         assert rec.reconstruction is None
 
     def test_remark2_rejected(self):
         rec = recover_f(remark2_density())
         assert rec.verdict == "not_power"
+        assert rec.psi_spread > 1e6
+        for t in (rec.t_psi_max, rec.t_psi_min):
+            assert t in _GRID
 
 
 class TestTwiceEquation:
@@ -398,7 +461,8 @@ class TestBatchReport:
 
 
 SANDWICH_DENSITIES = [bg_density(), tsallis_density(0.5), remark5_density(),
-                      shifted_density(remark2_density())]
+                      shifted_density(remark2_density()),
+                      mixed_density(tsallis_density(0.5), tsallis_density(2.0))]
 CONCAVE_DENSITIES = SANDWICH_DENSITIES + [tsallis_density(2.0), tsallis_density(3.0),
                                           remark2_density()]
 
@@ -562,6 +626,29 @@ class TestSandwichBlock:
             P = JointMatrix(g)
             row = dict(zip(SandwichReport._fields, got))
             assert repr(row) == repr(sandwich_check(d, P).to_dict()) == repr(reference_sandwich(d, P))
+
+    @pytest.mark.parametrize("factor", [0.0, 10.0])
+    def test_a_raised_lower_line_fails(self, factor, monkeypatch):
+        # tsallis' envelope collapses to r^q, so lower = diff up to rounding:
+        # raising each lower_j by rise moves the lower line by
+        # rise * sum_j (S_j - s'(1)), here factor times the joint's tolerance
+        d = tsallis_density(0.5)
+        grids = random_grids(4, 4, list(range(50)))
+        parts = factor_grids(grids)
+        base = sandwich_block(d, grids, *parts)
+        _, _, S_cond = joint_entropies(d, grids, *parts)
+        rise = factor * base.tolerance / (S_cond - float(np.asarray(d.eval_s1(1.0)))).sum(axis=1)
+        original = extensivity.column_bounds
+
+        def raised(d, rs):
+            cb = original(d, rs)
+            return cb._replace(lower=cb.lower + np.repeat(rise, 4))
+
+        monkeypatch.setattr(extensivity, "column_bounds", raised)
+        block = sandwich_block(d, grids, *parts)
+        np.testing.assert_allclose(block.lower - base.lower, factor * base.tolerance, rtol=1e-6)
+        assert (block.tolerance == base.tolerance).all()
+        assert block.verdict.tolist() == ["fail" if factor else "pass"] * 50
 
     def test_finite_propagated_tolerance_still_checks(self):
         grids = random_grids(4, 4, list(range(20)))
